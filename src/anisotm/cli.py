@@ -6,10 +6,10 @@ maximize (subcritical or critical profile search), sweep (the sup-identity
 scan over t), check (the quick invariant battery).
 
 Every output embeds the artifact version and the SHA-256 of the resolved
-config (after --seed/--threads overrides), and contains no timestamps, so
-identical configs produce byte-identical files.  Exit codes: 0 success,
-1 failed checks (the check subcommand only), 2 validation error,
-3 numerical overflow or support overflow, 4 I/O error.
+config (after the --seed override; --threads is an accepted no-op), and
+contains no timestamps, so identical configs produce byte-identical files.
+Exit codes: 0 success, 1 failed checks (the check subcommand only),
+2 validation error, 3 numerical overflow or support overflow, 4 I/O error.
 """
 
 import argparse
@@ -48,6 +48,21 @@ def _require(block, key, where):
     return block[key]
 
 
+_REQUIRED = object()
+
+
+def _number(block, key, where, convert, default=_REQUIRED):
+    """Field ``where.key`` through ``convert`` (int or float), ``default``
+    when absent (None stays None); a value that does not convert is a
+    ConfigError."""
+    raw = _require(block, key, where) if default is _REQUIRED else block.get(key, default)
+    try:
+        return None if raw is None and default is None else convert(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config field {where}.{key} must be a number, "
+                          f"got {raw!r}") from None
+
+
 def load_config(path, seed_override=None, threads_override=None):
     """Read, validate, and resolve the run config; returns (dict, sha256)."""
     try:
@@ -59,10 +74,9 @@ def load_config(path, seed_override=None, threads_override=None):
         raise ConfigError("config must be a JSON object")
     if seed_override is not None:
         cfg.setdefault("search", {})["seed"] = int(seed_override)
-    if threads_override is not None:
-        cfg.setdefault("search", {})["threads"] = int(threads_override)
-    # the thread count is an execution detail with no effect on results, so
-    # it stays out of the hash; outputs are byte-identical across counts
+    # the search is serial: the thread count, from --threads or
+    # search.threads, is accepted, ignored and kept out of the hash
+    del threads_override
     hash_cfg = json.loads(json.dumps(cfg))
     hash_cfg.get("search", {}).pop("threads", None)
     digest = hashlib.sha256(
@@ -74,7 +88,7 @@ def gauge_from_config(cfg):
     spec = _require(cfg, "gauge", "<root>")
     dim = 2
     if "params" in cfg and "n" in cfg["params"]:
-        dim = int(cfg["params"]["n"])
+        dim = _number(cfg["params"], "n", "params", int)
     try:
         return FinslerNorm.from_config(spec, dim=dim)
     except GaugeError as err:
@@ -83,27 +97,27 @@ def gauge_from_config(cfg):
 
 def params_from_config(cfg, F=None):
     block = _require(cfg, "params", "<root>")
-    n = int(_require(block, "n", "params"))
-    lam = block.get("lambda")
+    n = _number(block, "n", "params", int)
+    lam = _number(block, "lambda", "params", float, None)
     if lam is None:
-        rel = block.get("lambda_rel")
+        rel = _number(block, "lambda_rel", "params", float, None)
         if rel is None:
             raise ConfigError("config field params.lambda (or params.lambda_rel) "
                               "is missing")
         if F is None:
             raise ConfigError("params.lambda_rel needs a gauge to resolve against")
-        lam = float(rel) * sharp_constant(F)
+        lam = rel * sharp_constant(F)
     variant = block.get("variant", PHI_SERIES)
     if variant not in (EXP_POWER, PHI_SERIES):
         raise ConfigError(f"config field params.variant must be {EXP_POWER!r} "
                           f"or {PHI_SERIES!r}, got {variant!r}")
     try:
         params = FunctionalParams(
-            n=n, q=float(_require(block, "q", "params")),
-            beta=float(block.get("beta", 0.0)), lam=float(lam),
-            a=float(block.get("a", 1.0)), b=float(block.get("b", 1.0)),
-            p=(float(block["p"]) if block.get("p") is not None else None),
-            variant=variant)
+            n=n, q=_number(block, "q", "params", float),
+            beta=_number(block, "beta", "params", float, 0.0), lam=lam,
+            a=_number(block, "a", "params", float, 1.0),
+            b=_number(block, "b", "params", float, 1.0),
+            p=_number(block, "p", "params", float, None), variant=variant)
         if F is not None:
             validate_lambda(params, F)
     except ParamError as err:
@@ -112,15 +126,15 @@ def params_from_config(cfg, F=None):
 
 
 def search_from_config(cfg):
+    """SearchConfig from the ``search`` block; ``search.threads`` is ignored."""
     block = cfg.get("search", {})
     return SearchConfig(
-        knots=int(block.get("knots", 64)),
-        radius=float(block.get("radius", 8.0)),
-        restarts=int(block.get("restarts", 4)),
-        budget=int(block.get("budget", 4000)),
-        seed=int(block.get("seed", 0)),
-        radius_critical=block.get("radius_critical"),
-        threads=int(block.get("threads", 1)))
+        knots=_number(block, "knots", "search", int, 64),
+        radius=_number(block, "radius", "search", float, 8.0),
+        restarts=_number(block, "restarts", "search", int, 4),
+        budget=_number(block, "budget", "search", int, 4000),
+        seed=_number(block, "seed", "search", int, 0),
+        radius_critical=_number(block, "radius_critical", "search", float, None))
 
 
 # -- output helpers ----------------------------------------------------------
@@ -182,7 +196,7 @@ def cmd_symmetrize(cfg, digest, out, input_path, second_path=None):
     prof.save(out / "profile.txt", u.dim)
     qs = [1.0, float(u.dim)]
     if "params" in cfg and "q" in cfg["params"]:
-        qs.insert(1, float(cfg["params"]["q"]))
+        qs.insert(1, _number(cfg["params"], "q", "params", float))
     ps = polya_szego_check(u, F)
     l1 = float(np.sum(np.abs(u.values)))
     fp_gap = float(np.sum(np.abs(u.values - ustar.values)) / max(l1, 1e-300))
@@ -249,7 +263,7 @@ def cmd_sweep(cfg, digest, out):
     F = gauge_from_config(cfg)
     params = params_from_config(cfg, F)
     sconf = search_from_config(cfg)
-    grid_size = int(cfg.get("sweep", {}).get("grid_size", 24))
+    grid_size = _number(cfg.get("sweep", {}), "grid_size", "sweep", int, 24)
     res = identity_sweep(params, F, grid_size=grid_size, config=sconf)
     thr = threshold_check(params)
     if thr.applicable:
@@ -277,7 +291,7 @@ def cmd_sweep(cfg, digest, out):
 def cmd_check(cfg, digest, out):
     """Quick invariant battery over the built-in anchor gauges."""
     del digest, out
-    seed = int(cfg.get("search", {}).get("seed", 0)) if cfg else 0
+    seed = _number(cfg.get("search", {}), "seed", "search", int, 0) if cfg else 0
     failures = 0
 
     def report(name, ok, detail=""):
@@ -343,7 +357,8 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=None,
                         help="override search.seed from the config")
     parser.add_argument("--threads", type=int, default=None,
-                        help="override search.threads from the config")
+                        help="accepted for old scripts and ignored: the "
+                             "search is serial")
     parser.add_argument("--input", help="grid file (symmetrize)")
     parser.add_argument("--second", help="second grid file for the product "
                                          "inequality (symmetrize)")

@@ -165,8 +165,19 @@ def _phi_stable(t, j_start):
     return float(out[0]) if scalar else out
 
 
+def _check_exp_argument(arg):
+    """Raise FunctionalOverflowError when exp(arg) leaves the float range."""
+    amax = float(np.max(arg)) if np.size(arg) else 0.0
+    if amax > _EXP_ARG_MAX:
+        raise FunctionalOverflowError(
+            f"exponential argument {amax:.6g} exceeds the floating-point range",
+            argument=amax)
+
+
 def phi(params, t):
-    """Truncated exponential series sum_{j >= j_start} t^j / j! at t >= 0."""
+    """Truncated exponential series sum_{j >= j_start} t^j / j! at t >= 0;
+    FunctionalOverflowError beyond the floating-point range."""
+    _check_exp_argument(t)
     return _phi_stable(t, series_start(params).j_start)
 
 
@@ -262,11 +273,7 @@ def pointwise_kernel(u_vals, params, force_phi=False):
     """
     n = params.n
     arg = params.lam * (1.0 - params.beta / n) * np.asarray(u_vals, float) ** (n / (n - 1.0))
-    amax = float(np.max(arg)) if arg.size else 0.0
-    if amax > _EXP_ARG_MAX:
-        raise FunctionalOverflowError(
-            f"exponential argument {amax:.6g} exceeds the floating-point range",
-            argument=amax)
+    _check_exp_argument(arg)
     if params.variant == EXP_POWER and not force_phi:
         return np.exp(arg) * np.asarray(u_vals, float) ** params.p
     return _phi_stable(arg, series_start(params).j_start)

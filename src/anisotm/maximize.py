@@ -4,10 +4,11 @@ The subcritical problem maximizes the exponential functional over
 nonincreasing profiles with both norms 1; the critical problem maximizes
 the truncated-series functional on the constraint sphere
 ||F grad u||_n^a + ||u||_q^b = 1.  Both reduce to finite-dimensional
-searches over knot values on a geometric radial grid: candidates are
-projected to monotone by isotonic regression, renormalized (unit sphere or
-constraint sphere), and improved by coordinate ascent with shrinking step
-plus a Nelder-Mead polish.  Every reported value is realized by a stored
+searches over knot values on a geometric radial grid.  Each restart is one
+bounded L-BFGS-B ascent in the nonnegative knot decrements, so every
+candidate is nonincreasing by construction; candidates are renormalized
+(unit sphere or constraint sphere) before evaluation, and the best restart
+gets one longer ascent.  Every reported value is realized by a stored
 profile, so values are honest lower bounds for the true suprema.
 
 The sup identity writes the critical value at lam as
@@ -20,8 +21,7 @@ scaling construction turns the sweep argmax into a critical candidate.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -40,8 +40,10 @@ class SearchConfig:
 
     ``radius`` is the outer radius of the pre-normalization knot grid; all
     initializers are supported within radius/2 so their q-norm tails vanish.
-    ``budget`` caps objective evaluations per restart.  ``extra_inits`` are
-    warm-start profiles (resampled onto the knot grid).
+    ``budget`` caps the objective evaluations (finite-difference gradients
+    included) of each restart's L-BFGS-B run; the final run from the best
+    restart gets 2 * budget.  ``extra_inits`` are warm-start profiles
+    (resampled onto the knot grid).
     """
 
     knots: int = 64
@@ -51,8 +53,13 @@ class SearchConfig:
     seed: int = 0
     inner_fraction: float = 1e-3     # first positive knot at radius * this
     radius_critical: float = None    # critical-search radius, default 2*radius
-    threads: int = 1
     extra_inits: tuple = field(default_factory=tuple)
+
+    def __post_init__(self):
+        for name, least in (("knots", 2), ("restarts", 1), ("budget", 1)):
+            if getattr(self, name) < least:
+                raise ParamError(f"search.{name} must be at least {least}, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass
@@ -141,12 +148,11 @@ def _initializers(knots):
 
 
 class _ProfileObjective:
-    """Knot values -> (functional value, witness profile).
+    """Nonincreasing knot values -> (functional value, witness profile).
 
-    mode 'subcritical': isotonic projection, unit-sphere normalization,
-    subcritical value.  mode 'critical': isotonic projection, constraint
-    sphere projection, critical value.  Degenerate or overflowing
-    candidates evaluate to -inf.
+    mode 'subcritical': unit-sphere normalization, subcritical value.
+    mode 'critical': constraint sphere projection, critical value.
+    Degenerate or overflowing candidates evaluate to -inf.
     """
 
     def __init__(self, params, F, knots, mode):
@@ -154,14 +160,11 @@ class _ProfileObjective:
         self.F = F
         self.knots = knots
         self.mode = mode
-        self.evals = 0
 
     def __call__(self, theta):
-        self.evals += 1
-        v = isotonic_nonincreasing(theta)
-        if not np.any(v > 1e-12):
+        if not np.any(theta > 1e-12):
             return -np.inf, None
-        g = RadialProfile(self.knots, np.concatenate([v, [0.0]]))
+        g = RadialProfile(self.knots, np.concatenate([theta, [0.0]]))
         try:
             if self.mode == "subcritical":
                 gn = normalize_sphere(g, self.params.q, self.F)
@@ -173,60 +176,6 @@ class _ProfileObjective:
             return -np.inf, None
 
 
-def _coordinate_ascent(obj, theta0, budget, step0=0.3, step_min=1e-4):
-    """Cyclic coordinate ascent with multiplicative steps, shrinking on
-    stalled cycles.  Deterministic given the start point."""
-    theta = np.asarray(theta0, dtype=float).copy()
-    best_val, best_prof = obj(theta)
-    used = 1
-    step = step0
-    scale_floor = 0.05 * max(float(np.max(theta)), 1e-6)
-    while used < budget and step >= step_min:
-        improved = False
-        for i in range(theta.size):
-            si = max(theta[i], scale_floor)
-            for delta in (step * si, -step * si):
-                if used >= budget:
-                    break
-                trial = theta.copy()
-                trial[i] = max(theta[i] + delta, 0.0)
-                val, prof = obj(trial)
-                used += 1
-                if val > best_val:
-                    best_val, best_prof = val, prof
-                    theta = trial
-                    improved = True
-                    break
-        if not improved:
-            step *= 0.5
-    return theta, best_val, best_prof, used
-
-
-def _settle(obj, theta, best_val, best_prof, budget):
-    """Fixed small-step passes until no single-coordinate move improves,
-    so the local optimality margin at relative size 1e-3 is genuinely
-    nonpositive up to curvature."""
-    used = 0
-    for step in (4e-3, 1e-3, 2.5e-4):
-        moved = True
-        while moved and used < budget:
-            moved = False
-            scale_floor = 0.05 * max(float(np.max(theta)), 1e-6)
-            for i in range(theta.size):
-                si = max(theta[i], scale_floor)
-                for delta in (step * si, -step * si):
-                    trial = theta.copy()
-                    trial[i] = max(theta[i] + delta, 0.0)
-                    val, prof = obj(trial)
-                    used += 1
-                    if val > best_val:
-                        best_val, best_prof = val, prof
-                        theta = trial
-                        moved = True
-                        break
-    return theta, best_val, best_prof
-
-
 def _theta_to_decrements(theta):
     th = np.maximum.accumulate(theta[::-1])[::-1]
     return np.append(-np.diff(th), th[-1])
@@ -236,71 +185,51 @@ def _decrements_to_theta(w):
     return np.cumsum(w[::-1])[::-1]
 
 
-def _polish(obj, theta, best_val, best_prof, maxfev):
-    """Bounded quasi-Newton pass in decrement variables.
+def _ascend(obj, theta, maxfev):
+    """Bounded L-BFGS-B ascent in decrement variables from ``theta``.
 
     Writing the knot values through their nonnegative decrements turns the
-    monotone cone into a box, so the isotonic projection inside the
-    objective is the identity along the whole search path and the landscape
-    stays smooth; L-BFGS-B then reaches the same optimum from every
-    initializer instead of stalling on projection kinks."""
+    monotone cone into a box, so every candidate is nonincreasing and the
+    landscape stays smooth; L-BFGS-B then reaches the same optimum from
+    every initializer.  Returns (theta, value, profile) at the final iterate.
+    """
     def neg(w):
         return -obj(_decrements_to_theta(np.maximum(w, 0.0)))[0]
 
-    res = minimize(neg, _theta_to_decrements(np.asarray(theta, float)),
+    res = minimize(neg, _theta_to_decrements(theta),
                    method="L-BFGS-B", bounds=[(0.0, None)] * theta.size,
                    options={"maxfun": maxfev, "ftol": 1e-16, "gtol": 1e-14})
-    cand = _decrements_to_theta(np.maximum(res.x, 0.0))
-    val, prof = obj(cand)
-    if val > best_val:
-        return cand, val, prof
-    return theta, best_val, best_prof
-
-
-def _resample_theta(profile, knots):
-    return profile(knots[:-1])
+    theta = _decrements_to_theta(np.maximum(res.x, 0.0))
+    value, profile = obj(theta)
+    return theta, value, profile
 
 
 def _run_restarts(params, F, knots, mode, config):
     """Deterministic multistart: canonical initializers first, then seeded
-    perturbations of them; results merge by (value, lowest index)."""
+    perturbations of them.  Each restart is one L-BFGS-B ascent; the best,
+    by (value, lowest index), gets one more with twice the budget."""
     obj = _ProfileObjective(params, F, knots, mode)
     inits = _initializers(knots)
     for extra in config.extra_inits:
-        inits.insert(0, _resample_theta(extra, knots))
+        inits.insert(0, extra(knots[:-1]))
 
-    def one(idx):
+    results = []
+    for idx in range(config.restarts):
         base = np.asarray(inits[idx % len(inits)], dtype=float)
         if idx >= len(inits):
             rng = np.random.default_rng((config.seed, idx))
             base = np.maximum(base * (1.0 + 0.3 * rng.standard_normal(base.size)), 0.0)
-        local = _ProfileObjective(params, F, knots, mode)
-        theta, val, prof, _ = _coordinate_ascent(local, base, config.budget)
-        return theta, val, prof
-
-    count = max(config.restarts, 1)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(one, range(count)))
-    else:
-        results = [one(i) for i in range(count)]
+        results.append(_ascend(obj, base, config.budget))
 
     vals = np.array([r[1] for r in results])
     order = np.argsort(-vals, kind="stable")
-    best_idx = int(order[0])
-    theta, best_val, best_prof = results[best_idx]
-    theta, best_val, best_prof = _polish(obj, theta, best_val, best_prof,
-                                         maxfev=config.budget)
-    theta, best_val, best_prof = _settle(obj, theta, best_val, best_prof,
-                                         budget=2 * config.budget)
+    _, best_val, best_prof = _ascend(obj, results[order[0]][0], 2 * config.budget)
     if best_prof is None:
         raise ParamError("search produced no feasible candidate; the configured "
                          "radius/knot grid admits no usable profile")
     restart_values = tuple(float(v) for v in vals)
-    top = vals[order[:min(3, vals.size)]]
-    spread = float(top[0] - top[-1]) if top.size else 0.0
-    spread = max(spread, 0.0)
-    return best_val, best_prof, restart_values, spread
+    top = vals[order[:3]]
+    return best_val, best_prof, restart_values, float(top[0] - top[-1])
 
 
 def estimate_f(params, F, config=None):
@@ -376,11 +305,7 @@ def identity_sweep(params, F, grid_size=24, config=None):
     config = config or SearchConfig()
     validate_lambda(params, F)
     ts = _sweep_ts(params, grid_size)
-    point_config = SearchConfig(
-        knots=config.knots, radius=config.radius,
-        restarts=max(2, config.restarts // 4), budget=config.budget,
-        seed=config.seed, inner_fraction=config.inner_fraction,
-        threads=config.threads)
+    point_config = replace(config, restarts=max(2, config.restarts // 4))
     fs, spreads, profiles = [], [], []
     prev = ()
     for t in ts:
@@ -475,7 +400,7 @@ def maximizer_diagnostics(g, params, F, grid_resolution=256, objective="subcriti
     margin = 0.0
     for _ in range(perturbation_count):
         theta = theta0 * (1.0 + perturbation_size * rng.standard_normal(theta0.size))
-        val, _ = obj(np.maximum(theta, 0.0))
+        val, _ = obj(isotonic_nonincreasing(theta))
         margin = max(margin, val - value)
     return MaximizerReport(
         profile=g, value=float(value),

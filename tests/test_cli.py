@@ -178,6 +178,14 @@ def test_exit_code_validation(tmp_path, capsys):
     assert main(["maximize", "--out", str(tmp_path)]) == 2  # config missing
     cfg2 = write_config(tmp_path / "badgauge.json", gauge={"kind": "nope"})
     assert main(["geometry", "--config", str(cfg2), "--out", str(tmp_path)]) == 2
+    # values of the wrong type and degenerate search settings name the field
+    capsys.readouterr()
+    for block, field, value in (("params", "q", "abc"),
+                                ("search", "budget", "many"),
+                                ("search", "knots", 1)):
+        cfg3 = write_config(tmp_path / "field.json", **{block: {field: value}})
+        assert main(["maximize", "--config", str(cfg3), "--out", str(tmp_path)]) == 2
+        assert f"{block}.{field}" in capsys.readouterr().err
 
 
 def test_exit_code_overflow(config_path, tmp_path, capsys):

@@ -111,6 +111,14 @@ def test_phi_rejects_negative_argument():
         phi(params_beta05(), -0.1)
 
 
+def test_phi_overflow_is_typed():
+    with pytest.raises(FunctionalOverflowError) as exc:
+        phi(params_beta05(), np.array([1.0, 800.0]))
+    assert exc.value.argument == 800.0
+    with pytest.raises(FunctionalOverflowError):
+        phi(params_beta05(), 800.0)
+
+
 def test_phi_vectorizes():
     out = phi(params_beta05(), np.array([[0.0, 1.0], [2.0, 3.0]]))
     assert out.shape == (2, 2) and out[0, 0] == 0.0

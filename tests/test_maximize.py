@@ -93,9 +93,6 @@ def test_estimate_f_deterministic(gauge_euclid):
     assert a.value == b.value
     assert np.array_equal(a.profile.values, b.profile.values)
     assert a.restart_values == b.restart_values
-    c = estimate_f(PARAMS, gauge_euclid, small_config(threads=2))
-    assert c.value == a.value
-    assert np.array_equal(c.profile.values, a.profile.values)
 
 
 def test_estimate_f_profile_reproduces_value(gauge_euclid):
@@ -114,6 +111,23 @@ def test_estimate_f_restart_ladder(gauge_euclid):
     v8 = estimate_f(PARAMS, gauge_euclid, small_config(restarts=8)).value
     assert v4 >= v2 - 1e-9
     assert v8 >= v4 - 1e-9
+
+
+def test_estimate_f_restarts_agree(gauge_euclid):
+    # each restart is a full L-BFGS-B ascent in decrement variables, so the
+    # five canonical initializers reach the same optimum
+    est = estimate_f(PARAMS, gauge_euclid,
+                     small_config(restarts=5, budget=800))
+    assert len(est.restart_values) == 5
+    assert max(est.restart_values) - min(est.restart_values) <= 1e-6 * est.value
+
+
+@pytest.mark.parametrize("setting", [{"knots": 1}, {"restarts": 0},
+                                     {"budget": 0}],
+                         ids=["knots", "restarts", "budget"])
+def test_search_config_rejects_degenerate(setting):
+    with pytest.raises(ParamError, match=next(iter(setting))):
+        small_config(**setting)
 
 
 def test_estimate_f_rejects_supercritical(gauge_euclid):
