@@ -53,13 +53,19 @@ _REQUIRED = object()
 
 def _number(block, key, where, convert, default=_REQUIRED):
     """Field ``where.key`` through ``convert`` (int or float), ``default``
-    when absent (None stays None); a value that does not convert is a
-    ConfigError."""
+    when absent (None stays None); a boolean, a non-integral number for an
+    int field, or a value that does not convert is a ConfigError."""
     raw = _require(block, key, where) if default is _REQUIRED else block.get(key, default)
+    if raw is None and default is None:
+        return None
+    kind = "an integer" if convert is int else "a number"
     try:
-        return None if raw is None and default is None else convert(raw)
+        if isinstance(raw, bool) or (convert is int and isinstance(raw, float)
+                                     and not raw.is_integer()):
+            raise ValueError
+        return convert(raw)
     except (TypeError, ValueError):
-        raise ConfigError(f"config field {where}.{key} must be a number, "
+        raise ConfigError(f"config field {where}.{key} must be {kind}, "
                           f"got {raw!r}") from None
 
 

@@ -11,13 +11,16 @@ The subcritical functional integrates exp(lam(1-b/n) g^{n/(n-1)}) g^p (the
 exp-power variant) or the truncated exponential series Phi (the phi-series
 variant); the critical functional always uses the Phi form.  Normalization
 maps rescale profiles so both norms are 1 (unit-sphere form) or onto the
-constraint sphere ||F grad u||^a + ||u||_q^b = 1.
+constraint sphere ||F grad u||^a + ||u||_q^b = 1.  RadialObjective gives
+the normalized functionals on one knot grid with their gradients, for the
+profile search; it shares its quadrature rules with the functions above.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .finsler import wulff_volume, sharp_constant
 from .profiles import RadialProfile
@@ -237,14 +240,37 @@ def _panelize(knots, refine=()):
     return pts
 
 
+def _lq_rule(knots, n):
+    """Flat nodes r and weights W with sum W f(r) ~ int_0^R f(r) r^{n-1} dr."""
+    r, w = _interval_rule(_panelize(knots, refine=("end",)))
+    return r.ravel(), (w * r ** (n - 1.0)).ravel()
+
+
+def _exp_rule(knots, n, beta):
+    """Flat nodes r and weights W with sum W f(r) ~ int_0^R f(r) r^{n-1-beta} dr.
+
+    For beta > n-1 the weight exponent is negative; the substitution
+    r = rho^{1/(n-beta)} makes the weight constant, at the cost of
+    evaluating f at transformed nodes.  Either way the rule is built from
+    ``knots`` by maps homogeneous in the knots, so scaling the knots by s
+    scales the nodes by s and the integral by s^{n-beta}.
+    """
+    if beta > n - 1.0:
+        ex = n - beta
+        rho, w = _interval_rule(_panelize(knots ** ex, refine=("origin", "end")))
+        return rho.ravel() ** (1.0 / ex), w.ravel() / ex
+    r, w = _interval_rule(_panelize(knots, refine=("origin", "end")))
+    return r.ravel(), (w * r ** (n - 1.0 - beta)).ravel()
+
+
 def lq_norm_radial(g, q, F):
     """(n kappa int_0^R g^q r^{n-1} dr)^{1/q} for u(x) = g(F0(x))."""
     if q < 1.0:
         raise ParamError(f"q must be >= 1, got {q}")
     n = F.dim
-    r, w = _interval_rule(_panelize(g.knots, refine=("end",)))
+    r, w = _lq_rule(g.knots, n)
     gv = np.interp(r, g.knots, g.values)
-    val = float(np.sum(w * gv ** q * r ** (n - 1)))
+    val = float(np.sum(w * gv ** q))
     return (n * wulff_volume(F) * val) ** (1.0 / q)
 
 
@@ -265,52 +291,72 @@ def grad_norm_radial(g, F):
     return dirichlet_energy_radial(g, F) ** (1.0 / F.dim)
 
 
+def _kernel_argument(u, params):
+    """lam(1-beta/n) u^{n/(n-1)} and its derivative in u."""
+    n = params.n
+    rate = params.lam * (1.0 - params.beta / n)
+    u = np.asarray(u, float)
+    return rate * u ** (n / (n - 1.0)), rate * n / (n - 1.0) * u ** (1.0 / (n - 1.0))
+
+
 def pointwise_kernel(u_vals, params, force_phi=False):
     """Exponential integrand at given |u| values (no spatial weight).
 
     exp-power: exp(lam(1-beta/n) u^{n/(n-1)}) u^p; phi-series: the
     truncated series at the same argument.  Raises on overflow.
     """
-    n = params.n
-    arg = params.lam * (1.0 - params.beta / n) * np.asarray(u_vals, float) ** (n / (n - 1.0))
+    arg, _ = _kernel_argument(u_vals, params)
     _check_exp_argument(arg)
     if params.variant == EXP_POWER and not force_phi:
         return np.exp(arg) * np.asarray(u_vals, float) ** params.p
     return _phi_stable(arg, series_start(params).j_start)
 
 
-def _radial_exp_integral(g, params, F, force_phi):
-    """n kappa int_0^R kernel(g) r^{n-1-beta} dr with the singular weight.
+def _phi_slope(t, j_start, tail):
+    """Phi'_{j} = Phi_{j-1} = Phi_j + t^{j-1}/(j-1)!, given tail = Phi_j(t)."""
+    return tail + t ** (j_start - 1) / math.factorial(j_start - 1)
 
-    For beta > n-1 the weight exponent is negative; the substitution
-    r = rho^{1/(n-beta)} makes the weight constant, at the cost of
-    evaluating g at transformed nodes.
+
+def _kernel_and_slope(u, params, force_phi):
+    """pointwise_kernel at u >= 0 and its derivative in u.
+
+    Where u = 0 and the exp-power factor u^{p-1} is infinite (p < 1), the
+    one-sided derivative is taken as 0.
     """
-    n, beta = params.n, params.beta
+    arg, darg = _kernel_argument(u, params)
+    _check_exp_argument(arg)
+    if params.variant == EXP_POWER and not force_phi:
+        p = params.p
+        ex = np.exp(arg)
+        up = u ** p
+        with np.errstate(divide="ignore"):
+            dup = p * u ** (p - 1.0)
+        dup[np.isinf(dup)] = 0.0
+        return ex * up, ex * (darg * up + dup)
+    j0 = series_start(params).j_start
+    tail = _phi_stable(arg, j0)
+    return tail, _phi_slope(arg, j0, tail) * darg
+
+
+def _radial_exp_integral(g, params, F, force_phi):
+    """n kappa int_0^R kernel(g) r^{n-1-beta} dr with the singular weight."""
     if params.n != F.dim:
         raise ParamError(f"params dimension {params.n} != gauge dimension {F.dim}")
-    if beta > n - 1.0:
-        ex = n - beta
-        rho, w = _interval_rule(_panelize(g.knots ** ex, refine=("origin", "end")))
-        r = rho ** (1.0 / ex)
-        weight = 1.0 / ex
-    else:
-        r, w = _interval_rule(_panelize(g.knots, refine=("origin", "end")))
-        weight = r ** (n - 1.0 - beta)
+    r, w = _exp_rule(g.knots, params.n, params.beta)
     gv = np.interp(r, g.knots, g.values)
     try:
         kern = pointwise_kernel(gv, params, force_phi=force_phi)
     except FunctionalOverflowError as err:
-        r_bad = float(r.ravel()[int(np.argmax(gv))])
+        r_bad = float(r[int(np.argmax(gv))])
         k = max(int(np.searchsorted(g.knots, r_bad, side="right")) - 1, 0)
         raise FunctionalOverflowError(
             f"integrand overflow on knot interval {k} "
             f"(r near {r_bad:.6g}): {err}",
             radius=r_bad, knot_index=k, argument=err.argument) from None
-    val = float(np.sum(w * kern * weight))
+    val = float(np.sum(w * kern))
     if not np.isfinite(val):
         raise FunctionalOverflowError("non-finite integral value")
-    return n * wulff_volume(F) * val
+    return params.n * wulff_volume(F) * val
 
 
 def atmsc_value(g, params, F):
@@ -360,20 +406,12 @@ class ConstraintScaled:
     residual: float         # |constraint(scaled) - 1|, re-evaluated
 
 
-def constraint_scale(g, a, b, F, q):
-    """Scale c g onto {||F grad u||_n^a + ||u||_q^b = 1} by bisection.
+def _constraint_root(X, Y, a, b):
+    """The c > 0 with (c X)^a + (c Y)^b = 1, for X, Y >= 0 not both 0.
 
-    The map c -> c^a X^a + c^b Y^b is strictly increasing for X, Y > 0, so
-    the root is unique; bisection runs to relative width 1e-14.  When the
-    constraint value of g already exceeds 1 the root has c < 1 and the
-    result is flagged infeasible for ascent purposes.
+    The left side is strictly increasing in c, so the root is unique;
+    bisection runs to relative width 1e-14.
     """
-    X = grad_norm_radial(g, F)
-    Y = lq_norm_radial(g, q, F)
-    S = X ** a + Y ** b
-    if S <= 0.0:
-        raise ParamError("zero profile cannot be scaled onto the constraint sphere")
-
     def val(c):
         return (c * X) ** a + (c * Y) ** b
 
@@ -394,11 +432,138 @@ def constraint_scale(g, a, b, F, q):
             hi = c
         if hi - lo <= 1e-14 * hi:
             break
-    c = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def constraint_scale(g, a, b, F, q):
+    """Scale c g onto {||F grad u||_n^a + ||u||_q^b = 1}.
+
+    When the constraint value of g already exceeds 1 the root has c < 1 and
+    the result is flagged infeasible for ascent purposes.
+    """
+    X = grad_norm_radial(g, F)
+    Y = lq_norm_radial(g, q, F)
+    S = X ** a + Y ** b
+    if S <= 0.0:
+        raise ParamError("zero profile cannot be scaled onto the constraint sphere")
+    c = _constraint_root(X, Y, a, b)
     scaled = g.scaled(value_factor=c)
     res = abs(grad_norm_radial(scaled, F) ** a + lq_norm_radial(scaled, q, F) ** b - 1.0)
     return ConstraintScaled(c=c, scaled=scaled, feasible=S <= 1.0 + 1e-12,
                             residual=float(res))
+
+
+class RadialObjective:
+    """Search objective over the knot values of one grid, with its gradient.
+
+    ``theta`` holds the values of a nonincreasing profile g at ``knots[:-1]``
+    (the last value is 0).  Mode 'subcritical' gives atmsc_value of
+    normalize_sphere(g); mode 'critical' gives critical_value of the
+    constraint_scale projection of g.  Both maps only rescale g, and the
+    radial rules are homogeneous in the knots, so nodes, weights and
+    interpolation indices are built once, on ``knots``: shrinking the radius
+    by 1/t multiplies the subcritical integral by t^{beta-n}, and the
+    constraint projection keeps the knots.  The gradient follows by the
+    chain rule through the energy, the q-norm, the kernel and the scale
+    factors.  Degenerate or overflowing candidates have value -inf.
+    """
+
+    def __init__(self, params, F, knots, mode):
+        if mode not in ("subcritical", "critical"):
+            raise ParamError(f"unknown objective {mode!r}")
+        if params.n != F.dim:
+            raise ParamError(f"params dimension {params.n} != gauge dimension {F.dim}")
+        self.params, self.F, self.mode = params, F, mode
+        self.knots = np.asarray(knots, dtype=float)
+        n, kappa = params.n, wulff_volume(F)
+        self._nkappa = n * kappa
+        self._h = np.diff(self.knots)
+        self._energy_w = kappa * np.diff(self.knots ** n)
+        r, self._wq = _lq_rule(self.knots, n)
+        self._lq, self._lq_t = self._interpolation(r)
+        r, self._we = _exp_rule(self.knots, n, params.beta)
+        self._exp, self._exp_t = self._interpolation(r)
+
+    def _interpolation(self, r):
+        """Sparse map from knot values to the piecewise-linear profile at
+        the nodes r, and its transpose."""
+        idx = np.clip(np.searchsorted(self.knots, r, side="right") - 1,
+                      0, self.knots.size - 2)
+        frac = (r - self.knots[idx]) / self._h[idx]
+        rows = np.arange(r.size)
+        interp = sparse.csr_array(
+            (np.concatenate([1.0 - frac, frac]),
+             (np.concatenate([rows, rows]), np.concatenate([idx, idx + 1]))),
+            shape=(r.size, self.knots.size))
+        return interp, interp.T.tocsr()
+
+    def value_and_grad(self, theta):
+        """Objective value at the knot values theta and its gradient in
+        theta; (-inf, 0) for a degenerate or overflowing candidate."""
+        theta = np.asarray(theta, dtype=float)
+        fail = (-np.inf, np.zeros_like(theta))
+        if not np.any(theta > 1e-12):
+            return fail
+        p = self.params
+        n, q = p.n, p.q
+        v = np.append(theta, 0.0)
+        slope = np.diff(v) / self._h
+        E = self._energy_w @ np.abs(slope) ** n
+        d_slope = n * np.abs(slope) ** (n - 1) * np.sign(slope) * self._energy_w / self._h
+        # v_k enters slope k - 1 with +1/h_{k-1} and slope k with -1/h_k
+        dE = -np.append(d_slope, 0.0)
+        dE[1:] += d_slope
+        uq = self._lq @ v
+        Q = self._nkappa * (self._wq @ uq ** q)
+        dQ = self._nkappa * (self._lq_t @ (q * self._wq * uq ** (q - 1.0)))
+        u = self._exp @ v
+        try:
+            if self.mode == "subcritical":
+                # u -> g(t r)/e with e = E^{1/n}, t = (Q^{1/q}/e)^{q/n}
+                e, qn = E ** (1.0 / n), Q ** (1.0 / q)
+                if e <= 1e-14 or qn <= 1e-300:
+                    return fail
+                t = (qn / e) ** (q / n)
+                kern, dkern = _kernel_and_slope(u / e, p, force_phi=False)
+                scale = self._nkappa * t ** (p.beta - n)
+                value = scale * (self._we @ kern)
+                d_u = self._we * dkern / e
+                d_int = self._exp_t @ d_u - (d_u @ u) / (n * E) * dE
+                d_log_t = dQ / (n * Q) - q / (n * n) * dE / E
+                grad = scale * d_int - (n - p.beta) * value * d_log_t
+            else:
+                # u -> c u with (c X)^a + (c Y)^b = 1, X = E^{1/n}, Y = Q^{1/q}
+                X, Y = E ** (1.0 / n), Q ** (1.0 / q)
+                c = _constraint_root(X, Y, p.a, p.b)
+                kern, dkern = _kernel_and_slope(c * u, p, force_phi=True)
+                value = self._nkappa * (self._we @ kern)
+                A, B = p.a * (c * X) ** p.a, p.b * (c * Y) ** p.b
+                d_log_c = -(A * dE / (n * E) + B * dQ / (q * Q)) / (A + B)
+                d_u = self._nkappa * self._we * dkern
+                grad = c * (self._exp_t @ d_u + (d_u @ u) * d_log_c)
+        except FunctionalOverflowError:
+            return fail
+        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+            return fail
+        return float(value), grad[:-1]
+
+    def witness(self, theta):
+        """(value, profile) through the library maps: the profile is the
+        normalize_sphere or constraint_scale image of the knot values theta
+        and the value is re-evaluated on it; (-inf, None) for a degenerate or
+        overflowing candidate."""
+        if not np.any(np.asarray(theta) > 1e-12):
+            return -np.inf, None
+        p, F = self.params, self.F
+        g = RadialProfile(self.knots, np.append(theta, 0.0))
+        try:
+            if self.mode == "subcritical":
+                gn = normalize_sphere(g, p.q, F)
+                return atmsc_value(gn, p, F), gn
+            gc = constraint_scale(g, p.a, p.b, F, p.q).scaled
+            return critical_value(gc, p, F), gc
+        except (ParamError, FunctionalOverflowError):
+            return -np.inf, None
 
 
 def aa_bracket(t, params):

@@ -6,10 +6,13 @@ the truncated-series functional on the constraint sphere
 ||F grad u||_n^a + ||u||_q^b = 1.  Both reduce to finite-dimensional
 searches over knot values on a geometric radial grid.  Each restart is one
 bounded L-BFGS-B ascent in the nonnegative knot decrements, so every
-candidate is nonincreasing by construction; candidates are renormalized
-(unit sphere or constraint sphere) before evaluation, and the best restart
-gets one longer ascent.  Every reported value is realized by a stored
-profile, so values are honest lower bounds for the true suprema.
+candidate is nonincreasing by construction, and the best restart gets one
+longer ascent.  The ascent evaluates functional.RadialObjective: the
+renormalized (unit sphere or constraint sphere) value on quadrature built
+once per search, with its analytic gradient.  The best candidate is then
+renormalized through the library maps and re-evaluated, so every reported
+value is realized by a stored profile and values are honest lower bounds
+for the true suprema.
 
 The sup identity writes the critical value at lam as
 
@@ -26,9 +29,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .functional import (ParamError, FunctionalOverflowError,
-                         atmsc_value, critical_value, lq_norm_radial,
-                         grad_norm_radial, normalize_sphere, constraint_scale,
+from .functional import (ParamError, RadialObjective, atmsc_value,
+                         critical_value, lq_norm_radial, grad_norm_radial,
                          aa_bracket, series_start, validate_lambda)
 from .profiles import RadialProfile
 from .rearrange import rasterize_profile, convex_symmetrization
@@ -40,10 +42,10 @@ class SearchConfig:
 
     ``radius`` is the outer radius of the pre-normalization knot grid; all
     initializers are supported within radius/2 so their q-norm tails vanish.
-    ``budget`` caps the objective evaluations (finite-difference gradients
-    included) of each restart's L-BFGS-B run; the final run from the best
-    restart gets 2 * budget.  ``extra_inits`` are warm-start profiles
-    (resampled onto the knot grid).
+    ``budget`` caps the value-and-gradient evaluations of each restart's
+    L-BFGS-B run (the gradient is analytic, so there are no other objective
+    calls); the final run from the best restart gets 2 * budget.
+    ``extra_inits`` are warm-start profiles (resampled onto the knot grid).
     """
 
     knots: int = 64
@@ -147,35 +149,6 @@ def _initializers(knots):
     return inits
 
 
-class _ProfileObjective:
-    """Nonincreasing knot values -> (functional value, witness profile).
-
-    mode 'subcritical': unit-sphere normalization, subcritical value.
-    mode 'critical': constraint sphere projection, critical value.
-    Degenerate or overflowing candidates evaluate to -inf.
-    """
-
-    def __init__(self, params, F, knots, mode):
-        self.params = params
-        self.F = F
-        self.knots = knots
-        self.mode = mode
-
-    def __call__(self, theta):
-        if not np.any(theta > 1e-12):
-            return -np.inf, None
-        g = RadialProfile(self.knots, np.concatenate([theta, [0.0]]))
-        try:
-            if self.mode == "subcritical":
-                gn = normalize_sphere(g, self.params.q, self.F)
-                return atmsc_value(gn, self.params, self.F), gn
-            gc = constraint_scale(g, self.params.a, self.params.b, self.F,
-                                  self.params.q).scaled
-            return critical_value(gc, self.params, self.F), gc
-        except (ParamError, FunctionalOverflowError):
-            return -np.inf, None
-
-
 def _theta_to_decrements(theta):
     th = np.maximum.accumulate(theta[::-1])[::-1]
     return np.append(-np.diff(th), th[-1])
@@ -190,25 +163,26 @@ def _ascend(obj, theta, maxfev):
 
     Writing the knot values through their nonnegative decrements turns the
     monotone cone into a box, so every candidate is nonincreasing and the
-    landscape stays smooth; L-BFGS-B then reaches the same optimum from
-    every initializer.  Returns (theta, value, profile) at the final iterate.
+    landscape stays smooth; the gradient in the decrements is the running
+    sum of the analytic gradient in the knot values.  Returns (theta, value)
+    at the final iterate.
     """
     def neg(w):
-        return -obj(_decrements_to_theta(np.maximum(w, 0.0)))[0]
+        value, grad = obj.value_and_grad(_decrements_to_theta(w))
+        return -value, -np.cumsum(grad)
 
-    res = minimize(neg, _theta_to_decrements(theta),
+    res = minimize(neg, _theta_to_decrements(theta), jac=True,
                    method="L-BFGS-B", bounds=[(0.0, None)] * theta.size,
                    options={"maxfun": maxfev, "ftol": 1e-16, "gtol": 1e-14})
-    theta = _decrements_to_theta(np.maximum(res.x, 0.0))
-    value, profile = obj(theta)
-    return theta, value, profile
+    return _decrements_to_theta(np.maximum(res.x, 0.0)), -float(res.fun)
 
 
 def _run_restarts(params, F, knots, mode, config):
     """Deterministic multistart: canonical initializers first, then seeded
     perturbations of them.  Each restart is one L-BFGS-B ascent; the best,
-    by (value, lowest index), gets one more with twice the budget."""
-    obj = _ProfileObjective(params, F, knots, mode)
+    by (value, lowest index), gets one more with twice the budget, and its
+    witness profile is built and re-evaluated through the library maps."""
+    obj = RadialObjective(params, F, knots, mode)
     inits = _initializers(knots)
     for extra in config.extra_inits:
         inits.insert(0, extra(knots[:-1]))
@@ -223,7 +197,8 @@ def _run_restarts(params, F, knots, mode, config):
 
     vals = np.array([r[1] for r in results])
     order = np.argsort(-vals, kind="stable")
-    _, best_val, best_prof = _ascend(obj, results[order[0]][0], 2 * config.budget)
+    theta, _ = _ascend(obj, results[order[0]][0], 2 * config.budget)
+    best_val, best_prof = obj.witness(theta)
     if best_prof is None:
         raise ParamError("search produced no feasible candidate; the configured "
                          "radius/knot grid admits no usable profile")
@@ -394,13 +369,13 @@ def maximizer_diagnostics(g, params, F, grid_resolution=256, objective="subcriti
     l1 = float(np.sum(grid.values))
     sym = float(np.sum(np.abs(grid.values - gstar.values)) / max(l1, 1e-300))
 
-    obj = _ProfileObjective(params, F, g.knots, mode)
+    obj = RadialObjective(params, F, g.knots, mode)
     theta0 = g.values[:-1]
     rng = np.random.default_rng(seed)
     margin = 0.0
     for _ in range(perturbation_count):
         theta = theta0 * (1.0 + perturbation_size * rng.standard_normal(theta0.size))
-        val, _ = obj(isotonic_nonincreasing(theta))
+        val, _ = obj.value_and_grad(isotonic_nonincreasing(theta))
         margin = max(margin, val - value)
     return MaximizerReport(
         profile=g, value=float(value),

@@ -182,7 +182,12 @@ def test_exit_code_validation(tmp_path, capsys):
     capsys.readouterr()
     for block, field, value in (("params", "q", "abc"),
                                 ("search", "budget", "many"),
-                                ("search", "knots", 1)):
+                                ("search", "knots", 1),
+                                ("search", "knots", 3.7),
+                                ("search", "restarts", True),
+                                ("search", "budget", 300.5),
+                                ("search", "seed", False),
+                                ("params", "n", 2.5)):
         cfg3 = write_config(tmp_path / "field.json", **{block: {field: value}})
         assert main(["maximize", "--config", str(cfg3), "--out", str(tmp_path)]) == 2
         assert f"{block}.{field}" in capsys.readouterr().err

@@ -5,6 +5,7 @@ at epsabs/epsrel 1e-13) on the unit-height cone of radius 1.3 and frozen here;
 closed forms cover the L^q and Dirichlet cases.
 """
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,8 +14,10 @@ from anisotm import (FunctionalParams, SeriesIndex, series_start, phi,
                      grad_norm_radial, atmsc_value, critical_value,
                      ratio_functional, normalize_sphere, constraint_scale,
                      aa_bracket, FunctionalOverflowError, ParamError,
-                     RadialProfile, FinslerNorm, wulff_volume)
-from anisotm.functional import validate_lambda
+                     RadialProfile, FinslerNorm, wulff_volume, sharp_constant)
+from anisotm.functional import (RadialObjective, _phi_slope, _phi_stable,
+                                validate_lambda)
+from anisotm.maximize import geometric_knots
 
 R_CONE = 1.3
 # adaptive-quadrature references for the cone, params (2, 2, beta, 2pi, 2, 2)
@@ -117,6 +120,27 @@ def test_phi_overflow_is_typed():
     assert exc.value.argument == 800.0
     with pytest.raises(FunctionalOverflowError):
         phi(params_beta05(), 800.0)
+
+
+def _phi_oracle(t, j_start):
+    # sum_{j >= j0} t^j/j! = e^t P(j0, t), P the regularized lower
+    # incomplete gamma function; evaluated at the working precision
+    return mpmath.exp(t) * mpmath.gammainc(j_start, 0, t, regularized=True)
+
+
+@pytest.mark.parametrize("j_start", [1, 2, 3, 5])
+def test_phi_tail_and_slope_mpmath(j_start):
+    # the analytic search gradient rests on the tail and on
+    # Phi'_{j0} = Phi_{j0-1} = Phi_{j0} + t^{j0-1}/(j0-1)!
+    ts = np.geomspace(1e-8, 690.0, 40)
+    tail = _phi_stable(ts, j_start)
+    slope = _phi_slope(ts, j_start, tail)
+    with mpmath.workdps(50):
+        for t, got, dgot in zip(ts, tail, slope):
+            want = _phi_oracle(mpmath.mpf(t), j_start)
+            dwant = mpmath.diff(lambda s: _phi_oracle(s, j_start), mpmath.mpf(t))
+            assert abs(got - want) / want < 1e-13, (t, got, want)
+            assert abs(dgot - dwant) / dwant < 1e-13, (t, dgot, dwant)
 
 
 def test_phi_vectorizes():
@@ -254,3 +278,62 @@ def test_aa_bracket(gauge_euclid):
     for bad in (0.0, pa.lam, -1.0, pa.lam + 1.0):
         with pytest.raises(ParamError):
             aa_bracket(bad, pa)
+
+
+# -- compiled search objective -------------------------------------------------
+
+def _objective_cases():
+    F2 = FinslerNorm.euclidean(2)
+    F3 = FinslerNorm.ellipse(np.diag([1.0, 2.0, 3.0]))
+    for F, q in ((F2, 2.0), (F3, 2.5)):
+        n = F.dim
+        for beta in (0.5, n - 0.5):                   # n - 0.5 > n - 1
+            floor = q * (1.0 - beta / n)
+            for variant, p in (("phi_series", None), ("exp_power", floor + 0.4)):
+                params = FunctionalParams(n, q, beta, 0.5 * sharp_constant(F),
+                                          2.0, 2.0, p=p, variant=variant)
+                for mode in ("subcritical", "critical"):
+                    yield pytest.param(params, F, mode,
+                                       id=f"n{n}-beta{beta}-{variant}-{mode}")
+
+
+@pytest.mark.parametrize("params,F,mode", list(_objective_cases()))
+def test_radial_objective_matches_library(params, F, mode):
+    knots = geometric_knots(6.0, 16)
+    obj = RadialObjective(params, F, knots, mode)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        theta = np.sort(rng.uniform(0.0, 1.0, knots.size - 1))[::-1]
+        value, grad = obj.value_and_grad(theta)
+        # the library path: normalize or project, then re-evaluate
+        g = RadialProfile(knots, np.append(theta, 0.0))
+        if mode == "subcritical":
+            want = atmsc_value(normalize_sphere(g, params.q, F), params, F)
+        else:
+            gc = constraint_scale(g, params.a, params.b, F, params.q).scaled
+            want = critical_value(gc, params, F)
+        assert value == pytest.approx(want, rel=1e-12)
+        assert obj.witness(theta)[0] == want
+        fd = np.empty_like(theta)
+        for i in range(theta.size):
+            step = 1e-6 * max(theta[i], 1e-2)
+            up, down = theta.copy(), theta.copy()
+            up[i] += step
+            down[i] -= step
+            fd[i] = (obj.value_and_grad(up)[0] - obj.value_and_grad(down)[0]) / (2 * step)
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_radial_objective_rejects_degenerate(gauge_euclid):
+    knots = geometric_knots(6.0, 8)
+    obj = RadialObjective(params_beta05(), gauge_euclid, knots, "critical")
+    value, grad = obj.value_and_grad(np.zeros(knots.size - 1))
+    assert value == -np.inf and np.all(grad == 0.0)
+    assert obj.witness(np.zeros(knots.size - 1)) == (-np.inf, None)
+    # a rate far above the sharp constant overflows the kernel: -inf, never
+    # a non-finite gradient
+    hot = RadialObjective(params_beta05(lam=1e5), gauge_euclid, knots, "critical")
+    value, grad = hot.value_and_grad(np.linspace(1.0, 0.1, knots.size - 1))
+    assert value == -np.inf and np.all(grad == 0.0)
+    with pytest.raises(ParamError):
+        RadialObjective(params_beta05(), gauge_euclid, knots, "nope")

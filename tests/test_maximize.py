@@ -5,6 +5,8 @@ so the whole file stays under a few seconds; the acceptance suite runs the
 calibrated settings.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,18 @@ def test_estimate_f_restarts_agree(gauge_euclid):
                      small_config(restarts=5, budget=800))
     assert len(est.restart_values) == 5
     assert max(est.restart_values) - min(est.restart_values) <= 1e-6 * est.value
+
+
+def test_estimate_f_exp_power_below_one(gauge_euclid):
+    # p = 0.5 < 1 is admissible at beta = 1.5; the kernel's u^{p-1} factor is
+    # infinite where the profile vanishes, and the search must stay clean
+    params = FunctionalParams(n=2, q=1.5, beta=1.5, lam=2.0 * np.pi, a=2.0,
+                              b=2.0, p=0.5, variant="exp_power")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_f(params, gauge_euclid, small_config())
+    assert np.isfinite(est.value) and est.value > 0.0
+    assert atmsc_value(est.profile, params, gauge_euclid) == est.value
 
 
 @pytest.mark.parametrize("setting", [{"knots": 1}, {"restarts": 0},
