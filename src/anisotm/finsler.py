@@ -1,8 +1,13 @@
 """Finsler gauges (anisotropic norms) and their polar duals.
 
-A gauge F is an even, positively 1-homogeneous convex function on R^n that
+A gauge F is a positively 1-homogeneous convex function on R^n that
 vanishes only at the origin.  Its polar F0(x) = sup_{xi != 0} <x, xi>/F(xi)
 is again a gauge, and the sublevel sets {F0 <= r} are the Wulff balls of F.
+Gauges need not be even: F(-x) may differ from F(x), and the polar, the
+Wulff volume and convex symmetrization hold without evenness.  The radial
+energy formula (functional.dirichlet_energy_radial) relies on F(grad F0) = 1
+along the descent direction, so for an uneven gauge it gives the energy of
+g(F0(-x)), not of g(F0(x)).
 The module provides evaluation, gradients, polar duals, Wulff-ball volumes
 kappa_n = |{F0 <= 1}|, the sharp exponential-integrability constant
 
@@ -14,11 +19,13 @@ Supported kinds: 'euclidean', 'pnorm' (l^p, 1 < p < inf), 'ellipse'
 (F = sqrt(x' A x) for SPD A), and 'sampled' (directional values on a
 uniform angle grid, interpolated).  Closed-form kinds have closed-form
 gradients and polars; sampled gauges fall back to interpolation, central
-differences, and a support-function sweep.
+differences, and a support function read off the convex hull of the
+sampled unit sphere.
 """
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator, RectBivariateSpline
+from scipy.spatial import ConvexHull
 
 _ZERO_TOL = 1e-12        # points below this radius have no defined gradient
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -46,8 +53,11 @@ class FinslerNorm:
 
     Construct through the classmethods (``euclidean``, ``pnorm``,
     ``ellipse``, ``sampled``, ``sampled_sphere``) or ``from_config``.
-    Instances are treated as immutable; derived quantities (polar, volume,
-    direction bounds) are cached on first use.
+    Instances are treated as immutable; derived quantities are cached in
+    ``_cache`` on first use: the polar, the Wulff volume, the direction
+    bounds, the unit-radius coarea integral per resolution
+    (``coarea_surface_check``) and the Wulff field of the last grid used by
+    the rearrange layer (F0 and its sort order at the cell centers).
     """
 
     def __init__(self, kind, dim, p=None, matrix=None, thetas=None,
@@ -173,7 +183,7 @@ class FinslerNorm:
                 yp = np.concatenate([v[-k:], v, v[:k]])
                 self._interp = PchipInterpolator(tp, yp)
             else:
-                self._interp = None  # np.interp with period handles it
+                self._interp = (t, y)  # closed node arrays for np.interp
         else:
             th = self.thetas
             ph = np.append(self.phis, 2.0 * np.pi)
@@ -186,15 +196,18 @@ class FinslerNorm:
 
     # -- evaluation ------------------------------------------------------
 
+    def _at_angle(self, phi):
+        """F(cos phi, sin phi) of a planar sampled gauge, read off the
+        interpolant at the angle itself."""
+        ang = _wrap_angle(phi)
+        if self.rule == "linear":
+            return np.interp(ang, *self._interp)
+        return self._interp(ang)
+
     def _directional(self, x):
         """Interpolated directional factor F(x/|x|) for sampled gauges."""
         if self.dim == 2:
-            ang = _wrap_angle(np.arctan2(x[:, 1], x[:, 0]))
-            if self.rule == "linear":
-                t = np.append(self.thetas, 2.0 * np.pi)
-                y = np.append(self.values, self.values[0])
-                return np.interp(ang, t, y)
-            return self._interp(ang)
+            return self._at_angle(np.arctan2(x[:, 1], x[:, 0]))
         r = np.linalg.norm(x, axis=1)
         th = np.arccos(np.clip(x[:, 2] / r, -1.0, 1.0))
         ph = _wrap_angle(np.arctan2(x[:, 1], x[:, 0]))
@@ -329,64 +342,66 @@ def _sphere_grid(n_theta, n_phi):
                             np.cos(T).ravel()])
 
 
-def _polar_values_2d(F, out_thetas):
-    """Support-function values sup_phi cos(theta - phi)/F(unit(phi)).
+def _golden_max(h, a, b, iterations):
+    """Elementwise golden-section search for the max of h on [a, b].
 
-    The unit sphere of F is the curve phi -> unit(phi)/F(unit(phi)); for each
-    output direction the discrete argmax over the stored nodes is found with
-    a monotone two-pointer sweep (valid for convex data), then refined by a
-    fixed-count golden-section pass on the interpolated curve.  Taking the
-    max of the node value and the refined value keeps polygonal gauges
-    (corners on nodes) exact while recovering smooth gauges to o(h).
+    Returns the final bracket (a, b) after ``iterations`` shrinking steps.
     """
-    nodes = F.thetas
-    fvals = np.asarray(F.values, dtype=float)
-    n = nodes.size
-    m = out_thetas.size
-
-    # discrete sweep over node directions
-    ratio_nodes = np.empty((m,))
-    idx = np.empty(m, dtype=int)
-    d0 = np.cos(out_thetas[0] - nodes) / fvals
-    k = int(np.argmax(d0))
-    for j in range(m):
-        best = np.cos(out_thetas[j] - nodes[k]) / fvals[k]
-        while True:
-            kn = (k + 1) % n
-            cand = np.cos(out_thetas[j] - nodes[kn]) / fvals[kn]
-            if cand > best:
-                k, best = kn, cand
-            else:
-                break
-        idx[j] = k
-        ratio_nodes[j] = best
-    # guard the sweep with a window check around each argmax
-    off = np.arange(-2, 3)
-    widx = (idx[:, None] + off[None, :]) % n
-    wvals = np.cos(out_thetas[:, None] - nodes[widx]) / fvals[widx]
-    jbest = np.argmax(wvals, axis=1)
-    ratio_nodes = wvals[np.arange(m), jbest]
-    center = nodes[idx] + off[jbest] * (2.0 * np.pi / n)
-
-    # golden-section refinement on the interpolated directional factor
-    span = 2.0 * np.pi / n
-    a = center - span
-    b = center + span
-
-    def h(phi):
-        d = np.column_stack([np.cos(phi), np.sin(phi)])
-        return np.cos(out_thetas - phi) / F(d)
-
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     hc, hd = h(c), h(d)
-    for _ in range(40):
+    for _ in range(iterations):
         take = hc >= hd
         b = np.where(take, d, b)
         a = np.where(take, a, c)
         c = b - _GOLDEN * (b - a)
         d = a + _GOLDEN * (b - a)
         hc, hd = h(c), h(d)
+    return a, b
+
+
+def _node_argmax(F, out_thetas):
+    """For each output angle, the node k maximizing cos(theta - phi_k)/F_k.
+
+    That ratio is the support function of the boundary points
+    unit(phi_k)/F_k, so the maximum over all nodes is attained at a vertex of
+    their convex hull.  The hull vertices come counterclockwise, so the
+    outward edge normals turn monotonically and each vertex is the argmax
+    exactly for the angles between the normals of its two edges.  This is
+    exact for any positive data, convex or not.
+    """
+    fvals = np.asarray(F.values, dtype=float)
+    pts = np.column_stack([np.cos(F.thetas), np.sin(F.thetas)]) / fvals[:, None]
+    verts = ConvexHull(pts).vertices
+    edges = pts[np.roll(verts, -1)] - pts[verts]
+    # the outward normal of the edge from verts[i] to verts[i+1] is (e_y, -e_x)
+    normals = _wrap_angle(np.arctan2(-edges[:, 0], edges[:, 1]))
+    by_angle = np.argsort(normals)
+    j = np.searchsorted(normals[by_angle], _wrap_angle(out_thetas))
+    # angles between the normals of edges i-1 and i pick their shared vertex
+    return verts[by_angle[j % verts.size]]
+
+
+def _polar_values_2d(F, out_thetas):
+    """Support-function values sup_phi cos(theta - phi)/F(unit(phi)).
+
+    The unit sphere of F is the curve phi -> unit(phi)/F(unit(phi)); for each
+    output direction the discrete argmax over the stored nodes comes from
+    the convex hull of the node points (``_node_argmax``), then it is refined
+    by a fixed-count golden-section pass on the interpolated curve.  Taking
+    the max of the node value and the refined value keeps polygonal gauges
+    (corners on nodes) exact while recovering smooth gauges to o(h).
+    """
+    idx = _node_argmax(F, out_thetas)
+    nodes = F.thetas[idx]
+    ratio_nodes = np.cos(out_thetas - nodes) / np.asarray(F.values, dtype=float)[idx]
+
+    span = 2.0 * np.pi / F.thetas.size
+
+    def h(phi):
+        return np.cos(out_thetas - phi) / F._at_angle(phi)
+
+    a, b = _golden_max(h, nodes - span, nodes + span, 40)
     refined = h(0.5 * (a + b))
     return np.maximum(ratio_nodes, refined)
 
@@ -419,29 +434,9 @@ def _polar_values_sphere(F, out_thetas, out_phis):
 
     th, ph = sth.copy(), sph.copy()
     for _ in range(3):  # alternate 1-d refinements
-        a, b = th - span_t, th + span_t
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        hc, hd = h(c, ph), h(d, ph)
-        for _ in range(20):
-            take = hc >= hd
-            b = np.where(take, d, b)
-            a = np.where(take, a, c)
-            c = b - _GOLDEN * (b - a)
-            d = a + _GOLDEN * (b - a)
-            hc, hd = h(c, ph), h(d, ph)
+        a, b = _golden_max(lambda t: h(t, ph), th - span_t, th + span_t, 20)
         th = np.clip(0.5 * (a + b), 0.0, np.pi)
-        a, b = ph - span_p, ph + span_p
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        hc, hd = h(th, c), h(th, d)
-        for _ in range(20):
-            take = hc >= hd
-            b = np.where(take, d, b)
-            a = np.where(take, a, c)
-            c = b - _GOLDEN * (b - a)
-            d = a + _GOLDEN * (b - a)
-            hc, hd = h(th, c), h(th, d)
+        a, b = _golden_max(lambda p: h(th, p), ph - span_p, ph + span_p, 20)
         ph = 0.5 * (a + b)
     refined = h(th, ph)
     return np.maximum(best, refined).reshape(out_thetas.size, out_phis.size)
@@ -523,12 +518,25 @@ def coarea_surface_check(F, r=1.0, resolution=None):
     directions s, with the surface element computed from the parameterization
     derivatives (F0 directional derivatives come from grad, so sampled gauges
     go through central differences).  Returns (integral - target)/target.
+    The surface element scales as r^{n-1}, so the integral is r^{n-1} times
+    its value at r = 1, which is computed once per resolution and cached on
+    the gauge (for power-of-two r the product is bitwise the direct value).
     """
-    pol = F.polar()
     n = F.dim
-    kappa = wulff_volume(F)
-    target = n * kappa * r ** (n - 1.0)
-    if n == 2:
+    scale = r ** (n - 1.0)
+    target = n * wulff_volume(F) * scale
+    return float((scale * _unit_coarea_integral(F, resolution) - target) / target)
+
+
+def _unit_coarea_integral(F, resolution):
+    """int_{F0 = 1} |grad F0|^{-1} dS by the quadrature of coarea_surface_check:
+    periodic midpoint in 2-d (default 2^16 angles), Gauss-Legendre in theta
+    times periodic midpoint in phi in 3-d (default 192 x 384)."""
+    key = ("coarea", resolution)
+    if key in F._cache:
+        return F._cache[key]
+    pol = F.polar()
+    if F.dim == 2:
         k = resolution or (1 << 16)
         t = (np.arange(k) + 0.5) * (2.0 * np.pi / k)
         s = np.column_stack([np.cos(t), np.sin(t)])
@@ -536,7 +544,7 @@ def coarea_surface_check(F, r=1.0, resolution=None):
         g = pol(s)
         grad = pol.grad(s)
         gprime = np.einsum("ki,ki->k", grad, tang)
-        speed = r * np.sqrt(g ** 2 + gprime ** 2) / g ** 2
+        speed = np.sqrt(g ** 2 + gprime ** 2) / g ** 2
         integ = speed / np.linalg.norm(grad, axis=1)
         val = integ.mean() * 2.0 * np.pi
     else:
@@ -556,12 +564,13 @@ def coarea_surface_check(F, r=1.0, resolution=None):
         grad = pol.grad(s)
         g_t = np.einsum("ki,ki->k", grad, s_t)
         g_p = np.einsum("ki,ki->k", grad, s_p)
-        x_t = r * (s_t * g[:, None] - s * g_t[:, None]) / g[:, None] ** 2
-        x_p = r * (s_p * g[:, None] - s * g_p[:, None]) / g[:, None] ** 2
+        x_t = (s_t * g[:, None] - s * g_t[:, None]) / g[:, None] ** 2
+        x_p = (s_p * g[:, None] - s * g_p[:, None]) / g[:, None] ** 2
         elem = np.linalg.norm(np.cross(x_t, x_p), axis=1)
         integ = (elem / np.linalg.norm(grad, axis=1)).reshape(kt, kp)
         val = float(wt @ integ.sum(axis=1)) * (2.0 * np.pi / kp)
-    return float((val - target) / target)
+    F._cache[key] = val
+    return val
 
 
 class WulffBall:

@@ -409,9 +409,19 @@ class ConstraintScaled:
 def _constraint_root(X, Y, a, b):
     """The c > 0 with (c X)^a + (c Y)^b = 1, for X, Y >= 0 not both 0.
 
-    The left side is strictly increasing in c, so the root is unique;
-    bisection runs to relative width 1e-14.
+    For a = b the root is c = (X^a + Y^a)^{-1/a}, evaluated with the larger
+    of X, Y factored out so that the powers cannot overflow.  Otherwise the
+    left side is strictly increasing in c, so the root is unique; bisection
+    runs to relative width 1e-14.
     """
+    if a == b:
+        top = max(X, Y)
+        return 1.0 / (top * ((X / top) ** a + (Y / top) ** a) ** (1.0 / a))
+    return _bisect_constraint_root(X, Y, a, b)
+
+
+def _bisect_constraint_root(X, Y, a, b):
+    """_constraint_root by bisection, for any a, b > 0."""
     def val(c):
         return (c * X) ** a + (c * Y) ** b
 

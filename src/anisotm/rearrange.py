@@ -197,8 +197,34 @@ def decreasing_rearrangement(u):
     return StepRearrangement(breaks, lev)
 
 
+def _wulff_field(u, F):
+    """(F0, t_sorted, order) on the cell centers of u's grid.
+
+    F0 is the polar gauge at the centers (shape of u.values), t = kappa F0^n
+    is the Wulff-ball volume of each center's level, and ``order`` sorts the
+    flattened t ascending (t_sorted = t[order]).  The field is cached on the
+    gauge for one grid at a time, keyed by (dim, halfwidth, m), so repeated
+    symmetrizations and resamplings on one grid evaluate F0 once.
+    """
+    key = (u.dim, u.halfwidth, u.m)
+    cached = F._cache.get("wulff_field")
+    if cached is None or cached[0] != key:
+        f0 = F.polar()(u.centers().reshape(-1, u.dim))
+        t = wulff_volume(F) * f0 ** u.dim
+        order = np.argsort(t, kind="stable").astype(np.int32)
+        cached = (key, f0.reshape(u.values.shape), t[order], order)
+        for arr in cached[1:]:
+            arr.flags.writeable = False   # shared by every caller on this grid
+        F._cache["wulff_field"] = cached
+    return cached[1:]
+
+
 def convex_symmetrization(u, F):
     """u_star(x) = u_sharp(kappa F0(x)^n) sampled on u's own grid.
+
+    The cells in ascending order of t = kappa F0^n take the rearrangement's
+    levels in turn: level k goes to the cells with t in
+    [breakpoints[k-1], breakpoints[k]), found by bisecting the sorted t.
 
     Raises SupportOverflowError when the symmetrized support touches the
     zero boundary layer (the caller must enlarge the box).
@@ -206,16 +232,19 @@ def convex_symmetrization(u, F):
     rearr = decreasing_rearrangement(u)
     if rearr.values.size == 0:
         return GridFunction(u.halfwidth, np.zeros_like(u.values))
-    kappa = wulff_volume(F)
-    pol = F.polar()
-    pts = u.centers().reshape(-1, u.dim)
-    t = kappa * pol(pts) ** u.dim
-    vals = rearr(t).reshape(u.values.shape)
+    _, t_sorted, order = _wulff_field(u, F)
+    ends = np.searchsorted(t_sorted, rearr.breakpoints, side="left")
+    sorted_vals = np.zeros(t_sorted.size)
+    sorted_vals[:ends[-1]] = np.repeat(rearr.values, np.diff(ends, prepend=0))
+    vals = np.empty(t_sorted.size)
+    vals[order] = sorted_vals
+    vals = vals.reshape(u.values.shape)
     edge = np.ones(vals.shape, dtype=bool)
     edge[(slice(1, -1),) * u.dim] = False
     if np.any(vals[edge] > 0.0):
+        kappa = wulff_volume(F)
         r_supp = (rearr.total_support / kappa) ** (1.0 / u.dim)
-        a_pol = pol.direction_bounds()[0]
+        a_pol = F.polar().direction_bounds()[0]
         need = r_supp / a_pol + 2.0 * u.h
         raise SupportOverflowError(
             f"symmetrized support radius {r_supp:.6g} (in F0) reaches the box "
@@ -262,9 +291,7 @@ def profile_of(u_star, F, knot_count=None, tol=None):
     vals = ints / (hi - lo)
     vals[-1] = 0.0
     g = RadialProfile(knots, np.minimum.accumulate(np.maximum(vals, 0.0)))
-    pol = F.polar()
-    pts = u_star.centers().reshape(-1, u_star.dim)
-    resampled = g(pol(pts)).reshape(u_star.values.shape)
+    resampled = g(_wulff_field(u_star, F)[0])
     l1 = np.sum(np.abs(u_star.values))
     gap = float(np.sum(np.abs(u_star.values - resampled)) / max(l1, 1e-300))
     if tol is None:
@@ -282,13 +309,11 @@ def rasterize_profile(g, F, halfwidth, m, dim=None):
     if dim != F.dim:
         raise ValueError(f"requested dimension {dim} != gauge dimension {F.dim}")
     grid = GridFunction.zeros(dim, halfwidth, m)
-    pol = F.polar()
-    pts = grid.centers().reshape(-1, dim)
-    vals = g(pol(pts)).reshape(grid.values.shape)
+    vals = g(_wulff_field(grid, F)[0])
     edge = np.ones(vals.shape, dtype=bool)
     edge[(slice(1, -1),) * dim] = False
     if np.any(vals[edge] > 0.0):
-        a_pol = pol.direction_bounds()[0]
+        a_pol = F.polar().direction_bounds()[0]
         need = g.support_radius / a_pol + 2.0 * grid.h
         raise SupportOverflowError(
             f"profile support radius {g.support_radius:.6g} reaches the box "
@@ -320,9 +345,7 @@ def grid_atmsc_value(u, params, F):
             f"integrand overflow at grid cell {np.unravel_index(k, u.values.shape)}: {err}",
             knot_index=k, argument=err.argument) from None
     if params.beta > 0.0:
-        pol = F.polar()
-        pts = u.centers().reshape(-1, u.dim)
-        w = pol(pts).reshape(u.values.shape) ** (-params.beta)
+        w = _wulff_field(u, F)[0] ** (-params.beta)
         kern = kern * w
     return float(u.cell_volume * np.sum(kern))
 

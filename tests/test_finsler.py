@@ -11,6 +11,7 @@ import pytest
 from anisotm import (FinslerNorm, WulffBall, GaugeError, wulff_volume,
                      sharp_constant, bipolar_residual, coarea_surface_check,
                      unit_ball_measure)
+from anisotm.finsler import _node_argmax
 
 # p-ball volumes 2 Gamma(1 + 1/p)^dim / Gamma(1 + dim/p) * 2^(dim-1),
 # evaluated once and frozen
@@ -93,6 +94,57 @@ def test_polar_is_involution_on_closed_forms(gauge_euclid, gauge_ellipse,
 def test_bipolar_residual_sampled(gauge_maxgauge, gauge_sampled_smooth):
     assert bipolar_residual(gauge_maxgauge, sample_count=100) < 1e-8
     assert bipolar_residual(gauge_sampled_smooth, sample_count=100) < 1e-8
+
+
+def _small_sampled(kind, n=256):
+    th = np.arange(n) * (2.0 * np.pi / n)
+    if kind == "maxgauge":       # boundary nodes lie collinear on the square
+        return FinslerNorm.sampled(np.maximum(np.abs(np.cos(th)), np.abs(np.sin(th))),
+                                   rule="linear")
+    if kind == "seeded":
+        rng = np.random.default_rng(5)
+        a2, a4 = rng.uniform(0.02, 0.1), rng.uniform(0.0, 0.02)
+        p2, p4 = rng.uniform(0.0, np.pi, 2)
+        return FinslerNorm.sampled(1.0 + a2 * np.cos(2.0 * (th - p2))
+                                   + a4 * np.cos(4.0 * (th - p4)), rule="pchip")
+    # dented: two narrow bumps in F pull the unit sphere inward, so the
+    # ratio along the nodes has local maxima a monotone sweep can stop at
+    dent = (0.4 * np.exp(-((th - 1.0) / 0.08) ** 2)
+            + 0.25 * np.exp(-((th - 4.0) / 0.05) ** 2))
+    return FinslerNorm.sampled(1.0 + dent, rule="linear")
+
+
+@pytest.mark.parametrize("kind", ["maxgauge", "seeded", "dented"])
+def test_node_argmax_matches_brute_force(kind):
+    F = _small_sampled(kind)
+    out = np.linspace(0.0, 2.0 * np.pi, 1031, endpoint=False)
+    ratios = np.cos(out[:, None] - F.thetas[None, :]) / F.values[None, :]
+    brute = ratios.max(axis=1)
+    idx = _node_argmax(F, out)
+    got = ratios[np.arange(out.size), idx]
+    # collinear nodes tie up to rounding: the values must agree, not the index
+    assert np.max(np.abs(got - brute) / brute) <= 1e-15
+    if kind == "seeded":
+        top2 = np.sort(ratios, axis=1)[:, -2:]
+        clear = top2[:, 1] - top2[:, 0] > 1e-13 * top2[:, 1]
+        assert np.array_equal(idx[clear], ratios.argmax(axis=1)[clear])
+
+
+def test_uneven_sampled_gauge_closed_form():
+    # F(xi) = |xi| + e xi_1 is convex and 1-homogeneous but not even; its
+    # Wulff ball {F0 <= 1} is the unit disc centred at (e, 0), so kappa = pi
+    # and F0 solves (1 - e^2) F0^2 + 2 e x_1 F0 - |x|^2 = 0
+    e, n = 0.3, 4096
+    th = np.arange(n) * (2.0 * np.pi / n)
+    F = FinslerNorm.sampled(1.0 + e * np.cos(th), rule="spline")
+    assert F(np.array([1.0, 0.0])) == pytest.approx(1.0 + e, rel=1e-15)
+    assert F(np.array([-1.0, 0.0])) == pytest.approx(1.0 - e, rel=1e-15)
+    assert abs(wulff_volume(F) - np.pi) < 1e-12
+    x = rand_points(2, 400, 6)
+    exact = (-e * x[:, 0] + np.sqrt(e ** 2 * x[:, 0] ** 2 + (1.0 - e ** 2)
+                                    * np.sum(x ** 2, axis=1))) / (1.0 - e ** 2)
+    assert np.max(np.abs(F.polar()(x) - exact) / exact) < 1e-12
+    assert bipolar_residual(F, sample_count=200) < 1e-12
 
 
 # -- identity suite -----------------------------------------------------------

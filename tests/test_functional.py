@@ -15,7 +15,8 @@ from anisotm import (FunctionalParams, SeriesIndex, series_start, phi,
                      ratio_functional, normalize_sphere, constraint_scale,
                      aa_bracket, FunctionalOverflowError, ParamError,
                      RadialProfile, FinslerNorm, wulff_volume, sharp_constant)
-from anisotm.functional import (RadialObjective, _phi_slope, _phi_stable,
+from anisotm.functional import (RadialObjective, _bisect_constraint_root,
+                                _constraint_root, _phi_slope, _phi_stable,
                                 validate_lambda)
 from anisotm.maximize import geometric_knots
 
@@ -265,6 +266,20 @@ def test_constraint_scale(gauge_euclid):
     zero = RadialProfile([0.0, 1.0], [0.0, 0.0])
     with pytest.raises(ParamError):
         constraint_scale(zero, 2.0, 2.0, gauge_euclid, 2.0)
+
+
+@pytest.mark.parametrize("a", [1.5, 2.0, 3.0])
+def test_constraint_root_closed_form(a):
+    # a = b has the closed-form root (X^a + Y^a)^{-1/a}; it must agree with
+    # the bisection that serves a != b, including X = 0 or Y = 0
+    rng = np.random.default_rng(int(10 * a))
+    pairs = [(0.0, 1.7), (2.3, 0.0), (1e-6, 3e5)]
+    pairs += [tuple(10.0 ** rng.uniform(-3.0, 3.0, 2)) for _ in range(200)]
+    for X, Y in pairs:
+        got = _constraint_root(X, Y, a, a)
+        want = _bisect_constraint_root(X, Y, a, a)
+        assert abs(got - want) <= 1e-14 * want
+        assert (got * X) ** a + (got * Y) ** a == pytest.approx(1.0, abs=1e-14)
 
 
 def test_aa_bracket(gauge_euclid):

@@ -16,7 +16,9 @@ from anisotm import (GridFunction, StepRearrangement, SupportOverflowError,
                      hardy_littlewood_check, polya_szego_check,
                      equimeasurability_gaps, disc_tolerance, DISC_TOL_COEFF,
                      RadialProfile, FunctionalParams, FunctionalOverflowError,
-                     ParamError, dirichlet_energy_radial)
+                     ParamError, dirichlet_energy_radial, FinslerNorm,
+                     wulff_volume)
+from conftest import CORPUS_NAMES, corpus_grid
 
 
 @pytest.fixture
@@ -133,6 +135,58 @@ def test_symmetrization_is_idempotent(hand_grid, gauge_euclid):
     once = convex_symmetrization(hand_grid, gauge_euclid)
     twice = convex_symmetrization(once, gauge_euclid)
     assert np.array_equal(once.values, twice.values)
+
+
+def pointwise_symmetrization(u, F):
+    """u_sharp(kappa F0(x)^n) evaluated cell by cell, the defining formula."""
+    t = wulff_volume(F) * F.polar()(u.centers().reshape(-1, u.dim)) ** u.dim
+    return decreasing_rearrangement(u)(t).reshape(u.values.shape)
+
+
+@pytest.mark.parametrize("gauge", ["euclid", "pnorm4", "sampled_smooth"])
+def test_symmetrization_equals_pointwise_formula(gauge, request):
+    # Euclidean grids have many cells with tied t; the scatter must still
+    # agree bit for bit with evaluating the rearrangement at each cell
+    F = request.getfixturevalue(f"gauge_{gauge}")
+    for name in CORPUS_NAMES:
+        u = corpus_grid(name, F, 48)
+        got = convex_symmetrization(u, F).values
+        assert np.array_equal(got, pointwise_symmetrization(u, F)), name
+
+
+def test_symmetrization_equals_pointwise_formula_3d():
+    F = FinslerNorm.ellipse(np.diag([1.0, 2.0, 0.5]))
+    m, halfwidth = 20, 3.0
+    ax = -halfwidth + (np.arange(m) + 0.5) * (2.0 * halfwidth / m)
+    x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
+    vals = (np.exp(-3.0 * ((x - 0.3) ** 2 + y ** 2 + 2.0 * z ** 2))
+            + 0.5 * (np.abs(x) + np.abs(y) < 0.8) * (np.abs(z) < 0.5))
+    vals *= np.sqrt(x ** 2 + y ** 2 + z ** 2) < 1.2
+    u = GridFunction(halfwidth, vals)
+    got = convex_symmetrization(u, F).values
+    assert np.array_equal(got, pointwise_symmetrization(u, F))
+
+
+def test_symmetrization_cache_follows_grid():
+    # one gauge reused on grids of different m, then a different halfwidth,
+    # then the first grid again, gives what a fresh gauge gives on each grid
+    def ellipse():
+        return FinslerNorm.ellipse([[4.0, 0.0], [0.0, 1.0]])
+
+    def results(F, halfwidth, m):
+        u = rasterize_profile(RadialProfile([0.0, 0.3, 1.0], [1.0, 0.2, 0.0]),
+                              FinslerNorm.pnorm(3.0), halfwidth, m)
+        us = convex_symmetrization(u, F)
+        raster = rasterize_profile(RadialProfile([0.0, 1.0], [1.0, 0.0]), F,
+                                   halfwidth, m)
+        pa = FunctionalParams(n=2, q=2.0, beta=0.5, lam=2.0 * np.pi, a=2.0, b=2.0)
+        return (us.values, profile_of(us, F).values, raster.values,
+                grid_atmsc_value(raster, pa, F))
+
+    shared = ellipse()
+    for halfwidth, m in ((2.6, 64), (2.6, 96), (3.1, 96), (2.6, 64)):
+        for a, b in zip(results(shared, halfwidth, m), results(ellipse(), halfwidth, m)):
+            assert np.array_equal(a, b), (halfwidth, m)
 
 
 def test_symmetrization_of_zero(gauge_euclid):
