@@ -18,10 +18,12 @@ and consistency checks (bipolar identity, anisotropic coarea formula).
 Supported kinds: 'euclidean', 'pnorm' (l^p, 1 < p < inf), 'ellipse'
 (F = sqrt(x' A x) for SPD A), and 'sampled' (directional values on a
 uniform angle grid, interpolated).  Closed-form kinds have closed-form
-gradients and polars; sampled gauges fall back to interpolation, central
-differences, and a support function read off the convex hull of the
-sampled unit sphere.
+gradients, polars and Wulff volumes; sampled gauges fall back to
+interpolation, central differences, a support function read off the convex
+hull of the sampled unit sphere, and quadrature for kappa_n.
 """
+
+from math import gamma
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator, RectBivariateSpline
@@ -29,6 +31,7 @@ from scipy.spatial import ConvexHull
 
 _ZERO_TOL = 1e-12        # points below this radius have no defined gradient
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_CONVEX_TOL = 1e-10      # sampled nodes this far (relative) inside the hull are a dent
 
 
 class GaugeError(ValueError):
@@ -110,7 +113,9 @@ class FinslerNorm:
 
         ``values[k]`` is F at angle 2*pi*k/len(values).  ``rule`` selects the
         interpolant: 'spline' (periodic cubic, for smooth gauges), 'pchip'
-        (shape-preserving, tolerates kinks), or 'linear'.
+        (shape-preserving, tolerates kinks), or 'linear'.  The polar (and so
+        kappa_n) raises GaugeError when the sampled unit sphere, the points
+        unit(theta_k)/values[k], is not convex.
         """
         values = np.asarray(values, dtype=float)
         n = values.size
@@ -345,34 +350,44 @@ def _sphere_grid(n_theta, n_phi):
 def _golden_max(h, a, b, iterations):
     """Elementwise golden-section search for the max of h on [a, b].
 
-    Returns the final bracket (a, b) after ``iterations`` shrinking steps.
+    Each step keeps the better interior point and evaluates h once, at the
+    new one, so the search costs iterations + 2 evaluations of h.  Returns
+    the final bracket (a, b) after ``iterations`` shrinking steps.
     """
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     hc, hd = h(c), h(d)
     for _ in range(iterations):
-        take = hc >= hd
+        take = hc >= hd          # the max lies in [a, d]: c becomes the new d
         b = np.where(take, d, b)
         a = np.where(take, a, c)
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        hc, hd = h(c), h(d)
+        new = np.where(take, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        hn = h(new)
+        c, d = np.where(take, new, d), np.where(take, c, new)
+        hc, hd = np.where(take, hn, hd), np.where(take, hc, hn)
     return a, b
 
 
-def _node_argmax(F, out_thetas):
+def _node_hull(F):
+    """Boundary points unit(phi_k)/F_k of a planar sampled gauge and the
+    indices of their convex hull vertices, counterclockwise."""
+    fvals = np.asarray(F.values, dtype=float)
+    pts = np.column_stack([np.cos(F.thetas), np.sin(F.thetas)]) / fvals[:, None]
+    return pts, ConvexHull(pts).vertices
+
+
+def _node_argmax(F, out_thetas, hull=None):
     """For each output angle, the node k maximizing cos(theta - phi_k)/F_k.
 
     That ratio is the support function of the boundary points
     unit(phi_k)/F_k, so the maximum over all nodes is attained at a vertex of
-    their convex hull.  The hull vertices come counterclockwise, so the
-    outward edge normals turn monotonically and each vertex is the argmax
-    exactly for the angles between the normals of its two edges.  This is
-    exact for any positive data, convex or not.
+    their convex hull (``hull`` from ``_node_hull``, built when not given).
+    The hull vertices come counterclockwise, so the outward edge normals
+    turn monotonically and each vertex is the argmax exactly for the angles
+    between the normals of its two edges.  This is exact for any positive
+    data, convex or not.
     """
-    fvals = np.asarray(F.values, dtype=float)
-    pts = np.column_stack([np.cos(F.thetas), np.sin(F.thetas)]) / fvals[:, None]
-    verts = ConvexHull(pts).vertices
+    pts, verts = hull or _node_hull(F)
     edges = pts[np.roll(verts, -1)] - pts[verts]
     # the outward normal of the edge from verts[i] to verts[i+1] is (e_y, -e_x)
     normals = _wrap_angle(np.arctan2(-edges[:, 0], edges[:, 1]))
@@ -382,17 +397,46 @@ def _node_argmax(F, out_thetas):
     return verts[by_angle[j % verts.size]]
 
 
+def _check_convex_nodes(F, hull):
+    """Raise GaugeError when a node lies inside the hull of the others.
+
+    The boundary points surround the origin in angle order, so the hull edge
+    that bounds node k joins the nearest hull vertices at or before and after
+    it in node order.  A node deeper than _CONVEX_TOL * (max radius) inside
+    that edge means the sampled unit sphere is not convex; collinear nodes,
+    such as those on the edges of the max gauge's square, sit at rounding
+    distance and pass.
+    """
+    pts, verts = hull
+    verts = np.sort(verts)
+    k = np.arange(pts.shape[0])
+    i = np.searchsorted(verts, k, side="right") - 1    # -1 wraps to the last
+    p, q = pts[verts[i]], pts[verts[(i + 1) % verts.size]]
+    e = q - p
+    normal = np.column_stack([e[:, 1], -e[:, 0]]) / np.linalg.norm(e, axis=1)[:, None]
+    depth = np.einsum("ki,ki->k", normal, p - pts)
+    worst = int(np.argmax(depth))
+    radius = float(np.max(np.linalg.norm(pts, axis=1)))
+    if depth[worst] > _CONVEX_TOL * radius:
+        raise GaugeError(
+            f"sampled gauge is not convex: the node at angle {F.thetas[worst]:.6g} "
+            f"lies {depth[worst]:.3e} inside the hull of the sampled unit sphere")
+
+
 def _polar_values_2d(F, out_thetas):
     """Support-function values sup_phi cos(theta - phi)/F(unit(phi)).
 
-    The unit sphere of F is the curve phi -> unit(phi)/F(unit(phi)); for each
-    output direction the discrete argmax over the stored nodes comes from
-    the convex hull of the node points (``_node_argmax``), then it is refined
-    by a fixed-count golden-section pass on the interpolated curve.  Taking
-    the max of the node value and the refined value keeps polygonal gauges
-    (corners on nodes) exact while recovering smooth gauges to o(h).
+    The unit sphere of F is the curve phi -> unit(phi)/F(unit(phi)).  The
+    convex hull of its node points rejects non-convex data
+    (``_check_convex_nodes``) and gives, for each output direction, the
+    discrete argmax over the nodes (``_node_argmax``); that argmax is then
+    refined by a fixed-count golden-section pass on the interpolated curve.
+    Taking the max of the node value and the refined value keeps polygonal
+    gauges (corners on nodes) exact while recovering smooth gauges to o(h).
     """
-    idx = _node_argmax(F, out_thetas)
+    hull = _node_hull(F)
+    _check_convex_nodes(F, hull)
+    idx = _node_argmax(F, out_thetas, hull)
     nodes = F.thetas[idx]
     ratio_nodes = np.cos(out_thetas - nodes) / np.asarray(F.values, dtype=float)[idx]
 
@@ -449,7 +493,9 @@ def unit_ball_measure(gauge):
 
     The radial extent in direction s is 1/gauge(s), so the integrand is
     gauge(s)^{-n} over the unit sphere.  Periodic trapezoid in 2-d,
-    Gauss-Legendre in cos(theta) times periodic trapezoid in 3-d.
+    Gauss-Legendre in cos(theta) times periodic trapezoid in 3-d, evaluated
+    a block of 16 cos(theta) rows at a time so the directions of the whole
+    512 x 2048 rule never sit in memory together.
     """
     n = gauge.dim
     if n == 2:
@@ -465,18 +511,38 @@ def unit_ball_measure(gauge):
     w = np.concatenate([0.5 * w0, 0.5 * w0])
     kphi = 2048
     ph = (np.arange(kphi) + 0.5) * (2.0 * np.pi / kphi)
-    U, P = np.meshgrid(u, ph, indexing="ij")
-    s = np.sqrt(1.0 - U ** 2)
-    dirs = np.column_stack([(s * np.cos(P)).ravel(), (s * np.sin(P)).ravel(),
-                            U.ravel()])
-    vals = (gauge(dirs) ** (-3.0)).reshape(u.size, kphi)
-    return float((w @ vals).mean() * 2.0 * np.pi / 3.0)
+    cp, sp = np.cos(ph), np.sin(ph)
+    col = np.zeros(kphi)          # sum over theta rows of w * gauge^-3, per phi
+    for lo in range(0, u.size, 16):
+        uc = u[lo:lo + 16, None]
+        s = np.sqrt(1.0 - uc ** 2)
+        dirs = np.stack(np.broadcast_arrays(s * cp, s * sp, uc), axis=-1)
+        col += w[lo:lo + 16] @ gauge(dirs) ** (-3.0)
+    return float(col.mean() * 2.0 * np.pi / 3.0)
 
 
 def wulff_volume(F):
-    """kappa_n: volume of the unit Wulff ball {F0 <= 1} of the gauge F."""
+    """kappa_n: volume of the unit Wulff ball {F0 <= 1} of the gauge F.
+
+    Closed-form kinds use their closed forms: omega_n for the Euclidean
+    gauge, (2 Gamma(1 + 1/p'))^n / Gamma(1 + n/p') for l^p (its polar is
+    l^{p'}, p' = p/(p-1)), and omega_n sqrt(det A) for the ellipse gauge
+    sqrt(x' A x) (its Wulff ball is the ellipsoid x' A^{-1} x <= 1).
+    Sampled gauges integrate their polar with unit_ball_measure.
+    """
     if "kappa" not in F._cache:
-        F._cache["kappa"] = unit_ball_measure(F.polar())
+        n = F.dim
+        omega = np.pi ** (n / 2.0) / gamma(1.0 + n / 2.0)
+        if F.kind == "euclidean":
+            kappa = omega
+        elif F.kind == "pnorm":
+            q = F.polar().p
+            kappa = (2.0 * gamma(1.0 + 1.0 / q)) ** n / gamma(1.0 + n / q)
+        elif F.kind == "ellipse":
+            kappa = omega * np.sqrt(np.linalg.det(F.matrix))
+        else:
+            kappa = unit_ball_measure(F.polar())
+        F._cache["kappa"] = float(kappa)
     return F._cache["kappa"]
 
 

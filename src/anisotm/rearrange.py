@@ -50,16 +50,26 @@ class SymmetryError(ValueError):
     """Input claimed to be Wulff-symmetric exceeds the symmetry tolerance."""
 
 
+def _boundary_nonzero(vals):
+    """True when the outermost cell layer of the cube ``vals`` is not all zero."""
+    return any(np.any(np.take(vals, (0, -1), axis=k)) for k in range(vals.ndim))
+
+
 class GridFunction:
     """Nonnegative function sampled at cell centers of [-L, L]^n.
 
     ``values`` is an (m,)*n array; axis k of the array is coordinate k.
     The outermost cell layer must be zero so that zero extension to all of
     space is consistent.
+
+    A grid function is immutable: the constructor copies ``values`` and
+    marks the copy read-only.  That lets ``_cache`` keep what is derived
+    from the values: the decreasing rearrangement and, per gauge F, the
+    convex symmetrization (key ("star", F)), each computed on first use.
     """
 
     def __init__(self, halfwidth, values):
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)
         if values.ndim not in (2, 3):
             raise ValueError("grid functions are 2-d or 3-d")
         m = values.shape[0]
@@ -69,12 +79,12 @@ class GridFunction:
             raise ValueError("halfwidth must be positive")
         if np.any(values < 0.0) or np.any(~np.isfinite(values)):
             raise ValueError("grid values must be finite and nonnegative")
-        edge = np.ones(values.shape, dtype=bool)
-        edge[(slice(1, -1),) * values.ndim] = False
-        if np.any(values[edge] != 0.0):
+        if _boundary_nonzero(values):
             raise ValueError("boundary cell layer must be zero")
+        values.flags.writeable = False
         self.halfwidth = float(halfwidth)
         self.values = values
+        self._cache = {}
         self.dim = values.ndim
         self.m = m
 
@@ -185,16 +195,21 @@ def decreasing_rearrangement(u):
 
     Distinct positive values become levels; breakpoints are cumulative cell
     measures.  Sort ties carry no ambiguity: equal values merge into one
-    step, so the result is independent of tie order.
+    step, so the result is independent of tie order.  It is computed once
+    per grid function and kept in ``u._cache``.
     """
-    flat = u.values.ravel()
-    pos = flat[flat > 0.0]
-    if pos.size == 0:
-        return StepRearrangement(np.zeros(0), np.zeros(0))
-    lev, counts = np.unique(pos, return_counts=True)
-    lev, counts = lev[::-1], counts[::-1]
-    breaks = np.cumsum(counts) * u.cell_volume
-    return StepRearrangement(breaks, lev)
+    if "sharp" not in u._cache:
+        flat = u.values.ravel()
+        pos = flat[flat > 0.0]
+        if pos.size == 0:
+            rearr = StepRearrangement(np.zeros(0), np.zeros(0))
+        else:
+            lev, counts = np.unique(pos, return_counts=True)
+            breaks = np.cumsum(counts[::-1]) * u.cell_volume
+            rearr = StepRearrangement(breaks, lev[::-1])
+            rearr.breakpoints.flags.writeable = rearr.values.flags.writeable = False
+        u._cache["sharp"] = rearr
+    return u._cache["sharp"]
 
 
 def _wulff_field(u, F):
@@ -226,9 +241,18 @@ def convex_symmetrization(u, F):
     levels in turn: level k goes to the cells with t in
     [breakpoints[k-1], breakpoints[k]), found by bisecting the sorted t.
 
+    The result is computed once per gauge and kept in ``u._cache``.
+
     Raises SupportOverflowError when the symmetrized support touches the
     zero boundary layer (the caller must enlarge the box).
     """
+    key = ("star", F)
+    if key not in u._cache:
+        u._cache[key] = _symmetrize(u, F)
+    return u._cache[key]
+
+
+def _symmetrize(u, F):
     rearr = decreasing_rearrangement(u)
     if rearr.values.size == 0:
         return GridFunction(u.halfwidth, np.zeros_like(u.values))
@@ -239,9 +263,7 @@ def convex_symmetrization(u, F):
     vals = np.empty(t_sorted.size)
     vals[order] = sorted_vals
     vals = vals.reshape(u.values.shape)
-    edge = np.ones(vals.shape, dtype=bool)
-    edge[(slice(1, -1),) * u.dim] = False
-    if np.any(vals[edge] > 0.0):
+    if _boundary_nonzero(vals):
         kappa = wulff_volume(F)
         r_supp = (rearr.total_support / kappa) ** (1.0 / u.dim)
         a_pol = F.polar().direction_bounds()[0]
@@ -310,9 +332,7 @@ def rasterize_profile(g, F, halfwidth, m, dim=None):
         raise ValueError(f"requested dimension {dim} != gauge dimension {F.dim}")
     grid = GridFunction.zeros(dim, halfwidth, m)
     vals = g(_wulff_field(grid, F)[0])
-    edge = np.ones(vals.shape, dtype=bool)
-    edge[(slice(1, -1),) * dim] = False
-    if np.any(vals[edge] > 0.0):
+    if _boundary_nonzero(vals):
         a_pol = F.polar().direction_bounds()[0]
         need = g.support_radius / a_pol + 2.0 * grid.h
         raise SupportOverflowError(

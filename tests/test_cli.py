@@ -178,6 +178,14 @@ def test_exit_code_validation(tmp_path, capsys):
     assert main(["maximize", "--out", str(tmp_path)]) == 2  # config missing
     cfg2 = write_config(tmp_path / "badgauge.json", gauge={"kind": "nope"})
     assert main(["geometry", "--config", str(cfg2), "--out", str(tmp_path)]) == 2
+    # a dent in sampled values makes the unit sphere non-convex
+    th = np.arange(64) * (2.0 * np.pi / 64)
+    dented = 1.0 + 0.4 * np.exp(-((th - 1.0) / 0.15) ** 2)
+    cfg2 = write_config(tmp_path / "dented.json",
+                        gauge={"kind": "sampled", "values": dented.tolist()})
+    capsys.readouterr()
+    assert main(["geometry", "--config", str(cfg2), "--out", str(tmp_path)]) == 2
+    assert "not convex" in capsys.readouterr().err
     # values of the wrong type and degenerate search settings name the field
     capsys.readouterr()
     for block, field, value in (("params", "q", "abc"),

@@ -5,13 +5,15 @@ p-balls, determinant scaling for ellipsoids); identity checks draw random
 points per gauge kind.
 """
 
+from math import gamma
+
 import numpy as np
 import pytest
 
 from anisotm import (FinslerNorm, WulffBall, GaugeError, wulff_volume,
                      sharp_constant, bipolar_residual, coarea_surface_check,
                      unit_ball_measure)
-from anisotm.finsler import _node_argmax
+from anisotm.finsler import _node_argmax, _polar_values_2d, _sphere_grid
 
 # p-ball volumes 2 Gamma(1 + 1/p)^dim / Gamma(1 + dim/p) * 2^(dim-1),
 # evaluated once and frozen
@@ -54,6 +56,47 @@ def test_sharp_constants(gauge_euclid, gauge_maxgauge):
 def test_unit_ball_measure_is_gauge_volume(gauge_ellipse):
     # unit_ball_measure takes the gauge itself; kappa takes its polar
     assert abs(unit_ball_measure(gauge_ellipse) - np.pi / 2.0) < 1e-10
+
+
+CLOSED_GAUGES = {
+    "euclidean": lambda n: FinslerNorm.euclidean(n),
+    "pnorm1.5": lambda n: FinslerNorm.pnorm(1.5, n),
+    "pnorm4": lambda n: FinslerNorm.pnorm(4.0, n),
+    "ellipse": lambda n: FinslerNorm.ellipse(
+        [[4.0, 1.0], [1.0, 2.0]] if n == 2 else np.diag([4.0, 1.0, 2.0])),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", sorted(CLOSED_GAUGES))
+def test_unit_ball_measure_matches_closed_kappa(kind, dim):
+    # wulff_volume takes closed forms for these kinds; the quadrature it no
+    # longer calls on them must still reproduce them (the 3-d l^4 polar,
+    # l^{4/3}, has the slowest equator kink: 8.3e-8)
+    F = CLOSED_GAUGES[kind](dim)
+    kappa = wulff_volume(F)
+    tol = 1e-10 if dim == 2 else 1e-7
+    assert abs(unit_ball_measure(F.polar()) - kappa) / kappa < tol
+
+
+def test_unit_ball_measure_3d_closed_form():
+    # the 3-d rule runs in blocks of rows; the l^4 ball has volume
+    # (2 Gamma(1 + 1/4))^3 / Gamma(1 + 3/4)
+    exact = (2.0 * gamma(1.25)) ** 3 / gamma(1.75)
+    got = unit_ball_measure(FinslerNorm.pnorm(4.0, 3))
+    assert abs(got - exact) / exact < 1e-7
+
+
+def test_sampled_sphere_kappa():
+    # the 3-d sampled path is the one caller of the 3-d kappa quadrature
+    F = FinslerNorm.sampled_sphere(np.ones((17, 32)))
+    assert abs(wulff_volume(F) - 4.0 * np.pi / 3.0) < 1e-12
+    A = np.diag([4.0, 1.0, 1.0])
+    exact = 4.0 * np.pi / 3.0 * np.sqrt(np.linalg.det(A))
+    vals = FinslerNorm.ellipse(A)(_sphere_grid(33, 64)).reshape(33, 64)
+    for rule, tol in (("spline", 1e-5), ("linear", 5e-3)):   # 3.4e-6, 2.4e-3
+        got = wulff_volume(FinslerNorm.sampled_sphere(vals, rule=rule))
+        assert abs(got - exact) / exact < tol, rule
 
 
 # -- polar duality ------------------------------------------------------------
@@ -128,6 +171,26 @@ def test_node_argmax_matches_brute_force(kind):
         top2 = np.sort(ratios, axis=1)[:, -2:]
         clear = top2[:, 1] - top2[:, 0] > 1e-13 * top2[:, 1]
         assert np.array_equal(idx[clear], ratios.argmax(axis=1)[clear])
+
+
+def test_sampled_polar_rejects_dents(gauge_maxgauge, gauge_sampled_smooth):
+    with pytest.raises(GaugeError, match="not convex.*angle 1.006"):
+        _small_sampled("dented").polar()
+    # collinear nodes (the max gauge's square edges) are convex
+    for F in (_small_sampled("maxgauge"), _small_sampled("seeded"),
+              gauge_maxgauge, gauge_sampled_smooth):
+        _polar_values_2d(F, F.thetas)
+
+
+def test_polar_refinement_evaluates_once_per_step(gauge_sampled_smooth):
+    # 40 golden-section steps: two starting points, one point per step and
+    # the bracket midpoint
+    F = FinslerNorm.sampled(gauge_sampled_smooth.values, rule="spline")
+    calls = []
+    inner = F._at_angle
+    F._at_angle = lambda phi: calls.append(1) or inner(phi)
+    F.polar()
+    assert len(calls) == 43
 
 
 def test_uneven_sampled_gauge_closed_form():

@@ -7,6 +7,7 @@ then countable by hand.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anisotm import (GridFunction, StepRearrangement, SupportOverflowError,
                      SymmetryError, distribution_function,
@@ -50,6 +51,18 @@ def test_grid_validation():
     bad[0, 2] = 1.0
     with pytest.raises(ValueError):
         GridFunction(1.0, bad)                             # nonzero boundary
+
+
+def test_grid_function_is_immutable():
+    vals = np.zeros((6, 6))
+    vals[2, 3] = 1.0
+    u = GridFunction(1.0, vals)
+    vals[2, 2] = 5.0                      # the caller's array stays writable
+    assert u.values[2, 2] == 0.0
+    with pytest.raises(ValueError):
+        u.values[2, 2] = 5.0
+    with pytest.raises(ValueError):             # shared through the cache
+        decreasing_rearrangement(u).values[0] = 5.0
 
 
 def test_grid_geometry(hand_grid):
@@ -108,6 +121,23 @@ def test_rearrangement_mass_equals_lq(hand_grid):
     for q in (1.0, 2.0, 3.7):
         assert r.mass(q) == pytest.approx(grid_lq_norm(hand_grid, q) ** q,
                                           rel=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(4, 12), levels=st.integers(1, 6), ties=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1), q=st.floats(1.0, 5.0))
+def test_rearrangement_mass_property(m, levels, ties, seed, q):
+    # random grids with zeros and either tied or distinct positive values;
+    # the second call reads the rearrangement cached on the grid function
+    rng = np.random.default_rng(seed)
+    inner = (m - 2, m - 2)
+    scale = rng.uniform(0.1, 3.0) if ties else rng.uniform(0.1, 3.0, inner)
+    vals = np.zeros((m, m))
+    vals[1:-1, 1:-1] = rng.integers(0, levels + 1, inner) * scale
+    u = GridFunction(rng.uniform(0.5, 4.0), vals)
+    want = grid_lq_norm(u, q) ** q
+    for _ in range(2):
+        assert decreasing_rearrangement(u).mass(q) == pytest.approx(want, rel=1e-12)
 
 
 def test_rearrangement_of_zero():
@@ -187,6 +217,17 @@ def test_symmetrization_cache_follows_grid():
     for halfwidth, m in ((2.6, 64), (2.6, 96), (3.1, 96), (2.6, 64)):
         for a, b in zip(results(shared, halfwidth, m), results(ellipse(), halfwidth, m)):
             assert np.array_equal(a, b), (halfwidth, m)
+
+
+def test_symmetrization_cached_per_gauge(gauge_euclid, gauge_ellipse):
+    u = corpus_grid("two_bumps", gauge_ellipse, 48)
+    first = convex_symmetrization(u, gauge_euclid)
+    assert convex_symmetrization(u, gauge_euclid) is first
+    other = convex_symmetrization(u, gauge_ellipse)
+    assert other is not first
+    fresh = GridFunction(u.halfwidth, u.values)
+    assert np.array_equal(other.values, convex_symmetrization(fresh, gauge_ellipse).values)
+    assert np.array_equal(first.values, convex_symmetrization(fresh, gauge_euclid).values)
 
 
 def test_symmetrization_of_zero(gauge_euclid):
