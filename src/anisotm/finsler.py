@@ -32,6 +32,7 @@ from scipy.spatial import ConvexHull
 _ZERO_TOL = 1e-12        # points below this radius have no defined gradient
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _CONVEX_TOL = 1e-10      # sampled nodes this far (relative) inside the hull are a dent
+_POLAR_BLOCK = 512       # output directions per block of the 3-d sampled polar
 
 
 class GaugeError(ValueError):
@@ -49,6 +50,20 @@ def _as_points(x, dim):
 
 def _wrap_angle(t):
     return np.mod(t, 2.0 * np.pi)
+
+
+def _row_norms(pts):
+    """Euclidean norm of each row of a (k, dim) array.
+
+    The squared columns are summed left to right, the order in which
+    np.linalg.norm(pts, axis=1) reduces its short rows, so the result is
+    bitwise the same; column operations avoid numpy's slow reduction along
+    a length-2 or length-3 axis.
+    """
+    s = pts[:, 0] * pts[:, 0]
+    for i in range(1, pts.shape[1]):
+        s += pts[:, i] * pts[:, i]
+    return np.sqrt(s)
 
 
 class FinslerNorm:
@@ -213,7 +228,7 @@ class FinslerNorm:
         """Interpolated directional factor F(x/|x|) for sampled gauges."""
         if self.dim == 2:
             return self._at_angle(np.arctan2(x[:, 1], x[:, 0]))
-        r = np.linalg.norm(x, axis=1)
+        r = _row_norms(x)
         th = np.arccos(np.clip(x[:, 2] / r, -1.0, 1.0))
         ph = _wrap_angle(np.arctan2(x[:, 1], x[:, 0]))
         if self.rule == "linear":
@@ -232,16 +247,22 @@ class FinslerNorm:
         """Evaluate F at one point (shape (dim,)) or a stack (..., dim)."""
         pts, single = _as_points(x, self.dim)
         if self.kind == "euclidean":
-            out = np.linalg.norm(pts, axis=1)
+            out = _row_norms(pts)
         elif self.kind == "pnorm":
-            a = np.abs(pts)
-            m = a.max(axis=1)
+            # max and sum column by column, in the order of a row reduction
+            cols = [np.abs(pts[:, i]) for i in range(self.dim)]
+            m = cols[0]
+            for c in cols[1:]:
+                m = np.maximum(m, c)
             safe = np.where(m > 0.0, m, 1.0)
-            out = m * np.sum((a / safe[:, None]) ** self.p, axis=1) ** (1.0 / self.p)
+            total = (cols[0] / safe) ** self.p
+            for c in cols[1:]:
+                total += (c / safe) ** self.p
+            out = m * total ** (1.0 / self.p)
         elif self.kind == "ellipse":
             out = np.sqrt(np.einsum("ki,ij,kj->k", pts, self.matrix, pts))
         else:
-            r = np.linalg.norm(pts, axis=1)
+            r = _row_norms(pts)
             out = np.where(r > 0.0, r * self._directional(
                 np.where(r[:, None] > 0.0, pts, 1.0)), 0.0)
         return float(out[0]) if single else out.reshape(np.asarray(x).shape[:-1])
@@ -254,7 +275,7 @@ class FinslerNorm:
         points within 1e-12 of the origin.
         """
         pts, single = _as_points(x, self.dim)
-        r = np.linalg.norm(pts, axis=1)
+        r = _row_norms(pts)
         if np.any(r < _ZERO_TOL):
             raise GaugeError("gradient is undefined at the origin")
         if self.kind == "euclidean":
@@ -413,10 +434,10 @@ def _check_convex_nodes(F, hull):
     i = np.searchsorted(verts, k, side="right") - 1    # -1 wraps to the last
     p, q = pts[verts[i]], pts[verts[(i + 1) % verts.size]]
     e = q - p
-    normal = np.column_stack([e[:, 1], -e[:, 0]]) / np.linalg.norm(e, axis=1)[:, None]
+    normal = np.column_stack([e[:, 1], -e[:, 0]]) / _row_norms(e)[:, None]
     depth = np.einsum("ki,ki->k", normal, p - pts)
     worst = int(np.argmax(depth))
-    radius = float(np.max(np.linalg.norm(pts, axis=1)))
+    radius = float(np.max(_row_norms(pts)))
     if depth[worst] > _CONVEX_TOL * radius:
         raise GaugeError(
             f"sampled gauge is not convex: the node at angle {F.thetas[worst]:.6g} "
@@ -454,7 +475,10 @@ def _polar_values_sphere(F, out_thetas, out_phis):
     """Support-function values on a (theta, phi) grid for a 3-d gauge.
 
     Coarse scan over a fixed direction grid followed by golden-section
-    refinement in both spherical angles.
+    refinement in both spherical angles, run on _POLAR_BLOCK output
+    directions at a time so the (outputs x scan) dot matrix never sits in
+    memory whole; every output row is computed on its own, so the block
+    size does not change the values.
     """
     scan = _sphere_grid(49, 96)
     boundary = scan / F(scan)[:, None]
@@ -462,11 +486,20 @@ def _polar_values_sphere(F, out_thetas, out_phis):
     dirs = np.column_stack([(np.sin(T) * np.cos(P)).ravel(),
                             (np.sin(T) * np.sin(P)).ravel(),
                             np.cos(T).ravel()])
+    vals = [_support_values(F, boundary, dirs[lo:lo + _POLAR_BLOCK])
+            for lo in range(0, dirs.shape[0], _POLAR_BLOCK)]
+    return np.concatenate(vals).reshape(out_thetas.size, out_phis.size)
+
+
+def _support_values(F, boundary, dirs):
+    """sup over the unit sphere of F of <dir, x> for each row of ``dirs``:
+    the best scanned ``boundary`` point, refined by alternating golden
+    sections in theta and phi around it."""
     dots = dirs @ boundary.T
     kbest = np.argmax(dots, axis=1)
     best = dots[np.arange(dirs.shape[0]), kbest]
 
-    sth = np.arccos(np.clip(boundary[kbest, 2] / np.linalg.norm(boundary[kbest], axis=1),
+    sth = np.arccos(np.clip(boundary[kbest, 2] / _row_norms(boundary[kbest]),
                             -1.0, 1.0))
     sph = _wrap_angle(np.arctan2(boundary[kbest, 1], boundary[kbest, 0]))
     span_t, span_p = np.pi / 48, 2.0 * np.pi / 96
@@ -482,8 +515,7 @@ def _polar_values_sphere(F, out_thetas, out_phis):
         th = np.clip(0.5 * (a + b), 0.0, np.pi)
         a, b = _golden_max(lambda p: h(th, p), ph - span_p, ph + span_p, 20)
         ph = 0.5 * (a + b)
-    refined = h(th, ph)
-    return np.maximum(best, refined).reshape(out_thetas.size, out_phis.size)
+    return np.maximum(best, h(th, ph))
 
 
 # -- volumes, constants, checks -------------------------------------------
@@ -562,7 +594,7 @@ def bipolar_residual(F, sample_count=200, seed=0):
     """
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((sample_count, F.dim))
-    x = x[np.linalg.norm(x, axis=1) > 0.1]
+    x = x[_row_norms(x) > 0.1]
     pol = F.polar()
     if F.kind == "sampled":
         if F.dim == 2:
@@ -611,7 +643,7 @@ def _unit_coarea_integral(F, resolution):
         grad = pol.grad(s)
         gprime = np.einsum("ki,ki->k", grad, tang)
         speed = np.sqrt(g ** 2 + gprime ** 2) / g ** 2
-        integ = speed / np.linalg.norm(grad, axis=1)
+        integ = speed / _row_norms(grad)
         val = integ.mean() * 2.0 * np.pi
     else:
         kt = resolution or 192
@@ -632,8 +664,8 @@ def _unit_coarea_integral(F, resolution):
         g_p = np.einsum("ki,ki->k", grad, s_p)
         x_t = (s_t * g[:, None] - s * g_t[:, None]) / g[:, None] ** 2
         x_p = (s_p * g[:, None] - s * g_p[:, None]) / g[:, None] ** 2
-        elem = np.linalg.norm(np.cross(x_t, x_p), axis=1)
-        integ = (elem / np.linalg.norm(grad, axis=1)).reshape(kt, kp)
+        elem = _row_norms(np.cross(x_t, x_p))
+        integ = (elem / _row_norms(grad)).reshape(kt, kp)
         val = float(wt @ integ.sum(axis=1)) * (2.0 * np.pi / kp)
     F._cache[key] = val
     return val

@@ -64,8 +64,10 @@ class GridFunction:
 
     A grid function is immutable: the constructor copies ``values`` and
     marks the copy read-only.  That lets ``_cache`` keep what is derived
-    from the values: the decreasing rearrangement and, per gauge F, the
-    convex symmetrization (key ("star", F)), each computed on first use.
+    from the values, each computed on first use: the decreasing
+    rearrangement, per gauge F the convex symmetrization (key ("star", F)),
+    and per gauge and arguments the radial profile of ``profile_of`` (key
+    ("profile", F, knot_count, tol)).
     """
 
     def __init__(self, halfwidth, values):
@@ -287,7 +289,20 @@ def profile_of(u_star, F, knot_count=None, tol=None):
     ``u_star`` must already be Wulff-symmetric: the relative L1 gap between
     u_star and the rasterization of g is checked against ``tol`` (default
     disc_tolerance(h)).  The zero function maps to the zero profile.
+
+    The profile is computed once per (F, knot_count, tol) and kept in
+    ``u_star._cache`` under ("profile", F, knot_count, tol), with read-only
+    knots and values; a SymmetryError is raised again on every call.
     """
+    key = ("profile", F, knot_count, tol)
+    if key not in u_star._cache:
+        g = _profile(u_star, F, knot_count, tol)
+        g.knots.flags.writeable = g.values.flags.writeable = False
+        u_star._cache[key] = g
+    return u_star._cache[key]
+
+
+def _profile(u_star, F, knot_count, tol):
     rearr = decreasing_rearrangement(u_star)
     kappa = wulff_volume(F)
     if rearr.values.size == 0:
@@ -342,10 +357,21 @@ def rasterize_profile(g, F, halfwidth, m, dim=None):
 
 
 def grid_dirichlet_energy(u, F):
-    """h^n sum F(grad u)^n with forward differences and zero extension."""
+    """h^n sum F(grad u)^n with forward differences and zero extension.
+
+    F is evaluated on the gradient's support only: every gauge has
+    F(0) = 0 exactly, so the other cells add exact zeros.  F^n is scattered
+    back into a zero array of the grid's shape and the whole array is
+    summed, so the sum runs in the same order over the same terms as one
+    over every cell and the value is bitwise the same.
+    """
     comps = [np.diff(u.values, axis=k, append=0.0) / u.h for k in range(u.dim)]
-    vecs = np.stack(comps, axis=-1)
-    return float(u.cell_volume * np.sum(F(vecs) ** u.dim))
+    active = comps[0] != 0.0
+    for c in comps[1:]:
+        active |= c != 0.0
+    density = np.zeros(u.values.shape)
+    density[active] = F(np.stack([c[active] for c in comps], axis=-1)) ** u.dim
+    return float(u.cell_volume * np.sum(density))
 
 
 def grid_atmsc_value(u, params, F):

@@ -5,15 +5,20 @@ p-balls, determinant scaling for ellipsoids); identity checks draw random
 points per gauge kind.
 """
 
+import math
 from math import gamma
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anisotm import (FinslerNorm, WulffBall, GaugeError, wulff_volume,
                      sharp_constant, bipolar_residual, coarea_surface_check,
                      unit_ball_measure)
-from anisotm.finsler import _node_argmax, _polar_values_2d, _sphere_grid
+from anisotm import finsler
+from anisotm.finsler import (_node_argmax, _polar_values_2d, _polar_values_sphere,
+                             _row_norms, _sphere_grid)
 
 # p-ball volumes 2 Gamma(1 + 1/p)^dim / Gamma(1 + dim/p) * 2^(dim-1),
 # evaluated once and frozen
@@ -193,6 +198,22 @@ def test_polar_refinement_evaluates_once_per_step(gauge_sampled_smooth):
     assert len(calls) == 43
 
 
+def test_sphere_polar_blocks_match_one_block(monkeypatch):
+    # the 3-d polar runs a block of output directions at a time; any block
+    # size, including a ragged last block, gives the one-block values
+    T, P = np.meshgrid(np.linspace(0.0, np.pi, 17), np.arange(32) * (np.pi / 16),
+                       indexing="ij")
+    d = np.stack([np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], axis=-1)
+    F = FinslerNorm.sampled_sphere(np.sqrt(np.einsum("...i,i,...i->...", d,
+                                                     [4.0, 1.0, 2.0], d)),
+                                   rule="spline")
+    monkeypatch.setattr(finsler, "_POLAR_BLOCK", 17 * 32)
+    whole = _polar_values_sphere(F, F.thetas, F.phis)
+    for block in (512, 100):
+        monkeypatch.setattr(finsler, "_POLAR_BLOCK", block)
+        assert np.array_equal(_polar_values_sphere(F, F.thetas, F.phis), whole)
+
+
 def test_uneven_sampled_gauge_closed_form():
     # F(xi) = |xi| + e xi_1 is convex and 1-homogeneous but not even; its
     # Wulff ball {F0 <= 1} is the unit disc centred at (e, 0), so kappa = pi
@@ -208,6 +229,73 @@ def test_uneven_sampled_gauge_closed_form():
                                     * np.sum(x ** 2, axis=1))) / (1.0 - e ** 2)
     assert np.max(np.abs(F.polar()(x) - exact) / exact) < 1e-12
     assert bipolar_residual(F, sample_count=200) < 1e-12
+
+
+# -- independent oracle for the closed-form kernels ---------------------------
+
+COORDS = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@st.composite
+def closed_form_gauges(draw):
+    """A Euclidean, l^p (1 < p < 8) or random SPD ellipse gauge in 2-d or 3-d,
+    with a few points."""
+    dim = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(("euclidean", "pnorm", "ellipse")))
+    if kind == "euclidean":
+        F = FinslerNorm.euclidean(dim)
+    elif kind == "pnorm":
+        F = FinslerNorm.pnorm(draw(st.floats(1.0, 8.0, exclude_min=True,
+                                             exclude_max=True)), dim)
+    else:
+        eig = draw(st.lists(st.floats(0.25, 4.0), min_size=dim, max_size=dim))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        a = q @ np.diag(eig) @ q.T
+        F = FinslerNorm.ellipse(0.5 * (a + a.T))
+    pts = draw(st.lists(st.lists(COORDS, min_size=dim, max_size=dim),
+                        min_size=1, max_size=6))
+    return F, np.array(pts)
+
+
+def oracle_value(F, x):
+    """F(x) for one point, evaluated at 120-bit precision.
+
+    The l^p sum is not scaled by the largest coordinate, as the library's is,
+    and no step is rounded to double, so this is independent of the kernel
+    it checks.  (A double-precision math.fsum evaluation is itself up to
+    2 ulps off the true value, which would leave a 4-ulp bound no headroom.)
+    """
+    with mpmath.workprec(120):
+        x = [mpmath.mpf(v) for v in x]
+        if F.kind == "euclidean":
+            return float(mpmath.sqrt(mpmath.fsum(v * v for v in x)))
+        if F.kind == "pnorm":
+            p = mpmath.mpf(F.p)
+            return float(mpmath.fsum(abs(v) ** p for v in x) ** (1 / p))
+        a = F.matrix
+        return float(mpmath.sqrt(mpmath.fsum(x[i] * mpmath.mpf(a[i, j]) * x[j]
+                                             for i in range(F.dim)
+                                             for j in range(F.dim))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=closed_form_gauges(), scale=st.floats(1e-3, 1e3))
+def test_closed_form_kernels_match_oracle(case, scale):
+    F, pts = case
+    got = F(pts)
+    for value, x in zip(got, pts.tolist()):
+        want = oracle_value(F, x)
+        assert abs(value - want) <= 3.0 * math.ulp(want), (x, value, want)
+    # positively 1-homogeneous: exact under binary scaling, to rounding otherwise
+    assert np.array_equal(F(0.25 * pts), 0.25 * got)
+    assert np.array_equal(F(8.0 * pts), 8.0 * got)
+    scaled = F(scale * pts)
+    assert np.all(np.abs(scaled - scale * got) <= 8.0 * np.spacing(scale * got))
+    # the Euclidean kind and the sampled radius are np.linalg.norm, bitwise
+    norm = np.linalg.norm(pts, axis=1)
+    assert np.array_equal(_row_norms(pts), norm)
+    assert np.array_equal(FinslerNorm.euclidean(F.dim)(pts), norm)
 
 
 # -- identity suite -----------------------------------------------------------

@@ -274,6 +274,35 @@ def test_profile_of_zero(gauge_euclid):
     assert g(0.0) == 0.0 and g.support_radius > 0.0
 
 
+def test_profile_of_is_cached(gauge_euclid):
+    # one profile per (gauge, knot_count, tol), kept read-only on the grid
+    cone = RadialProfile([0.0, 1.4], [1.0, 0.0])
+    u = rasterize_profile(cone, gauge_euclid, 2.0, 64)
+    g = profile_of(u, gauge_euclid)
+    assert profile_of(u, gauge_euclid) is g
+    assert not g.knots.flags.writeable and not g.values.flags.writeable
+    with pytest.raises(ValueError):
+        g.values[0] = 2.0
+    coarse = profile_of(u, gauge_euclid, knot_count=32)
+    assert coarse is not g and coarse.knots.size == 33
+    assert profile_of(u, gauge_euclid, knot_count=32) is coarse
+    loose = profile_of(u, gauge_euclid, tol=0.5)
+    assert loose is not g and profile_of(u, gauge_euclid, tol=0.5) is loose
+    fresh = profile_of(GridFunction(u.halfwidth, u.values), gauge_euclid)
+    assert np.array_equal(fresh.knots, g.knots)
+    assert np.array_equal(fresh.values, g.values)
+
+
+def test_profile_of_symmetry_error_is_not_cached(gauge_euclid):
+    vals = np.zeros((32, 32))
+    vals[20:26, 4:10] = 1.0
+    u = GridFunction(2.0, vals)
+    for _ in range(2):
+        with pytest.raises(SymmetryError):
+            profile_of(u, gauge_euclid)
+    assert not any(key[0] == "profile" for key in u._cache if isinstance(key, tuple))
+
+
 def test_rasterize_errors(gauge_euclid):
     cone = RadialProfile([0.0, 1.4], [1.0, 0.0])
     with pytest.raises(SupportOverflowError) as exc:
@@ -292,6 +321,38 @@ def test_grid_dirichlet_single_cell(gauge_euclid):
     # forward differences see (-1,-1) at the cell and unit steps on the two
     # upwind neighbors: energy (2 + 1 + 1) * cell volume
     assert grid_dirichlet_energy(u, gauge_euclid) == pytest.approx(4.0, rel=1e-14)
+
+
+def all_cells_energy(u, F):
+    """h^n sum F(grad u)^n with F evaluated at every cell."""
+    comps = [np.diff(u.values, axis=k, append=0.0) / u.h for k in range(u.dim)]
+    return float(u.cell_volume * np.sum(F(np.stack(comps, axis=-1)) ** u.dim))
+
+
+def test_grid_dirichlet_energy_matches_all_cells(gauge_euclid, gauge_pnorm4,
+                                                 gauge_ellipse, gauge_sampled_smooth):
+    # F is evaluated on the gradient's support only; the sum over the full
+    # grid keeps the all-cells value bitwise, for uneven gauges too
+    th = np.arange(4096) * (2.0 * np.pi / 4096)
+    uneven = FinslerNorm.sampled(1.0 + 0.3 * np.cos(th), rule="spline")
+    rng = np.random.default_rng(5)
+    dense = np.zeros((24, 24))
+    dense[1:-1, 1:-1] = rng.uniform(0.1, 1.0, (22, 22))
+    dense = GridFunction(2.0, dense)
+    # every interior cell has a nonzero forward-difference gradient
+    diffs = [np.diff(dense.values, axis=k, append=0.0)[1:-1, 1:-1] for k in range(2)]
+    assert np.all((diffs[0] != 0.0) | (diffs[1] != 0.0))
+    for F in (gauge_euclid, gauge_pnorm4, gauge_ellipse, gauge_sampled_smooth, uneven):
+        for u in [corpus_grid(name, F, 64) for name in ("cone", "two_bumps", "square_ind")] + [dense]:
+            assert grid_dirichlet_energy(u, F) == all_cells_energy(u, F)
+        assert grid_dirichlet_energy(GridFunction.zeros(2, 1.0, 8), F) == 0.0
+    F3 = FinslerNorm.ellipse(np.diag([4.0, 1.0, 2.0]))
+    bump = rasterize_profile(RadialProfile([0.0, 0.5, 1.0], [1.0, 0.4, 0.0]), F3, 2.6, 24)
+    solid = np.zeros((10, 10, 10))
+    solid[1:-1, 1:-1, 1:-1] = rng.uniform(0.1, 1.0, (8, 8, 8))
+    for u in (bump, GridFunction(1.0, solid)):
+        assert grid_dirichlet_energy(u, F3) == all_cells_energy(u, F3)
+    assert grid_dirichlet_energy(GridFunction.zeros(3, 1.0, 6), F3) == 0.0
 
 
 def test_grid_atmsc_parity_and_overflow(hand_grid, gauge_euclid):
