@@ -25,7 +25,7 @@ from .rearrange import (GridFunction, StepRearrangement, SupportOverflowError,
                         grid_dirichlet_energy, grid_atmsc_value,
                         hardy_littlewood_check, polya_szego_check,
                         equimeasurability_gaps, disc_tolerance, DISC_TOL_COEFF)
-from .maximize import (SearchConfig, FEstimate, SweepResult, MaximizerReport,
+from .maximize import (SearchConfig, SearchResult, SweepResult, MaximizerReport,
                        estimate_f, identity_sweep, direct_critical_max,
                        construct_critical_from_subcritical, threshold_check,
                        maximizer_diagnostics)

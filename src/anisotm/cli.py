@@ -231,37 +231,31 @@ def cmd_maximize(cfg, digest, out):
     params = params_from_config(cfg, F)
     sconf = search_from_config(cfg)
     objective = cfg.get("search", {}).get("objective", "subcritical")
-    if objective == "subcritical":
-        est = estimate_f(params, F, sconf)
-        report_obj = maximizer_diagnostics(est.profile, params, F,
-                                           objective="subcritical")
-        restart_values = est.restart_values
-        spread = est.spread
-    elif objective == "critical":
-        rep = direct_critical_max(params, F, sconf)
-        report_obj = maximizer_diagnostics(rep.profile, params, F,
-                                           objective="critical")
-        restart_values = ()
-        spread = rep.spread
-    else:
+    # looked up per call, so a wrapper installed on the module names is used
+    searches = {"subcritical": estimate_f, "critical": direct_critical_max}
+    if not isinstance(objective, str) or objective not in searches:
         raise ConfigError(f"config field search.objective must be 'subcritical' "
                           f"or 'critical', got {objective!r}")
+    res = searches[objective](params, F, sconf)
+    diag = maximizer_diagnostics(res.profile, params, F, objective=objective)
     report = {
         "objective": objective,
-        "value": report_obj.value,
-        "grad_norm_residual": report_obj.grad_norm_residual,
-        "q_norm_residual": report_obj.q_norm_residual,
-        "constraint_residual": report_obj.constraint_residual,
-        "symmetry_residual": report_obj.symmetry_residual,
-        "local_optimality_margin": report_obj.local_optimality_margin,
-        "spread": spread,
+        "value": diag.value,
+        "grad_norm_residual": diag.grad_norm_residual,
+        "q_norm_residual": diag.q_norm_residual,
+        "constraint_residual": diag.constraint_residual,
+        "symmetry_residual": diag.symmetry_residual,
+        "local_optimality_margin": diag.local_optimality_margin,
+        "spread": res.spread,
     }
     _write_json(out / "report.json", report, digest)
-    report_obj.profile.save(out / "profile.txt", params.n)
+    diag.profile.save(out / "profile.txt", params.n)
     _write_csv(out / "restarts.csv", ["restart", "value"],
-               [(float(i), v) for i, v in enumerate(restart_values)], digest)
-    print(f"{objective} value = {report_obj.value:.12g} "
-          f"(grad residual {report_obj.grad_norm_residual:.2e})")
+               [(float(i), v) for i, v in enumerate(res.restart_values)], digest)
+    # the constraint, not the free gradient norm, binds a critical profile
+    kind, residual = (("constraint", diag.constraint_residual) if objective == "critical"
+                      else ("grad", diag.grad_norm_residual))
+    print(f"{objective} value = {diag.value:.12g} ({kind} residual {residual:.2e})")
     return 0
 
 

@@ -145,7 +145,9 @@ class FinslerNorm:
 
         ``values`` has shape (n_theta, n_phi); theta is the polar angle on a
         uniform closed grid over [0, pi] (poles included), phi the azimuth on
-        a uniform periodic grid over [0, 2*pi).
+        a uniform periodic grid over [0, 2*pi).  ``rule`` 'spline' is
+        bicubic; 'linear' and 'pchip' are both the bilinear interpolant in
+        (theta, phi), one and the same function.
         """
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] < 5 or values.shape[1] < 8:
@@ -208,11 +210,8 @@ class FinslerNorm:
             th = self.thetas
             ph = np.append(self.phis, 2.0 * np.pi)
             vv = np.concatenate([v, v[:, :1]], axis=1)
-            if self.rule == "linear":
-                self._interp = (th, ph, vv)
-            else:
-                kz = 3 if self.rule == "spline" else 1
-                self._interp = RectBivariateSpline(th, ph, vv, kx=kz, ky=kz)
+            kz = 3 if self.rule == "spline" else 1
+            self._interp = RectBivariateSpline(th, ph, vv, kx=kz, ky=kz)
 
     # -- evaluation ------------------------------------------------------
 
@@ -231,16 +230,6 @@ class FinslerNorm:
         r = _row_norms(x)
         th = np.arccos(np.clip(x[:, 2] / r, -1.0, 1.0))
         ph = _wrap_angle(np.arctan2(x[:, 1], x[:, 0]))
-        if self.rule == "linear":
-            gt, gp, vv = self._interp
-            it = np.clip(np.searchsorted(gt, th) - 1, 0, gt.size - 2)
-            ip = np.clip(np.searchsorted(gp, ph) - 1, 0, gp.size - 2)
-            wt = (th - gt[it]) / (gt[it + 1] - gt[it])
-            wp = (ph - gp[ip]) / (gp[ip + 1] - gp[ip])
-            return ((1 - wt) * (1 - wp) * vv[it, ip]
-                    + (1 - wt) * wp * vv[it, ip + 1]
-                    + wt * (1 - wp) * vv[it + 1, ip]
-                    + wt * wp * vv[it + 1, ip + 1])
         return self._interp(th, ph, grid=False)
 
     def __call__(self, x):
@@ -331,13 +320,8 @@ class FinslerNorm:
             pol = FinslerNorm.pnorm(self.p / (self.p - 1.0), self.dim)
         elif self.kind == "ellipse":
             pol = FinslerNorm.ellipse(np.linalg.inv(self.matrix))
-        elif self.dim == 2:
-            vals = _polar_values_2d(self, self.thetas)
-            pol = FinslerNorm.sampled(vals, rule=self.rule)
         else:
-            vals = _polar_values_sphere(self, self.thetas, self.phis)
-            pol = FinslerNorm("sampled", 3, thetas=self.thetas, phis=self.phis,
-                              values=vals, rule=self.rule)
+            pol = _sampled_polar(self)
         self._cache["polar"] = pol
         pol._cache["polar"] = self   # bipolar of a convex gauge is itself
         return pol
@@ -442,6 +426,15 @@ def _check_convex_nodes(F, hull):
         raise GaugeError(
             f"sampled gauge is not convex: the node at angle {F.thetas[worst]:.6g} "
             f"lies {depth[worst]:.3e} inside the hull of the sampled unit sphere")
+
+
+def _sampled_polar(F):
+    """The sampled gauge on the angle grid and rule of the sampled gauge F
+    whose values are the support-function sweep of F's unit sphere."""
+    if F.dim == 2:
+        return FinslerNorm.sampled(_polar_values_2d(F, F.thetas), rule=F.rule)
+    return FinslerNorm("sampled", 3, thetas=F.thetas, phis=F.phis, rule=F.rule,
+                       values=_polar_values_sphere(F, F.thetas, F.phis))
 
 
 def _polar_values_2d(F, out_thetas):
@@ -596,15 +589,7 @@ def bipolar_residual(F, sample_count=200, seed=0):
     x = rng.standard_normal((sample_count, F.dim))
     x = x[_row_norms(x) > 0.1]
     pol = F.polar()
-    if F.kind == "sampled":
-        if F.dim == 2:
-            bip = FinslerNorm.sampled(_polar_values_2d(pol, F.thetas), rule=F.rule)
-        else:
-            bip = FinslerNorm("sampled", 3, thetas=F.thetas, phis=F.phis,
-                              values=_polar_values_sphere(pol, F.thetas, F.phis),
-                              rule=F.rule)
-    else:
-        bip = pol.polar()
+    bip = _sampled_polar(pol) if F.kind == "sampled" else pol.polar()
     fx = F(x)
     return float(np.max(np.abs(bip(x) - fx) / fx))
 

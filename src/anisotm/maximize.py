@@ -12,7 +12,8 @@ renormalized (unit sphere or constraint sphere) value on quadrature built
 once per search, with its analytic gradient.  The best candidate is then
 renormalized through the library maps and re-evaluated, so every reported
 value is realized by a stored profile and values are honest lower bounds
-for the true suprema.
+for the true suprema.  One routine runs both searches, and the residuals
+of a found profile come from maximizer_diagnostics alone.
 
 The sup identity writes the critical value at lam as
 
@@ -53,7 +54,6 @@ class SearchConfig:
     restarts: int = 4
     budget: int = 4000
     seed: int = 0
-    inner_fraction: float = 1e-3     # first positive knot at radius * this
     radius_critical: float = None    # critical-search radius, default 2*radius
     extra_inits: tuple = field(default_factory=tuple)
 
@@ -65,8 +65,9 @@ class SearchConfig:
 
 
 @dataclass
-class FEstimate:
-    """Subcritical search outcome: best value with its witness profile."""
+class SearchResult:
+    """Outcome of one subcritical or critical search: the best value, the
+    witness profile that realizes it, and the value each restart reached."""
 
     value: float
     profile: RadialProfile
@@ -80,10 +81,9 @@ class MaximizerReport:
     value: float
     grad_norm_residual: float
     q_norm_residual: float
-    constraint_residual: float = None
-    symmetry_residual: float = None
-    local_optimality_margin: float = None
-    spread: float = None
+    constraint_residual: float
+    symmetry_residual: float
+    local_optimality_margin: float
 
 
 @dataclass
@@ -177,11 +177,19 @@ def _ascend(obj, theta, maxfev):
     return _decrements_to_theta(np.maximum(res.x, 0.0)), -float(res.fun)
 
 
-def _run_restarts(params, F, knots, mode, config):
-    """Deterministic multistart: canonical initializers first, then seeded
-    perturbations of them.  Each restart is one L-BFGS-B ascent; the best,
-    by (value, lowest index), gets one more with twice the budget, and its
-    witness profile is built and re-evaluated through the library maps."""
+def _search(params, F, config, mode):
+    """Deterministic multistart for ``mode`` ('subcritical' or 'critical'):
+    canonical initializers first, then seeded perturbations of them.  Each
+    restart is one L-BFGS-B ascent; the best, by (value, lowest index), gets
+    one more with twice the budget, and its witness profile is built and
+    re-evaluated through the library maps.  The critical search runs on
+    knots out to ``radius_critical`` (default 2 * radius)."""
+    config = config or SearchConfig()
+    validate_lambda(params, F)
+    radius = config.radius
+    if mode == "critical":
+        radius = config.radius_critical or 2.0 * radius
+    knots = geometric_knots(radius, config.knots)
     obj = RadialObjective(params, F, knots, mode)
     inits = _initializers(knots)
     for extra in config.extra_inits:
@@ -202,41 +210,20 @@ def _run_restarts(params, F, knots, mode, config):
     if best_prof is None:
         raise ParamError("search produced no feasible candidate; the configured "
                          "radius/knot grid admits no usable profile")
-    restart_values = tuple(float(v) for v in vals)
     top = vals[order[:3]]
-    return best_val, best_prof, restart_values, float(top[0] - top[-1])
+    return SearchResult(value=float(best_val), profile=best_prof,
+                        restart_values=tuple(float(v) for v in vals),
+                        spread=float(top[0] - top[-1]))
 
 
 def estimate_f(params, F, config=None):
-    """Best subcritical value over normalized nonincreasing profiles.
-
-    Returns an FEstimate; re-evaluating the subcritical functional on the
-    returned profile reproduces ``value`` (stored from the same code path).
-    """
-    config = config or SearchConfig()
-    validate_lambda(params, F)
-    knots = geometric_knots(config.radius, config.knots, config.inner_fraction)
-    val, prof, restart_values, spread = _run_restarts(params, F, knots,
-                                                      "subcritical", config)
-    return FEstimate(value=float(val), profile=prof,
-                     restart_values=restart_values, spread=spread)
+    """SearchResult of the best subcritical value over normalized profiles."""
+    return _search(params, F, config, "subcritical")
 
 
 def direct_critical_max(params, F, config=None):
-    """Best critical value over profiles on the constraint sphere."""
-    config = config or SearchConfig()
-    validate_lambda(params, F)
-    radius = config.radius_critical or 2.0 * config.radius
-    knots = geometric_knots(radius, config.knots, config.inner_fraction)
-    val, prof, restart_values, spread = _run_restarts(params, F, knots,
-                                                      "critical", config)
-    gn = grad_norm_radial(prof, F)
-    qn = lq_norm_radial(prof, params.q, F)
-    return MaximizerReport(
-        profile=prof, value=float(val),
-        grad_norm_residual=abs(gn - 1.0), q_norm_residual=abs(qn - 1.0),
-        constraint_residual=abs(gn ** params.a + qn ** params.b - 1.0),
-        spread=spread)
+    """SearchResult of the best critical value on the constraint sphere."""
+    return _search(params, F, config, "critical")
 
 
 def _sweep_ts(params, grid_size):
@@ -342,24 +329,21 @@ def threshold_check(params):
 
 
 def maximizer_diagnostics(g, params, F, grid_resolution=256, objective="subcritical",
-                          perturbation_count=200, perturbation_size=1e-3, seed=0):
-    """Residuals and local-optimality margin for a claimed maximizer.
+                          perturbation_count=200):
+    """Value, residuals and local-optimality margin of a claimed maximizer.
 
+    ``objective`` is 'subcritical' or 'critical' (anything else raises
+    ParamError).  The norm and constraint residuals are those of g itself.
     The symmetry residual rasterizes g, symmetrizes the grid function, and
     measures the relative L1 gap (0 up to interpolation error, since g is
     already Wulff-symmetric by construction).  The margin is the largest
-    functional increase over random monotonicity-preserving renormalized
-    perturbations of relative size ``perturbation_size``.
+    functional increase over ``perturbation_count`` seeded random
+    monotonicity-preserving renormalized perturbations of relative size 1e-3.
     """
-    if objective not in ("subcritical", "critical"):
-        raise ParamError(f"unknown objective {objective!r}")
-    mode = objective
+    obj = RadialObjective(params, F, g.knots, objective)
     gn = grad_norm_radial(g, F)
     qn = lq_norm_radial(g, params.q, F)
-    if mode == "subcritical":
-        value = atmsc_value(g, params, F)
-    else:
-        value = critical_value(g, params, F)
+    value = (atmsc_value if objective == "subcritical" else critical_value)(g, params, F)
 
     pol = F.polar()
     a_pol = pol.direction_bounds()[0]
@@ -369,12 +353,11 @@ def maximizer_diagnostics(g, params, F, grid_resolution=256, objective="subcriti
     l1 = float(np.sum(grid.values))
     sym = float(np.sum(np.abs(grid.values - gstar.values)) / max(l1, 1e-300))
 
-    obj = RadialObjective(params, F, g.knots, mode)
     theta0 = g.values[:-1]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     margin = 0.0
     for _ in range(perturbation_count):
-        theta = theta0 * (1.0 + perturbation_size * rng.standard_normal(theta0.size))
+        theta = theta0 * (1.0 + 1e-3 * rng.standard_normal(theta0.size))
         val, _ = obj.value_and_grad(isotonic_nonincreasing(theta))
         margin = max(margin, val - value)
     return MaximizerReport(

@@ -135,6 +135,23 @@ def test_maximize_critical_objective(config_path, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["objective"] == "critical"
     assert report["constraint_residual"] < 1e-10
+    lines = (out / "restarts.csv").read_text().splitlines()
+    assert lines[1] == "restart,value"
+    assert len(lines) == 4                                 # header x2 + 2 restarts
+
+
+@pytest.mark.parametrize("objective, residual, key",
+                         [("subcritical", "grad residual", "grad_norm_residual"),
+                          ("critical", "constraint residual", "constraint_residual")])
+def test_maximize_prints_binding_residual(tmp_path, capsys, objective, residual,
+                                          key):
+    cfg = write_config(tmp_path / "cfg.json", search={"objective": objective})
+    capsys.readouterr()
+    assert main(["maximize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    line = capsys.readouterr().out.strip()
+    assert line == (f"{objective} value = {report['value']:.12g} "
+                    f"({residual} {report[key]:.2e})")
 
 
 def test_sweep_outputs_and_determinism(config_path, tmp_path):
@@ -195,6 +212,8 @@ def test_exit_code_validation(tmp_path, capsys):
                                 ("search", "restarts", True),
                                 ("search", "budget", 300.5),
                                 ("search", "seed", False),
+                                ("search", "objective", "nope"),
+                                ("search", "objective", ["critical"]),
                                 ("params", "n", 2.5)):
         cfg3 = write_config(tmp_path / "field.json", **{block: {field: value}})
         assert main(["maximize", "--config", str(cfg3), "--out", str(tmp_path)]) == 2

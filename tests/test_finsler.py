@@ -104,6 +104,36 @@ def test_sampled_sphere_kappa():
         assert abs(got - exact) / exact < tol, rule
 
 
+def _bilinear_reference(values, x):
+    """Direct bilinear interpolation of a sampled_sphere table at the
+    directions of x, with phi closed by the wraparound column."""
+    gt = np.linspace(0.0, np.pi, values.shape[0])
+    gp = np.arange(values.shape[1] + 1) * (2.0 * np.pi / values.shape[1])
+    vv = np.concatenate([values, values[:, :1]], axis=1)
+    r = np.linalg.norm(x, axis=1)
+    th = np.arccos(np.clip(x[:, 2] / r, -1.0, 1.0))
+    ph = np.mod(np.arctan2(x[:, 1], x[:, 0]), 2.0 * np.pi)
+    it = np.clip(np.searchsorted(gt, th) - 1, 0, gt.size - 2)
+    ip = np.clip(np.searchsorted(gp, ph) - 1, 0, gp.size - 2)
+    wt = (th - gt[it]) / (gt[it + 1] - gt[it])
+    wp = (ph - gp[ip]) / (gp[ip + 1] - gp[ip])
+    return r * ((1 - wt) * (1 - wp) * vv[it, ip] + (1 - wt) * wp * vv[it, ip + 1]
+                + wt * (1 - wp) * vv[it + 1, ip] + wt * wp * vv[it + 1, ip + 1])
+
+
+def test_sampled_sphere_linear_is_bilinear():
+    # in 3-d, 'linear' and 'pchip' are one bilinear interpolant
+    vals = FinslerNorm.ellipse(np.diag([4.0, 1.0, 2.0]))(
+        _sphere_grid(33, 64)).reshape(33, 64)
+    lin = FinslerNorm.sampled_sphere(vals, rule="linear")
+    pch = FinslerNorm.sampled_sphere(vals, rule="pchip")
+    x = rand_points(3, 2000, 11)
+    got = lin(x)
+    assert np.array_equal(got, pch(x))
+    ref = _bilinear_reference(vals, x)
+    assert np.max(np.abs(got - ref) / ref) < 1e-14
+
+
 # -- polar duality ------------------------------------------------------------
 
 def test_polar_pnorm_is_dual_exponent(gauge_pnorm4):

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from anisotm import (SearchConfig, estimate_f, identity_sweep,
+from anisotm import (SearchConfig, SearchResult, estimate_f, identity_sweep,
                      direct_critical_max, construct_critical_from_subcritical,
                      threshold_check, maximizer_diagnostics, normalize_sphere,
                      critical_value, atmsc_value, aa_bracket, lq_norm_radial,
@@ -161,9 +161,23 @@ def test_warm_start_profiles(gauge_euclid):
 def test_direct_critical_smoke(gauge_euclid):
     rep = direct_critical_max(PARAMS, gauge_euclid, small_config())
     assert rep.value > 0.0
-    assert rep.constraint_residual < 1e-10
+    # the residuals of the found profile come from the diagnostics
+    diag = maximizer_diagnostics(rep.profile, PARAMS, gauge_euclid,
+                                 grid_resolution=64, objective="critical",
+                                 perturbation_count=5)
+    assert diag.value == rep.value
+    assert diag.constraint_residual < 1e-10
     gn = grad_norm_radial(rep.profile, gauge_euclid)
-    assert rep.grad_norm_residual == pytest.approx(abs(gn - 1.0), abs=1e-15)
+    assert diag.grad_norm_residual == abs(gn - 1.0)
+
+
+@pytest.mark.parametrize("search", [estimate_f, direct_critical_max],
+                         ids=["subcritical", "critical"])
+def test_searches_share_one_result_type(gauge_euclid, search):
+    res = search(PARAMS, gauge_euclid, small_config(restarts=3))
+    assert isinstance(res, SearchResult)
+    assert len(res.restart_values) == 3
+    assert res.spread == max(res.restart_values) - min(res.restart_values)
 
 
 # -- sweep --------------------------------------------------------------------
