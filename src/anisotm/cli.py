@@ -238,12 +238,15 @@ def cmd_maximize(cfg, digest, out):
                           f"or 'critical', got {objective!r}")
     res = searches[objective](params, F, sconf)
     diag = maximizer_diagnostics(res.profile, params, F, objective=objective)
+    # a subcritical profile lies on both unit spheres, a critical one on the
+    # constraint set; the residuals that do not bind are written as null
+    critical = objective == "critical"
     report = {
         "objective": objective,
         "value": diag.value,
-        "grad_norm_residual": diag.grad_norm_residual,
-        "q_norm_residual": diag.q_norm_residual,
-        "constraint_residual": diag.constraint_residual,
+        "grad_norm_residual": None if critical else diag.grad_norm_residual,
+        "q_norm_residual": None if critical else diag.q_norm_residual,
+        "constraint_residual": diag.constraint_residual if critical else None,
         "symmetry_residual": diag.symmetry_residual,
         "local_optimality_margin": diag.local_optimality_margin,
         "spread": res.spread,
@@ -252,8 +255,7 @@ def cmd_maximize(cfg, digest, out):
     diag.profile.save(out / "profile.txt", params.n)
     _write_csv(out / "restarts.csv", ["restart", "value"],
                [(float(i), v) for i, v in enumerate(res.restart_values)], digest)
-    # the constraint, not the free gradient norm, binds a critical profile
-    kind, residual = (("constraint", diag.constraint_residual) if objective == "critical"
+    kind, residual = (("constraint", diag.constraint_residual) if critical
                       else ("grad", diag.grad_norm_residual))
     print(f"{objective} value = {diag.value:.12g} ({kind} residual {residual:.2e})")
     return 0

@@ -49,7 +49,15 @@ def _as_points(x, dim):
 
 
 def _wrap_angle(t):
-    return np.mod(t, 2.0 * np.pi)
+    """np.mod(t, 2*pi), bit for bit, for t in [-2*pi, 4*pi).
+
+    The callers pass arctan2 output or golden-section points within one node
+    spacing of [0, 2*pi), so one conditional add or subtract of 2*pi
+    suffices: t + 2*pi rounds as np.mod does (a tiny negative t gives 2*pi),
+    t - 2*pi is exact there, and adding 0.0 turns -0.0 into +0.0.
+    """
+    two_pi = 2.0 * np.pi
+    return np.where(t < 0.0, t + two_pi, np.where(t >= two_pi, t - two_pi, t)) + 0.0
 
 
 def _row_norms(pts):
@@ -224,11 +232,12 @@ class FinslerNorm:
         return self._interp(ang)
 
     def _directional(self, x):
-        """Interpolated directional factor F(x/|x|) for sampled gauges."""
+        """Interpolated directional factor F(x/|x|) for sampled gauges; the
+        value at a zero row is finite but arbitrary (arctan2(0, 0) = 0)."""
         if self.dim == 2:
             return self._at_angle(np.arctan2(x[:, 1], x[:, 0]))
         r = _row_norms(x)
-        th = np.arccos(np.clip(x[:, 2] / r, -1.0, 1.0))
+        th = np.arccos(np.clip(x[:, 2] / np.where(r > 0.0, r, 1.0), -1.0, 1.0))
         ph = _wrap_angle(np.arctan2(x[:, 1], x[:, 0]))
         return self._interp(th, ph, grid=False)
 
@@ -252,8 +261,7 @@ class FinslerNorm:
             out = np.sqrt(np.einsum("ki,ij,kj->k", pts, self.matrix, pts))
         else:
             r = _row_norms(pts)
-            out = np.where(r > 0.0, r * self._directional(
-                np.where(r[:, None] > 0.0, pts, 1.0)), 0.0)
+            out = np.where(r > 0.0, r * self._directional(pts), 0.0)
         return float(out[0]) if single else out.reshape(np.asarray(x).shape[:-1])
 
     def grad(self, x):
@@ -320,8 +328,14 @@ class FinslerNorm:
             pol = FinslerNorm.pnorm(self.p / (self.p - 1.0), self.dim)
         elif self.kind == "ellipse":
             pol = FinslerNorm.ellipse(np.linalg.inv(self.matrix))
+        elif self.dim == 2:
+            pol = FinslerNorm.sampled(_polar_values_2d(self, self.thetas),
+                                      rule=self.rule)
         else:
-            pol = _sampled_polar(self)
+            shape = self.values.shape
+            pol = FinslerNorm.sampled_sphere(
+                _polar_values_sphere(self, _sphere_grid(*shape)).reshape(shape),
+                rule=self.rule)
         self._cache["polar"] = pol
         pol._cache["polar"] = self   # bipolar of a convex gauge is itself
         return pol
@@ -359,14 +373,15 @@ def _golden_max(h, a, b, iterations):
     new one, so the search costs iterations + 2 evaluations of h.  Returns
     the final bracket (a, b) after ``iterations`` shrinking steps.
     """
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
+    w = _GOLDEN * (b - a)
+    c, d = b - w, a + w
     hc, hd = h(c), h(d)
     for _ in range(iterations):
         take = hc >= hd          # the max lies in [a, d]: c becomes the new d
         b = np.where(take, d, b)
         a = np.where(take, a, c)
-        new = np.where(take, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        w = _GOLDEN * (b - a)
+        new = np.where(take, b - w, a + w)
         hn = h(new)
         c, d = np.where(take, new, d), np.where(take, c, new)
         hc, hd = np.where(take, hn, hd), np.where(take, hc, hn)
@@ -428,15 +443,6 @@ def _check_convex_nodes(F, hull):
             f"lies {depth[worst]:.3e} inside the hull of the sampled unit sphere")
 
 
-def _sampled_polar(F):
-    """The sampled gauge on the angle grid and rule of the sampled gauge F
-    whose values are the support-function sweep of F's unit sphere."""
-    if F.dim == 2:
-        return FinslerNorm.sampled(_polar_values_2d(F, F.thetas), rule=F.rule)
-    return FinslerNorm("sampled", 3, thetas=F.thetas, phis=F.phis, rule=F.rule,
-                       values=_polar_values_sphere(F, F.thetas, F.phis))
-
-
 def _polar_values_2d(F, out_thetas):
     """Support-function values sup_phi cos(theta - phi)/F(unit(phi)).
 
@@ -464,8 +470,9 @@ def _polar_values_2d(F, out_thetas):
     return np.maximum(ratio_nodes, refined)
 
 
-def _polar_values_sphere(F, out_thetas, out_phis):
-    """Support-function values on a (theta, phi) grid for a 3-d gauge.
+def _polar_values_sphere(F, dirs):
+    """Support-function values sup_{F(x) = 1} <dir, x> of a 3-d gauge for
+    each unit row of ``dirs``.
 
     Coarse scan over a fixed direction grid followed by golden-section
     refinement in both spherical angles, run on _POLAR_BLOCK output
@@ -475,13 +482,8 @@ def _polar_values_sphere(F, out_thetas, out_phis):
     """
     scan = _sphere_grid(49, 96)
     boundary = scan / F(scan)[:, None]
-    T, P = np.meshgrid(out_thetas, out_phis, indexing="ij")
-    dirs = np.column_stack([(np.sin(T) * np.cos(P)).ravel(),
-                            (np.sin(T) * np.sin(P)).ravel(),
-                            np.cos(T).ravel()])
-    vals = [_support_values(F, boundary, dirs[lo:lo + _POLAR_BLOCK])
-            for lo in range(0, dirs.shape[0], _POLAR_BLOCK)]
-    return np.concatenate(vals).reshape(out_thetas.size, out_phis.size)
+    return np.concatenate([_support_values(F, boundary, dirs[lo:lo + _POLAR_BLOCK])
+                           for lo in range(0, dirs.shape[0], _POLAR_BLOCK)])
 
 
 def _support_values(F, boundary, dirs):
@@ -581,17 +583,26 @@ def bipolar_residual(F, sample_count=200, seed=0):
     """Max relative gap |F00(x) - F(x)| / F(x) over random sample points.
 
     The bipolar of a convex gauge equals the gauge; for sampled kinds the
-    residual reflects interpolation and sweep error.  For sampled gauges the
-    polar-of-polar is recomputed from values rather than read from the cache,
-    so the sweep is genuinely exercised twice.
+    residual reflects interpolation and sweep error.  For sampled gauges
+    F00(x) = |x| h(x/|x|) is computed directly at the sample points, where h
+    is the support function of the unit sphere of the sampled polar F0: the
+    same support-function sweep that built F0 from F, run a second time on
+    F0's interpolant, but only in the sample directions.  So the residual
+    checks both sweeps and both interpolants, not a cached value.
     """
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((sample_count, F.dim))
-    x = x[_row_norms(x) > 0.1]
+    r = _row_norms(x)
+    x, r = x[r > 0.1], r[r > 0.1]
     pol = F.polar()
-    bip = _sampled_polar(pol) if F.kind == "sampled" else pol.polar()
+    if F.kind != "sampled":
+        bip = pol.polar()(x)
+    elif F.dim == 2:
+        bip = r * _polar_values_2d(pol, np.arctan2(x[:, 1], x[:, 0]))
+    else:
+        bip = r * _polar_values_sphere(pol, x / r[:, None])
     fx = F(x)
-    return float(np.max(np.abs(bip(x) - fx) / fx))
+    return float(np.max(np.abs(bip - fx) / fx))
 
 
 def coarea_surface_check(F, r=1.0, resolution=None):

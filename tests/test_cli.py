@@ -112,6 +112,12 @@ def test_symmetrize_hardy_littlewood_pair(config_path, tmp_path):
     assert checks["hardy_littlewood"]["gap"] >= -1e-10
 
 
+# one key set for both objectives; residuals that do not bind are null
+REPORT_KEYS = {"objective", "value", "grad_norm_residual", "q_norm_residual",
+               "constraint_residual", "symmetry_residual",
+               "local_optimality_margin", "spread", "version", "config_sha256"}
+
+
 def test_maximize_outputs(config_path, tmp_path):
     out = tmp_path / "max"
     assert main(["maximize", "--config", str(config_path),
@@ -120,6 +126,9 @@ def test_maximize_outputs(config_path, tmp_path):
     assert report["objective"] == "subcritical"
     assert report["value"] > 0.0
     assert report["grad_norm_residual"] < 1e-8
+    assert report["q_norm_residual"] < 1e-8
+    assert report["constraint_residual"] is None          # does not bind
+    assert set(report) == REPORT_KEYS
     prof, dim = RadialProfile.load(out / "profile.txt")
     assert dim == 2
     lines = (out / "restarts.csv").read_text().splitlines()
@@ -135,6 +144,10 @@ def test_maximize_critical_objective(config_path, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["objective"] == "critical"
     assert report["constraint_residual"] < 1e-10
+    # the unit-sphere residuals do not bind a critical profile
+    assert report["grad_norm_residual"] is None
+    assert report["q_norm_residual"] is None
+    assert set(report) == REPORT_KEYS
     lines = (out / "restarts.csv").read_text().splitlines()
     assert lines[1] == "restart,value"
     assert len(lines) == 4                                 # header x2 + 2 restarts

@@ -169,9 +169,18 @@ def test_polar_is_involution_on_closed_forms(gauge_euclid, gauge_ellipse,
         assert bipolar_residual(F, sample_count=200) < 1e-10
 
 
-def test_bipolar_residual_sampled(gauge_maxgauge, gauge_sampled_smooth):
-    assert bipolar_residual(gauge_maxgauge, sample_count=100) < 1e-8
-    assert bipolar_residual(gauge_sampled_smooth, sample_count=100) < 1e-8
+def test_bipolar_residual_sampled(gauge_maxgauge, gauge_sampled_smooth,
+                                  monkeypatch):
+    seeded = _small_sampled("seeded", n=4096)
+    seeded.polar()
+    # F00 is swept at the sample points only: no second sampled gauge is built
+    inits = []
+    init = FinslerNorm.__init__
+    monkeypatch.setattr(FinslerNorm, "__init__",
+                        lambda self, *a, **k: inits.append(1) or init(self, *a, **k))
+    for F in (gauge_maxgauge, gauge_sampled_smooth, seeded):
+        assert bipolar_residual(F, sample_count=100) < 1e-8
+    assert inits == []
 
 
 def _small_sampled(kind, n=256):
@@ -228,6 +237,74 @@ def test_polar_refinement_evaluates_once_per_step(gauge_sampled_smooth):
     assert len(calls) == 43
 
 
+def _golden_max_where(h, a, b, iterations):
+    """The golden section as first written, one np.where per array per step:
+    the reference the in-place arithmetic must match bit for bit."""
+    g = finsler._GOLDEN
+    c = b - g * (b - a)
+    d = a + g * (b - a)
+    hc, hd = h(c), h(d)
+    for _ in range(iterations):
+        take = hc >= hd
+        b = np.where(take, d, b)
+        a = np.where(take, a, c)
+        new = np.where(take, b - g * (b - a), a + g * (b - a))
+        hn = h(new)
+        c, d = np.where(take, new, d), np.where(take, c, new)
+        hc, hd = np.where(take, hn, hd), np.where(take, hc, hn)
+    return a, b
+
+
+def _wrap_angle_mod(t):
+    return np.mod(t, 2.0 * np.pi)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+TWO_PI = 2.0 * np.pi
+WRAP_EDGES = [-0.0, -1e-300, -5e-324, -TWO_PI, np.nextafter(-TWO_PI, 0.0), 0.0,
+              np.nextafter(TWO_PI, 0.0), TWO_PI, np.nextafter(TWO_PI, np.inf),
+              np.nextafter(2.0 * TWO_PI, 0.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.lists(st.floats(-TWO_PI, 2.0 * TWO_PI, exclude_max=True),
+                  min_size=1, max_size=20))
+def test_wrap_angle_is_mod_bitwise(t):
+    # on [-2 pi, 4 pi), the callers' domain, the wrap is np.mod bit for bit,
+    # signed zeros and tiny negatives (which round up to 2 pi) included
+    t = np.array(t + WRAP_EDGES)
+    assert np.array_equal(_bits(finsler._wrap_angle(t)), _bits(_wrap_angle_mod(t)))
+
+
+def _bench_seeded(n=4096):
+    """The benchmark's seeded pchip gauge at seed 0."""
+    th = np.arange(n) * (2.0 * np.pi / n)
+    rng = np.random.default_rng((0, 0))
+    a2, a4 = rng.uniform(0.02, 0.1), rng.uniform(0.0, 0.02)
+    p2, p4 = rng.uniform(0.0, np.pi, 2)
+    return FinslerNorm.sampled(1.0 + a2 * np.cos(2.0 * (th - p2))
+                               + a4 * np.cos(4.0 * (th - p4)), rule="pchip")
+
+
+def test_polar_values_match_reference(gauge_maxgauge, gauge_sampled_smooth,
+                                      monkeypatch):
+    shape = (17, 32)
+    d = _sphere_grid(*shape)
+    ellipsoid = FinslerNorm.sampled_sphere(
+        FinslerNorm.ellipse(np.diag([4.0, 1.0, 2.0]))(d).reshape(shape), rule="spline")
+    planar = (gauge_maxgauge, gauge_sampled_smooth, _bench_seeded())
+    new = [_polar_values_2d(F, F.thetas) for F in planar]
+    new3 = _polar_values_sphere(ellipsoid, d)
+    monkeypatch.setattr(finsler, "_golden_max", _golden_max_where)
+    monkeypatch.setattr(finsler, "_wrap_angle", _wrap_angle_mod)
+    for F, values in zip(planar, new):
+        assert np.array_equal(_polar_values_2d(F, F.thetas), values)
+    assert np.array_equal(_polar_values_sphere(ellipsoid, d), new3)
+
+
 def test_sphere_polar_blocks_match_one_block(monkeypatch):
     # the 3-d polar runs a block of output directions at a time; any block
     # size, including a ragged last block, gives the one-block values
@@ -238,10 +315,11 @@ def test_sphere_polar_blocks_match_one_block(monkeypatch):
                                                      [4.0, 1.0, 2.0], d)),
                                    rule="spline")
     monkeypatch.setattr(finsler, "_POLAR_BLOCK", 17 * 32)
-    whole = _polar_values_sphere(F, F.thetas, F.phis)
+    dirs = _sphere_grid(17, 32)
+    whole = _polar_values_sphere(F, dirs)
     for block in (512, 100):
         monkeypatch.setattr(finsler, "_POLAR_BLOCK", block)
-        assert np.array_equal(_polar_values_sphere(F, F.thetas, F.phis), whole)
+        assert np.array_equal(_polar_values_sphere(F, dirs), whole)
 
 
 def test_uneven_sampled_gauge_closed_form():
@@ -414,6 +492,21 @@ def test_rejects_bad_inputs():
         FinslerNorm.sampled(np.zeros(64))                    # not positive
     with pytest.raises(GaugeError):
         FinslerNorm.sampled(np.ones(3))                      # too few nodes
+
+
+def test_sampled_gauges_vanish_at_origin(gauge_maxgauge, gauge_sampled_smooth):
+    # zero rows are zeroed after the directional lookup, which must stay
+    # finite and silent there; other rows are unaffected
+    shape = (17, 32)
+    sphere = FinslerNorm.sampled_sphere(np.ones(shape) * 2.0, rule="spline")
+    for F in (gauge_maxgauge, gauge_sampled_smooth, _bench_seeded(), sphere):
+        pts = rand_points(F.dim, 5, 13)
+        mixed = np.vstack([pts[:2], np.zeros((2, F.dim)), pts[2:]])
+        with np.errstate(all="raise"):
+            got = F(mixed)
+        assert np.array_equal(got[[2, 3]], [0.0, 0.0])
+        assert np.array_equal(np.delete(got, [2, 3]), F(pts))
+        assert F(np.zeros(F.dim)) == 0.0
 
 
 def test_grad_rejects_origin(gauge_euclid):
