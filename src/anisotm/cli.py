@@ -26,7 +26,7 @@ from .finsler import (FinslerNorm, GaugeError, wulff_volume, sharp_constant,
 from .functional import (FunctionalParams, ParamError, FunctionalOverflowError,
                          phi, phi_direct, normalize_sphere,
                          lq_norm_radial, grad_norm_radial, validate_lambda,
-                         EXP_POWER, PHI_SERIES)
+                         PHI_SERIES)
 from .profiles import RadialProfile, ProfileError
 from .rearrange import (GridFunction, SupportOverflowError, SymmetryError,
                         convex_symmetrization, profile_of, polya_szego_check,
@@ -69,7 +69,7 @@ def _number(block, key, where, convert, default=_REQUIRED):
                           f"got {raw!r}") from None
 
 
-def load_config(path, seed_override=None, threads_override=None):
+def load_config(path, seed_override=None):
     """Read, validate, and resolve the run config; returns (dict, sha256)."""
     try:
         with open(path) as fh:
@@ -80,11 +80,8 @@ def load_config(path, seed_override=None, threads_override=None):
         raise ConfigError("config must be a JSON object")
     if seed_override is not None:
         cfg.setdefault("search", {})["seed"] = int(seed_override)
-    # the search is serial: the thread count, from --threads or
-    # search.threads, is accepted, ignored and kept out of the hash
-    del threads_override
     hash_cfg = json.loads(json.dumps(cfg))
-    hash_cfg.get("search", {}).pop("threads", None)
+    hash_cfg.get("search", {}).pop("threads", None)    # the search is serial
     digest = hashlib.sha256(
         json.dumps(hash_cfg, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     return cfg, digest
@@ -97,7 +94,7 @@ def gauge_from_config(cfg):
         dim = _number(cfg["params"], "n", "params", int)
     try:
         return FinslerNorm.from_config(spec, dim=dim)
-    except GaugeError as err:
+    except (ValueError, TypeError) as err:     # GaugeError is a ValueError
         raise ConfigError(f"config field gauge: {err}") from None
 
 
@@ -113,17 +110,14 @@ def params_from_config(cfg, F=None):
         if F is None:
             raise ConfigError("params.lambda_rel needs a gauge to resolve against")
         lam = rel * sharp_constant(F)
-    variant = block.get("variant", PHI_SERIES)
-    if variant not in (EXP_POWER, PHI_SERIES):
-        raise ConfigError(f"config field params.variant must be {EXP_POWER!r} "
-                          f"or {PHI_SERIES!r}, got {variant!r}")
     try:
         params = FunctionalParams(
             n=n, q=_number(block, "q", "params", float),
             beta=_number(block, "beta", "params", float, 0.0), lam=lam,
             a=_number(block, "a", "params", float, 1.0),
             b=_number(block, "b", "params", float, 1.0),
-            p=_number(block, "p", "params", float, None), variant=variant)
+            p=_number(block, "p", "params", float, None),
+            variant=block.get("variant", PHI_SERIES))
         if F is not None:
             validate_lambda(params, F)
     except ParamError as err:
@@ -161,25 +155,32 @@ def _write_csv(path, header_cols, rows, digest):
 
 
 def _load_grid(path):
+    """Grid from a text or JSON file; a malformed one is a ConfigError."""
     p = Path(path)
     if not p.exists():
         raise OSError(f"grid file not found: {path}")
-    if p.suffix == ".json":
-        return GridFunction.from_json(json.loads(p.read_text()))
-    return GridFunction.from_file(path)
+    try:
+        if p.suffix == ".json":
+            return GridFunction.from_json(json.loads(p.read_text()))
+        return GridFunction.from_file(path)
+    except (ValueError, TypeError, OverflowError) as err:
+        raise ConfigError(f"grid file {path}: {err}") from None
 
 
 # -- subcommands -------------------------------------------------------------
 
 def cmd_geometry(cfg, digest, out):
     F = gauge_from_config(cfg)
+    samples = _number(cfg, "samples", "<root>", int, 200)
+    if samples < 1:
+        raise ConfigError(f"config field <root>.samples must be >= 1, got {samples}")
     kappa = wulff_volume(F)
     report = {
         "gauge": F.config(),
         "dim": F.dim,
         "kappa": kappa,
         "lambda_n": sharp_constant(F),
-        "bipolar_residual": bipolar_residual(F, sample_count=cfg.get("samples", 200)),
+        "bipolar_residual": bipolar_residual(F, sample_count=samples),
         "coarea_residuals": {str(r): coarea_surface_check(F, r)
                              for r in (0.5, 1.0, 2.0)},
     }
@@ -217,6 +218,9 @@ def cmd_symmetrize(cfg, digest, out, input_path, second_path=None):
     }
     if second_path is not None:
         gfun = _load_grid(second_path)
+        if (gfun.dim, gfun.m, gfun.halfwidth) != (u.dim, u.m, u.halfwidth):
+            raise ConfigError(f"grid file {second_path}: (n, m, L) differ from "
+                              f"the input grid's {(u.dim, u.m, u.halfwidth)}")
         hl = hardy_littlewood_check(u, gfun, F)
         checks["hardy_littlewood"] = {"lhs": hl.lhs, "rhs": hl.rhs, "gap": hl.gap,
                                       "g_symmetry_gap": hl.g_symmetry_gap}
@@ -372,7 +376,7 @@ def main(argv=None):
                 raise ConfigError("--config is required for this command")
             cfg, digest = {}, hashlib.sha256(b"{}").hexdigest()
         else:
-            cfg, digest = load_config(args.config, args.seed, args.threads)
+            cfg, digest = load_config(args.config, args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "geometry":

@@ -81,9 +81,9 @@ class FinslerNorm:
     ``ellipse``, ``sampled``, ``sampled_sphere``) or ``from_config``.
     Instances are treated as immutable; derived quantities are cached in
     ``_cache`` on first use: the polar, the Wulff volume, the direction
-    bounds, the unit-radius coarea integral per resolution
-    (``coarea_surface_check``) and the Wulff field of the last grid used by
-    the rearrange layer (F0 and its sort order at the cell centers).
+    bounds, the unit-radius coarea integral (``coarea_surface_check``) and
+    the Wulff field of the last grid used by the rearrange layer (F0 and its
+    sort order at the cell centers).
     """
 
     def __init__(self, kind, dim, p=None, matrix=None, thetas=None,
@@ -337,7 +337,6 @@ class FinslerNorm:
                 _polar_values_sphere(self, _sphere_grid(*shape)).reshape(shape),
                 rule=self.rule)
         self._cache["polar"] = pol
-        pol._cache["polar"] = self   # bipolar of a convex gauge is itself
         return pol
 
     def config(self):
@@ -396,18 +395,18 @@ def _node_hull(F):
     return pts, ConvexHull(pts).vertices
 
 
-def _node_argmax(F, out_thetas, hull=None):
+def _node_argmax(F, out_thetas, hull):
     """For each output angle, the node k maximizing cos(theta - phi_k)/F_k.
 
     That ratio is the support function of the boundary points
     unit(phi_k)/F_k, so the maximum over all nodes is attained at a vertex of
-    their convex hull (``hull`` from ``_node_hull``, built when not given).
+    their convex hull (``hull``, from ``_node_hull``).
     The hull vertices come counterclockwise, so the outward edge normals
     turn monotonically and each vertex is the argmax exactly for the angles
     between the normals of its two edges.  This is exact for any positive
     data, convex or not.
     """
-    pts, verts = hull or _node_hull(F)
+    pts, verts = hull
     edges = pts[np.roll(verts, -1)] - pts[verts]
     # the outward normal of the edge from verts[i] to verts[i+1] is (e_y, -e_x)
     normals = _wrap_angle(np.arctan2(-edges[:, 0], edges[:, 1]))
@@ -582,14 +581,16 @@ def sharp_constant(F):
 def bipolar_residual(F, sample_count=200, seed=0):
     """Max relative gap |F00(x) - F(x)| / F(x) over random sample points.
 
-    The bipolar of a convex gauge equals the gauge; for sampled kinds the
-    residual reflects interpolation and sweep error.  For sampled gauges
-    F00(x) = |x| h(x/|x|) is computed directly at the sample points, where h
-    is the support function of the unit sphere of the sampled polar F0: the
-    same support-function sweep that built F0 from F, run a second time on
-    F0's interpolant, but only in the sample directions.  So the residual
-    checks both sweeps and both interpolants, not a cached value.
+    The bipolar of a convex gauge is the gauge.  A closed-form kind builds
+    the closed-form polar of its polar, so the residual is the rounding of
+    the two dual maps.  For a sampled gauge, F00(x) = |x| h(x/|x|), h the
+    support function of the unit sphere of the sampled polar F0, is swept
+    directly at the sample points: the sweep that built F0 from F, run on
+    F0's interpolant in the sample directions only, so the residual checks
+    both sweeps and both interpolants.  ``sample_count`` must be >= 1.
     """
+    if sample_count < 1:
+        raise GaugeError(f"bipolar residual needs >= 1 sample, got {sample_count}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((sample_count, F.dim))
     r = _row_norms(x)
@@ -605,7 +606,7 @@ def bipolar_residual(F, sample_count=200, seed=0):
     return float(np.max(np.abs(bip - fx) / fx))
 
 
-def coarea_surface_check(F, r=1.0, resolution=None):
+def coarea_surface_check(F, r=1.0):
     """Relative deviation of int_{F0 = r} |grad F0|^{-1} dS from n kappa r^{n-1}.
 
     The Wulff sphere is parameterized radially: x(s) = r*s/F0(s) over unit
@@ -613,25 +614,24 @@ def coarea_surface_check(F, r=1.0, resolution=None):
     derivatives (F0 directional derivatives come from grad, so sampled gauges
     go through central differences).  Returns (integral - target)/target.
     The surface element scales as r^{n-1}, so the integral is r^{n-1} times
-    its value at r = 1, which is computed once per resolution and cached on
-    the gauge (for power-of-two r the product is bitwise the direct value).
+    its value at r = 1, which is computed once and cached on the gauge (for
+    power-of-two r the product is bitwise the direct value).
     """
     n = F.dim
     scale = r ** (n - 1.0)
     target = n * wulff_volume(F) * scale
-    return float((scale * _unit_coarea_integral(F, resolution) - target) / target)
+    return float((scale * _unit_coarea_integral(F) - target) / target)
 
 
-def _unit_coarea_integral(F, resolution):
+def _unit_coarea_integral(F):
     """int_{F0 = 1} |grad F0|^{-1} dS by the quadrature of coarea_surface_check:
-    periodic midpoint in 2-d (default 2^16 angles), Gauss-Legendre in theta
-    times periodic midpoint in phi in 3-d (default 192 x 384)."""
-    key = ("coarea", resolution)
-    if key in F._cache:
-        return F._cache[key]
+    periodic midpoint over 2^16 angles in 2-d, Gauss-Legendre in theta times
+    periodic midpoint in phi over 192 x 384 nodes in 3-d."""
+    if "coarea" in F._cache:
+        return F._cache["coarea"]
     pol = F.polar()
     if F.dim == 2:
-        k = resolution or (1 << 16)
+        k = 1 << 16
         t = (np.arange(k) + 0.5) * (2.0 * np.pi / k)
         s = np.column_stack([np.cos(t), np.sin(t)])
         tang = np.column_stack([-np.sin(t), np.cos(t)])
@@ -642,7 +642,7 @@ def _unit_coarea_integral(F, resolution):
         integ = speed / _row_norms(grad)
         val = integ.mean() * 2.0 * np.pi
     else:
-        kt = resolution or 192
+        kt = 192
         kp = 2 * kt
         u, w = np.polynomial.legendre.leggauss(kt)
         th = 0.5 * np.pi * (u + 1.0)
@@ -663,7 +663,7 @@ def _unit_coarea_integral(F, resolution):
         elem = _row_norms(np.cross(x_t, x_p))
         integ = (elem / _row_norms(grad)).reshape(kt, kp)
         val = float(wt @ integ.sum(axis=1)) * (2.0 * np.pi / kp)
-    F._cache[key] = val
+    F._cache["coarea"] = val
     return val
 
 

@@ -184,17 +184,17 @@ def phi(params, t):
     return _phi_stable(t, series_start(params).j_start)
 
 
-def phi_direct(params, t, terms=64):
-    """Reference route: plain ascending summation of ``terms`` tail terms.
+def phi_direct(params, t):
+    """Reference route: plain ascending summation of 64 tail terms.
 
     Converged (hence comparable to phi at full precision) only while the
-    truncated tail is negligible, i.e. for t well below ``terms``.
+    truncated tail is negligible, i.e. for t well below 64.
     """
     j0 = series_start(params).j_start
     t = np.asarray(t, dtype=float)
     term = t ** j0 / math.factorial(j0)
     acc = term.copy()
-    for j in range(j0, j0 + terms - 1):
+    for j in range(j0, j0 + 63):
         term = term * t / (j + 1.0)
         acc = acc + term
     return acc if acc.ndim else float(acc)
@@ -305,11 +305,7 @@ def pointwise_kernel(u_vals, params, force_phi=False):
     exp-power: exp(lam(1-beta/n) u^{n/(n-1)}) u^p; phi-series: the
     truncated series at the same argument.  Raises on overflow.
     """
-    arg, _ = _kernel_argument(u_vals, params)
-    _check_exp_argument(arg)
-    if params.variant == EXP_POWER and not force_phi:
-        return np.exp(arg) * np.asarray(u_vals, float) ** params.p
-    return _phi_stable(arg, series_start(params).j_start)
+    return _kernel_and_slope(np.asarray(u_vals, dtype=float), params, force_phi)[0]
 
 
 def _phi_slope(t, j_start, tail):

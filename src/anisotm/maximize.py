@@ -6,10 +6,10 @@ the truncated-series functional on the constraint sphere
 ||F grad u||_n^a + ||u||_q^b = 1.  Both reduce to finite-dimensional
 searches over knot values on a geometric radial grid.  Each restart is one
 bounded L-BFGS-B ascent in the nonnegative knot decrements, so every
-candidate is nonincreasing by construction, and the best restart gets one
-longer ascent.  The ascent evaluates functional.RadialObjective: the
-renormalized (unit sphere or constraint sphere) value on quadrature built
-once per search, with its analytic gradient.  The best candidate is then
+candidate is nonincreasing by construction; no polishing stage follows.  The
+ascent evaluates functional.RadialObjective: the renormalized (unit sphere
+or constraint sphere) value on quadrature built once per search, with its
+analytic gradient.  The best restart's final iterate is then
 renormalized through the library maps and re-evaluated, so every reported
 value is realized by a stored profile and values are honest lower bounds
 for the true suprema.  One routine runs both searches, and the residuals
@@ -44,8 +44,8 @@ class SearchConfig:
     ``radius`` is the outer radius of the pre-normalization knot grid; all
     initializers are supported within radius/2 so their q-norm tails vanish.
     ``budget`` caps the value-and-gradient evaluations of each restart's
-    L-BFGS-B run (the gradient is analytic, so there are no other objective
-    calls); the final run from the best restart gets 2 * budget.
+    L-BFGS-B ascent (the gradient is analytic, so there are no other
+    objective calls); a search makes at most restarts * budget of them.
     ``extra_inits`` are warm-start profiles (resampled onto the knot grid).
     """
 
@@ -108,10 +108,10 @@ class ThresholdResult:
     applicable: bool
 
 
-def geometric_knots(radius, count, inner_fraction=1e-3):
-    """Knot grid 0 < r_1 < ... < r_count = radius, geometric from r_1 on."""
+def geometric_knots(radius, count):
+    """Knot grid 0 < radius/1000 = r_1 < ... < r_count = radius, geometric."""
     ratio = np.linspace(0.0, 1.0, count)
-    pos = radius * inner_fraction ** (1.0 - ratio)
+    pos = radius * 1e-3 ** (1.0 - ratio)
     return np.concatenate([[0.0], pos])
 
 
@@ -180,8 +180,8 @@ def _ascend(obj, theta, maxfev):
 def _search(params, F, config, mode):
     """Deterministic multistart for ``mode`` ('subcritical' or 'critical'):
     canonical initializers first, then seeded perturbations of them.  Each
-    restart is one L-BFGS-B ascent; the best, by (value, lowest index), gets
-    one more with twice the budget, and its witness profile is built and
+    restart is one L-BFGS-B ascent; the final iterate of the best, by
+    (value, lowest index), becomes the witness profile, built and
     re-evaluated through the library maps.  The critical search runs on
     knots out to ``radius_critical`` (default 2 * radius)."""
     config = config or SearchConfig()
@@ -205,8 +205,7 @@ def _search(params, F, config, mode):
 
     vals = np.array([r[1] for r in results])
     order = np.argsort(-vals, kind="stable")
-    theta, _ = _ascend(obj, results[order[0]][0], 2 * config.budget)
-    best_val, best_prof = obj.witness(theta)
+    best_val, best_prof = obj.witness(results[order[0]][0])
     if best_prof is None:
         raise ParamError("search produced no feasible candidate; the configured "
                          "radius/knot grid admits no usable profile")
@@ -328,8 +327,7 @@ def threshold_check(params):
     return ThresholdResult(float("nan"), False)
 
 
-def maximizer_diagnostics(g, params, F, grid_resolution=256, objective="subcritical",
-                          perturbation_count=200):
+def maximizer_diagnostics(g, params, F, grid_resolution=256, objective="subcritical"):
     """Value, residuals and local-optimality margin of a claimed maximizer.
 
     ``objective`` is 'subcritical' or 'critical' (anything else raises
@@ -337,8 +335,8 @@ def maximizer_diagnostics(g, params, F, grid_resolution=256, objective="subcriti
     The symmetry residual rasterizes g, symmetrizes the grid function, and
     measures the relative L1 gap (0 up to interpolation error, since g is
     already Wulff-symmetric by construction).  The margin is the largest
-    functional increase over ``perturbation_count`` seeded random
-    monotonicity-preserving renormalized perturbations of relative size 1e-3.
+    functional increase over 200 seeded random monotonicity-preserving
+    renormalized perturbations of relative size 1e-3.
     """
     obj = RadialObjective(params, F, g.knots, objective)
     gn = grad_norm_radial(g, F)
@@ -356,7 +354,7 @@ def maximizer_diagnostics(g, params, F, grid_resolution=256, objective="subcriti
     theta0 = g.values[:-1]
     rng = np.random.default_rng(0)
     margin = 0.0
-    for _ in range(perturbation_count):
+    for _ in range(200):
         theta = theta0 * (1.0 + 1e-3 * rng.standard_normal(theta0.size))
         val, _ = obj.value_and_grad(isotonic_nonincreasing(theta))
         margin = max(margin, val - value)

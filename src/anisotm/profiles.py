@@ -16,9 +16,10 @@ class ProfileError(ValueError):
 class RadialProfile:
     """Nonincreasing piecewise-linear radial profile with compact support."""
 
-    def __init__(self, knots, values, tol=1e-12):
+    def __init__(self, knots, values):
         knots = np.asarray(knots, dtype=float)
         values = np.asarray(values, dtype=float)
+        tol = 1e-12      # negative values and increases this small are clamped
         if knots.ndim != 1 or knots.shape != values.shape or knots.size < 2:
             raise ProfileError("knots and values must be matching 1-d arrays, length >= 2")
         if knots[0] != 0.0 or np.any(np.diff(knots) <= 0.0):

@@ -65,9 +65,9 @@ class GridFunction:
     A grid function is immutable: the constructor copies ``values`` and
     marks the copy read-only.  That lets ``_cache`` keep what is derived
     from the values, each computed on first use: the decreasing
-    rearrangement, per gauge F the convex symmetrization (key ("star", F)),
-    and per gauge and arguments the radial profile of ``profile_of`` (key
-    ("profile", F, knot_count, tol)).
+    rearrangement, and per gauge F the convex symmetrization (key
+    ("star", F)) and the radial profile of ``profile_of`` (key
+    ("profile", F)).
     """
 
     def __init__(self, halfwidth, values):
@@ -77,8 +77,8 @@ class GridFunction:
         m = values.shape[0]
         if values.shape != (m,) * values.ndim or m < 4:
             raise ValueError(f"values must be a cube of side >= 4, got {values.shape}")
-        if halfwidth <= 0.0:
-            raise ValueError("halfwidth must be positive")
+        if not 0.0 < halfwidth < np.inf:
+            raise ValueError(f"halfwidth must be positive and finite, got {halfwidth}")
         if np.any(values < 0.0) or np.any(~np.isfinite(values)):
             raise ValueError("grid values must be finite and nonnegative")
         if _boundary_nonzero(values):
@@ -123,11 +123,11 @@ class GridFunction:
         with open(path) as fh:
             head = fh.readline().split()
             if len(head) != 3:
-                raise ValueError(f"{path}: header must be 'N L M'")
+                raise ValueError("header must be 'N L M'")
             dim, l, m = int(head[0]), float(head[1]), int(head[2])
             flat = np.loadtxt(fh).ravel()
         if flat.size != m ** dim:
-            raise ValueError(f"{path}: expected {m ** dim} values, got {flat.size}")
+            raise ValueError(f"expected {m ** dim} values, got {flat.size}")
         return cls(l, flat.reshape((m,) * dim))
 
     def to_json(self):
@@ -266,18 +266,22 @@ def _symmetrize(u, F):
     vals[order] = sorted_vals
     vals = vals.reshape(u.values.shape)
     if _boundary_nonzero(vals):
-        kappa = wulff_volume(F)
-        r_supp = (rearr.total_support / kappa) ** (1.0 / u.dim)
-        a_pol = F.polar().direction_bounds()[0]
-        need = r_supp / a_pol + 2.0 * u.h
-        raise SupportOverflowError(
-            f"symmetrized support radius {r_supp:.6g} (in F0) reaches the box "
-            f"edge; use half-width >= {need:.6g}", needed_halfwidth=float(need))
+        r_supp = (rearr.total_support / wulff_volume(F)) ** (1.0 / u.dim)
+        raise _support_overflow("symmetrized", r_supp, F, u.h)
     return GridFunction(u.halfwidth, vals)
 
 
-def profile_of(u_star, F, knot_count=None, tol=None):
-    """Radial profile g with u_star(x) = g(F0(x)), on uniform knots.
+def _support_overflow(what, radius, F, h):
+    """SupportOverflowError for a support of F0-radius ``radius`` at the box
+    edge; the needed half-width is radius / (min of F0 on |x| = 1) + 2h."""
+    need = radius / F.polar().direction_bounds()[0] + 2.0 * h
+    return SupportOverflowError(
+        f"{what} support radius {radius:.6g} (in F0) reaches the box edge; "
+        f"use half-width >= {need:.6g}", needed_halfwidth=float(need))
+
+
+def profile_of(u_star, F):
+    """Radial profile g with u_star(x) = g(F0(x)), on m + 1 uniform knots.
 
     In the radial variable the rearrangement is a staircase with jumps at
     rho_k = (t_k/kappa)^{1/n}; sampling it pointwise would put its whole
@@ -287,22 +291,22 @@ def profile_of(u_star, F, knot_count=None, tol=None):
     integral), which converge to the continuum profile at O(h).
 
     ``u_star`` must already be Wulff-symmetric: the relative L1 gap between
-    u_star and the rasterization of g is checked against ``tol`` (default
-    disc_tolerance(h)).  The zero function maps to the zero profile.
+    u_star and the rasterization of g is checked against disc_tolerance(h).
+    The zero function maps to the zero profile.
 
-    The profile is computed once per (F, knot_count, tol) and kept in
-    ``u_star._cache`` under ("profile", F, knot_count, tol), with read-only
-    knots and values; a SymmetryError is raised again on every call.
+    The profile is computed once per gauge and kept in ``u_star._cache``
+    under ("profile", F), with read-only knots and values; a SymmetryError
+    is raised again on every call.
     """
-    key = ("profile", F, knot_count, tol)
+    key = ("profile", F)
     if key not in u_star._cache:
-        g = _profile(u_star, F, knot_count, tol)
+        g = _profile(u_star, F)
         g.knots.flags.writeable = g.values.flags.writeable = False
         u_star._cache[key] = g
     return u_star._cache[key]
 
 
-def _profile(u_star, F, knot_count, tol):
+def _profile(u_star, F):
     rearr = decreasing_rearrangement(u_star)
     kappa = wulff_volume(F)
     if rearr.values.size == 0:
@@ -313,14 +317,13 @@ def _profile(u_star, F, knot_count, tol):
     seg = np.diff(np.concatenate([[0.0], rho])) * rearr.values
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     jump_r = np.concatenate([[0.0], rho])
-    count = knot_count or u_star.m
     # windows never narrower than the grid resolution: near the center the
     # staircase jumps are sparser than h and narrower windows stay jagged
-    half = max(0.5 * radius / count, u_star.h)
+    half = max(0.5 * radius / u_star.m, u_star.h)
     # knots extend one window width past the staircase so the averaged ramp
     # descends to zero on its own; truncating it at the support radius leaves
     # a cliff one knot wide whose slope pollutes the Dirichlet energy
-    knots = np.linspace(0.0, radius + 2.0 * half, count + 1)
+    knots = np.linspace(0.0, radius + 2.0 * half, u_star.m + 1)
     half = max(0.5 * (knots[1] - knots[0]), half)
     lo = np.clip(knots - half, 0.0, None)
     hi = knots + half
@@ -331,8 +334,7 @@ def _profile(u_star, F, knot_count, tol):
     resampled = g(_wulff_field(u_star, F)[0])
     l1 = np.sum(np.abs(u_star.values))
     gap = float(np.sum(np.abs(u_star.values - resampled)) / max(l1, 1e-300))
-    if tol is None:
-        tol = disc_tolerance(u_star.h)
+    tol = disc_tolerance(u_star.h)
     if gap > tol:
         raise SymmetryError(
             f"input is not Wulff-symmetric within tolerance: relative L1 "
@@ -340,19 +342,12 @@ def _profile(u_star, F, knot_count, tol):
     return g
 
 
-def rasterize_profile(g, F, halfwidth, m, dim=None):
-    """Sample the Wulff-symmetric function g(F0(x)) on a fresh grid."""
-    dim = dim or F.dim
-    if dim != F.dim:
-        raise ValueError(f"requested dimension {dim} != gauge dimension {F.dim}")
-    grid = GridFunction.zeros(dim, halfwidth, m)
+def rasterize_profile(g, F, halfwidth, m):
+    """Sample g(F0(x)) on a fresh grid of F's dimension."""
+    grid = GridFunction.zeros(F.dim, halfwidth, m)
     vals = g(_wulff_field(grid, F)[0])
     if _boundary_nonzero(vals):
-        a_pol = F.polar().direction_bounds()[0]
-        need = g.support_radius / a_pol + 2.0 * grid.h
-        raise SupportOverflowError(
-            f"profile support radius {g.support_radius:.6g} reaches the box "
-            f"edge; use half-width >= {need:.6g}", needed_halfwidth=float(need))
+        raise _support_overflow("profile", g.support_radius, F, grid.h)
     return GridFunction(halfwidth, vals)
 
 

@@ -37,9 +37,9 @@ def config_path(tmp_path):
     return write_config(tmp_path / "config.json")
 
 
-def test_load_config_hash_ignores_threads(config_path):
-    _, d1 = load_config(config_path, threads_override=1)
-    _, d2 = load_config(config_path, threads_override=4)
+def test_load_config_hash_ignores_threads(config_path, tmp_path):
+    _, d1 = load_config(config_path)
+    _, d2 = load_config(write_config(tmp_path / "t4.json", search={"threads": 4}))
     assert d1 == d2
     _, d3 = load_config(config_path, seed_override=7)
     assert d3 != d1
@@ -231,6 +231,61 @@ def test_exit_code_validation(tmp_path, capsys):
         cfg3 = write_config(tmp_path / "field.json", **{block: {field: value}})
         assert main(["maximize", "--config", str(cfg3), "--out", str(tmp_path)]) == 2
         assert f"{block}.{field}" in capsys.readouterr().err
+
+
+def _grid_cases(tmp_path):
+    """Malformed grid inputs for symmetrize: (name, --input, --second)."""
+    F = FinslerNorm.euclidean(2)
+    cone = RadialProfile([0.0, 1.2], [1.0, 0.0])
+    good = tmp_path / "good.txt"
+    rasterize_profile(cone, F, 2.0, 64).save(good)
+    small = tmp_path / "small.txt"
+    rasterize_profile(cone, F, 2.0, 32).save(small)
+    files = {"no_m.txt": "2 1.0\n" + "0 0 0 0\n" * 4,
+             "short.txt": "2 2.0 4\n" + "0 0 0 0\n" * 3,
+             "boundary.txt": "2 2.0 4\n" + "1 1 1 1\n" * 4,
+             "nan_width.txt": "2 nan 4\n" + "0 0 0 0\n" * 4,
+             "no_l.json": json.dumps({"n": 2, "m": 4, "values": [0.0] * 16}),
+             "huge_m.json": json.dumps({"n": 3, "l": 1.0, "m": 1e308, "values": []}),
+             "broken.json": "{not json"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    cases = [(name, tmp_path / name, None) for name in files]
+    return cases + [("second size", good, small)]
+
+
+def test_exit_code_malformed_grid(config_path, tmp_path, capsys):
+    # parse and validation errors of a grid file name the file and exit 2
+    for name, grid, second in _grid_cases(tmp_path):
+        argv = ["symmetrize", "--config", str(config_path),
+                "--out", str(tmp_path / "out"), "--input", str(grid)]
+        if second is not None:
+            argv += ["--second", str(second)]
+        capsys.readouterr()
+        assert main(argv) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid file "), (name, err)
+        assert str(second or grid) in err, (name, err)
+
+
+def test_exit_code_malformed_gauge_numbers(tmp_path, capsys):
+    bad_values = [1.0] * 15 + ["x"]
+    for gauge in ({"kind": "pnorm", "p": "abc"}, {"kind": "pnorm", "p": None},
+                  {"kind": "ellipse", "matrix": "abc"},
+                  {"kind": "sampled", "values": bad_values}):
+        cfg = tmp_path / "gauge.json"
+        cfg.write_text(json.dumps({"gauge": gauge}))
+        capsys.readouterr()
+        assert main(["geometry", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "config field gauge: " in capsys.readouterr().err, gauge
+
+
+def test_exit_code_malformed_samples(config_path, tmp_path, capsys):
+    for samples in ("abc", 0, -1, 2.5, True, None):
+        cfg = write_config(tmp_path / "samples.json", samples=samples)
+        capsys.readouterr()
+        assert main(["geometry", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "<root>.samples" in capsys.readouterr().err, samples
 
 
 def test_exit_code_overflow(config_path, tmp_path, capsys):

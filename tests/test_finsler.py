@@ -17,8 +17,8 @@ from anisotm import (FinslerNorm, WulffBall, GaugeError, wulff_volume,
                      sharp_constant, bipolar_residual, coarea_surface_check,
                      unit_ball_measure)
 from anisotm import finsler
-from anisotm.finsler import (_node_argmax, _polar_values_2d, _polar_values_sphere,
-                             _row_norms, _sphere_grid)
+from anisotm.finsler import (_node_argmax, _node_hull, _polar_values_2d,
+                             _polar_values_sphere, _row_norms, _sphere_grid)
 
 # p-ball volumes 2 Gamma(1 + 1/p)^dim / Gamma(1 + dim/p) * 2^(dim-1),
 # evaluated once and frozen
@@ -169,6 +169,19 @@ def test_polar_is_involution_on_closed_forms(gauge_euclid, gauge_ellipse,
         assert bipolar_residual(F, sample_count=200) < 1e-10
 
 
+def test_bipolar_residual_sees_a_perturbed_closed_form_dual():
+    # the closed-form bipolar is built from the polar's own parameters, so a
+    # dual that is off shows; the polar does not link back to F
+    F = FinslerNorm.pnorm(4.0)
+    F.polar().p += 0.01
+    assert bipolar_residual(F, sample_count=200) > 1e-6
+    E = FinslerNorm.ellipse([[4.0, 1.0], [1.0, 1.0]])
+    E.polar().matrix = 1.01 * E.polar().matrix
+    assert bipolar_residual(E, sample_count=200) > 1e-6
+    with pytest.raises(GaugeError, match=">= 1 sample"):
+        bipolar_residual(E, sample_count=0)
+
+
 def test_bipolar_residual_sampled(gauge_maxgauge, gauge_sampled_smooth,
                                   monkeypatch):
     seeded = _small_sampled("seeded", n=4096)
@@ -207,7 +220,7 @@ def test_node_argmax_matches_brute_force(kind):
     out = np.linspace(0.0, 2.0 * np.pi, 1031, endpoint=False)
     ratios = np.cos(out[:, None] - F.thetas[None, :]) / F.values[None, :]
     brute = ratios.max(axis=1)
-    idx = _node_argmax(F, out)
+    idx = _node_argmax(F, out, _node_hull(F))
     got = ratios[np.arange(out.size), idx]
     # collinear nodes tie up to rounding: the values must agree, not the index
     assert np.max(np.abs(got - brute) / brute) <= 1e-15
@@ -404,6 +417,31 @@ def test_closed_form_kernels_match_oracle(case, scale):
     norm = np.linalg.norm(pts, axis=1)
     assert np.array_equal(_row_norms(pts), norm)
     assert np.array_equal(FinslerNorm.euclidean(F.dim)(pts), norm)
+
+
+def spread_points(rng, count, dim):
+    """Gaussian directions scaled by 10^s, s uniform on [-3, 3]: six decades."""
+    return (rng.standard_normal((count, dim))
+            * 10.0 ** rng.uniform(-3.0, 3.0, (count, 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=closed_form_gauges(), seed=st.integers(0, 2 ** 32 - 1))
+def test_gauge_identities_over_six_decades(case, seed):
+    F, _ = case
+    rng = np.random.default_rng(seed)
+    x, y = spread_points(rng, 50, F.dim), spread_points(rng, 50, F.dim)
+    fx = F(x)
+    # Euler: <grad F(x), x> = F(x) for a 1-homogeneous F
+    euler = np.einsum("ki,ki->k", F.grad(x), x)
+    assert np.max(np.abs(euler - fx) / fx) <= 1e-13
+    # duality: grad F0 lies on the unit sphere of F.  For l^p, grad F0
+    # raises the rounded |x_i| / F0 to the power p' - 1 (p' = p/(p-1)), so
+    # its error grows like p' ulps: 2.3e-13 at p = 1.001, 1.7e-11 at 1 + 1e-5
+    conj = F.polar().p if F.kind == "pnorm" else 1.0
+    assert np.max(np.abs(F(F.polar().grad(x)) - 1.0)) <= 1e-13 * max(1.0, conj / 100.0)
+    # triangle inequality, up to one rounding of the sum
+    assert np.all(F(x + y) <= (fx + F(y)) * (1.0 + 1e-15))
 
 
 # -- identity suite -----------------------------------------------------------

@@ -179,6 +179,56 @@ def test_atmsc_frozen_oracles(gauge_euclid):
     assert got == pytest.approx(ATMSC_CONE_BETA15, rel=1e-11)
 
 
+def _bump():
+    r = np.linspace(0.0, 1.5, 9)
+    return RadialProfile(r, 1.2 * (1.0 - (r / 1.5) ** 2) ** 2)
+
+
+ORACLE_PROFILES = {"cone": lambda: RadialProfile([0.0, 1.5], [1.2, 0.0]),
+                   "bump": _bump}
+
+
+def _radial_oracle(g, kernel, power):
+    """2 pi int_0^R kernel(g(r)) r^power dr at 30 digits, split at the knots:
+    n kappa times the radial integral for the Euclidean gauge in 2-d."""
+    with mpmath.workdps(30):
+        total = mpmath.mpf(0)
+        knots, vals = [mpmath.mpf(float(v)) for v in g.knots], g.values
+        for k in range(len(knots) - 1):
+            r0, r1 = knots[k], knots[k + 1]
+            v0 = mpmath.mpf(float(vals[k]))
+            slope = (mpmath.mpf(float(vals[k + 1])) - v0) / (r1 - r0)
+            total += mpmath.quad(lambda r: kernel(v0 + slope * (r - r0)) * r ** power,
+                                 [r0, r1])
+        return 2 * mpmath.pi * total
+
+
+@pytest.mark.parametrize("shape", sorted(ORACLE_PROFILES))
+def test_radial_integrals_match_mpmath(shape, gauge_euclid):
+    # independent of the library's panelized Gauss rules: tanh-sinh
+    # quadrature at 30 digits; beta = 1.5 > n - 1 takes the substituted
+    # rule for the singular weight
+    g = ORACLE_PROFILES[shape]()
+    for q in (2.0, 2.5, 3.0):
+        want = _radial_oracle(g, lambda v: v ** q, 1) ** (1 / mpmath.mpf(q))
+        got = lq_norm_radial(g, q, gauge_euclid)
+        assert abs(got - want) / want < 1e-12, (q, got, want)
+    for beta in (0.0, 0.5, 1.5):
+        ps = params_beta05(beta=beta)
+        pe = params_beta05(beta=beta, variant="exp_power", p=2.5)
+        rate, j0 = ps.lam * (1.0 - beta / 2.0), series_start(ps).j_start
+        power = 1 - mpmath.mpf(beta)
+        series = _radial_oracle(g, lambda v: _phi_oracle(rate * v * v, j0), power)
+        exp_power = _radial_oracle(
+            g, lambda v: mpmath.exp(rate * v * v) * v ** mpmath.mpf(2.5), power)
+        # the critical functional is the series for either variant
+        for got, want in ((atmsc_value(g, ps, gauge_euclid), series),
+                          (critical_value(g, ps, gauge_euclid), series),
+                          (atmsc_value(g, pe, gauge_euclid), exp_power),
+                          (critical_value(g, pe, gauge_euclid), series)):
+            assert abs(got - want) / want < 1e-12, (beta, got, want)
+
+
 def test_critical_equals_forced_series(gauge_euclid):
     pa = params_beta05()
     assert critical_value(cone(), pa, gauge_euclid) == atmsc_value(

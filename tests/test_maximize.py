@@ -31,7 +31,7 @@ def small_config(**kw):
 # -- building blocks ----------------------------------------------------------
 
 def test_geometric_knots():
-    k = geometric_knots(8.0, 32, inner_fraction=1e-3)
+    k = geometric_knots(8.0, 32)
     assert k[0] == 0.0 and k[-1] == 8.0
     assert np.all(np.diff(k) > 0.0)
     assert k[1] == pytest.approx(8.0e-3, rel=1e-12)
@@ -163,8 +163,7 @@ def test_direct_critical_smoke(gauge_euclid):
     assert rep.value > 0.0
     # the residuals of the found profile come from the diagnostics
     diag = maximizer_diagnostics(rep.profile, PARAMS, gauge_euclid,
-                                 grid_resolution=64, objective="critical",
-                                 perturbation_count=5)
+                                 grid_resolution=64, objective="critical")
     assert diag.value == rep.value
     assert diag.constraint_residual < 1e-10
     gn = grad_norm_radial(rep.profile, gauge_euclid)
@@ -205,7 +204,7 @@ def test_identity_sweep_smoke(gauge_euclid):
 def test_maximizer_diagnostics(gauge_euclid):
     est = estimate_f(PARAMS, gauge_euclid, small_config(budget=800))
     rep = maximizer_diagnostics(est.profile, PARAMS, gauge_euclid,
-                                grid_resolution=128, perturbation_count=50)
+                                grid_resolution=128)
     assert rep.value == pytest.approx(est.value, rel=1e-12)
     assert rep.grad_norm_residual < 1e-10
     assert rep.symmetry_residual <= 6.0 * (2.2 * est.profile.support_radius / 128)

@@ -275,7 +275,7 @@ def test_profile_of_zero(gauge_euclid):
 
 
 def test_profile_of_is_cached(gauge_euclid):
-    # one profile per (gauge, knot_count, tol), kept read-only on the grid
+    # one profile per gauge, kept read-only on the grid
     cone = RadialProfile([0.0, 1.4], [1.0, 0.0])
     u = rasterize_profile(cone, gauge_euclid, 2.0, 64)
     g = profile_of(u, gauge_euclid)
@@ -283,11 +283,7 @@ def test_profile_of_is_cached(gauge_euclid):
     assert not g.knots.flags.writeable and not g.values.flags.writeable
     with pytest.raises(ValueError):
         g.values[0] = 2.0
-    coarse = profile_of(u, gauge_euclid, knot_count=32)
-    assert coarse is not g and coarse.knots.size == 33
-    assert profile_of(u, gauge_euclid, knot_count=32) is coarse
-    loose = profile_of(u, gauge_euclid, tol=0.5)
-    assert loose is not g and profile_of(u, gauge_euclid, tol=0.5) is loose
+    assert g.knots.size == u.m + 1
     fresh = profile_of(GridFunction(u.halfwidth, u.values), gauge_euclid)
     assert np.array_equal(fresh.knots, g.knots)
     assert np.array_equal(fresh.values, g.values)
@@ -308,8 +304,6 @@ def test_rasterize_errors(gauge_euclid):
     with pytest.raises(SupportOverflowError) as exc:
         rasterize_profile(cone, gauge_euclid, 1.0, 64)
     assert exc.value.needed_halfwidth > 1.4
-    with pytest.raises(ValueError):
-        rasterize_profile(cone, gauge_euclid, 2.0, 64, dim=3)
 
 
 # -- grid quadratures ---------------------------------------------------------
