@@ -23,6 +23,7 @@ interpolation, central differences, a support function read off the convex
 hull of the sampled unit sphere, and quadrature for kappa_n.
 """
 
+from functools import wraps
 from math import gamma
 
 import numpy as np
@@ -37,6 +38,21 @@ _POLAR_BLOCK = 512       # output directions per block of the 3-d sampled polar
 
 class GaugeError(ValueError):
     """Invalid gauge construction or use."""
+
+
+def _cached(name):
+    """Decorator keeping fn(obj, *args) in ``obj._cache`` under ``name``, or
+    (name, *args) when there are more arguments: computed on the first call,
+    the stored object returned after that, a raised error never stored."""
+    def decorate(fn):
+        @wraps(fn)
+        def memo(obj, *args):
+            key = (name, *args) if args else name
+            if key not in obj._cache:
+                obj._cache[key] = fn(obj, *args)
+            return obj._cache[key]
+        return memo
+    return decorate
 
 
 def _as_points(x, dim):
@@ -79,11 +95,11 @@ class FinslerNorm:
 
     Construct through the classmethods (``euclidean``, ``pnorm``,
     ``ellipse``, ``sampled``, ``sampled_sphere``) or ``from_config``.
-    Instances are treated as immutable; derived quantities are cached in
-    ``_cache`` on first use: the polar, the Wulff volume, the direction
-    bounds, the unit-radius coarea integral (``coarea_surface_check``) and
-    the Wulff field of the last grid used by the rearrange layer (F0 and its
-    sort order at the cell centers).
+    Instances are treated as immutable; derived quantities are kept in
+    ``_cache`` by ``_cached`` on first use: the polar, the Wulff volume, the
+    direction bounds, the unit-radius coarea integral
+    (``coarea_surface_check``) and, for each grid the rearrange layer has
+    used, the Wulff field (F0 and its sort order at the cell centers).
     """
 
     def __init__(self, kind, dim, p=None, matrix=None, thetas=None,
@@ -297,21 +313,21 @@ class FinslerNorm:
 
     # -- derived geometry --------------------------------------------------
 
+    @_cached("bounds")
     def direction_bounds(self):
         """(a, b) with a*|x| <= F(x) <= b*|x|, from a dense direction scan."""
-        if "bounds" not in self._cache:
-            if self.dim == 2:
-                t = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-                dirs = np.column_stack([np.cos(t), np.sin(t)])
-                if self.kind == "sampled":
-                    nodes = np.column_stack([np.cos(self.thetas), np.sin(self.thetas)])
-                    dirs = np.vstack([dirs, nodes])
-            else:
-                dirs = _sphere_grid(129, 256)
-            v = self.__call__(dirs)
-            self._cache["bounds"] = (float(v.min()), float(v.max()))
-        return self._cache["bounds"]
+        if self.dim == 2:
+            t = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+            dirs = np.column_stack([np.cos(t), np.sin(t)])
+            if self.kind == "sampled":
+                nodes = np.column_stack([np.cos(self.thetas), np.sin(self.thetas)])
+                dirs = np.vstack([dirs, nodes])
+        else:
+            dirs = _sphere_grid(129, 256)
+        v = self.__call__(dirs)
+        return (float(v.min()), float(v.max()))
 
+    @_cached("polar")
     def polar(self):
         """The polar gauge F0(x) = sup <x, xi> / F(xi).
 
@@ -320,24 +336,19 @@ class FinslerNorm:
         on the same angle grid via a support-function sweep over the
         interpolated unit sphere {F = 1}.
         """
-        if "polar" in self._cache:
-            return self._cache["polar"]
         if self.kind == "euclidean":
-            pol = FinslerNorm.euclidean(self.dim)
-        elif self.kind == "pnorm":
-            pol = FinslerNorm.pnorm(self.p / (self.p - 1.0), self.dim)
-        elif self.kind == "ellipse":
-            pol = FinslerNorm.ellipse(np.linalg.inv(self.matrix))
-        elif self.dim == 2:
-            pol = FinslerNorm.sampled(_polar_values_2d(self, self.thetas),
-                                      rule=self.rule)
-        else:
-            shape = self.values.shape
-            pol = FinslerNorm.sampled_sphere(
-                _polar_values_sphere(self, _sphere_grid(*shape)).reshape(shape),
-                rule=self.rule)
-        self._cache["polar"] = pol
-        return pol
+            return FinslerNorm.euclidean(self.dim)
+        if self.kind == "pnorm":
+            return FinslerNorm.pnorm(self.p / (self.p - 1.0), self.dim)
+        if self.kind == "ellipse":
+            return FinslerNorm.ellipse(np.linalg.inv(self.matrix))
+        if self.dim == 2:
+            return FinslerNorm.sampled(_polar_values_2d(self, self.thetas),
+                                       rule=self.rule)
+        shape = self.values.shape
+        return FinslerNorm.sampled_sphere(
+            _polar_values_sphere(self, _sphere_grid(*shape)).reshape(shape),
+            rule=self.rule)
 
     def config(self):
         """JSON-ready description (inverse of from_config, up to sampling)."""
@@ -547,6 +558,7 @@ def unit_ball_measure(gauge):
     return float(col.mean() * 2.0 * np.pi / 3.0)
 
 
+@_cached("kappa")
 def wulff_volume(F):
     """kappa_n: volume of the unit Wulff ball {F0 <= 1} of the gauge F.
 
@@ -556,20 +568,18 @@ def wulff_volume(F):
     sqrt(x' A x) (its Wulff ball is the ellipsoid x' A^{-1} x <= 1).
     Sampled gauges integrate their polar with unit_ball_measure.
     """
-    if "kappa" not in F._cache:
-        n = F.dim
-        omega = np.pi ** (n / 2.0) / gamma(1.0 + n / 2.0)
-        if F.kind == "euclidean":
-            kappa = omega
-        elif F.kind == "pnorm":
-            q = F.polar().p
-            kappa = (2.0 * gamma(1.0 + 1.0 / q)) ** n / gamma(1.0 + n / q)
-        elif F.kind == "ellipse":
-            kappa = omega * np.sqrt(np.linalg.det(F.matrix))
-        else:
-            kappa = unit_ball_measure(F.polar())
-        F._cache["kappa"] = float(kappa)
-    return F._cache["kappa"]
+    n = F.dim
+    omega = np.pi ** (n / 2.0) / gamma(1.0 + n / 2.0)
+    if F.kind == "euclidean":
+        kappa = omega
+    elif F.kind == "pnorm":
+        q = F.polar().p
+        kappa = (2.0 * gamma(1.0 + 1.0 / q)) ** n / gamma(1.0 + n / q)
+    elif F.kind == "ellipse":
+        kappa = omega * np.sqrt(np.linalg.det(F.matrix))
+    else:
+        kappa = unit_ball_measure(F.polar())
+    return float(kappa)
 
 
 def sharp_constant(F):
@@ -594,7 +604,7 @@ def bipolar_residual(F, sample_count=200, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((sample_count, F.dim))
     r = _row_norms(x)
-    x, r = x[r > 0.1], r[r > 0.1]
+    x, r = x[r > 0.0], r[r > 0.0]
     pol = F.polar()
     if F.kind != "sampled":
         bip = pol.polar()(x)
@@ -623,12 +633,11 @@ def coarea_surface_check(F, r=1.0):
     return float((scale * _unit_coarea_integral(F) - target) / target)
 
 
+@_cached("coarea")
 def _unit_coarea_integral(F):
     """int_{F0 = 1} |grad F0|^{-1} dS by the quadrature of coarea_surface_check:
     periodic midpoint over 2^16 angles in 2-d, Gauss-Legendre in theta times
     periodic midpoint in phi over 192 x 384 nodes in 3-d."""
-    if "coarea" in F._cache:
-        return F._cache["coarea"]
     pol = F.polar()
     if F.dim == 2:
         k = 1 << 16
@@ -663,7 +672,6 @@ def _unit_coarea_integral(F):
         elem = _row_norms(np.cross(x_t, x_p))
         integ = (elem / _row_norms(grad)).reshape(kt, kp)
         val = float(wt @ integ.sum(axis=1)) * (2.0 * np.pi / kp)
-    F._cache["coarea"] = val
     return val
 
 

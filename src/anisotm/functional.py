@@ -299,25 +299,20 @@ def _kernel_argument(u, params):
     return rate * u ** (n / (n - 1.0)), rate * n / (n - 1.0) * u ** (1.0 / (n - 1.0))
 
 
-def pointwise_kernel(u_vals, params, force_phi=False):
-    """Exponential integrand at given |u| values (no spatial weight).
-
-    exp-power: exp(lam(1-beta/n) u^{n/(n-1)}) u^p; phi-series: the
-    truncated series at the same argument.  Raises on overflow.
-    """
-    return _kernel_and_slope(np.asarray(u_vals, dtype=float), params, force_phi)[0]
-
-
 def _phi_slope(t, j_start, tail):
     """Phi'_{j} = Phi_{j-1} = Phi_j + t^{j-1}/(j-1)!, given tail = Phi_j(t)."""
     return tail + t ** (j_start - 1) / math.factorial(j_start - 1)
 
 
 def _kernel_and_slope(u, params, force_phi):
-    """pointwise_kernel at u >= 0 and its derivative in u.
+    """Exponential integrand at the values u >= 0 (an array; no spatial
+    weight) and its derivative in u.
 
-    Where u = 0 and the exp-power factor u^{p-1} is infinite (p < 1), the
-    one-sided derivative is taken as 0.
+    exp-power: exp(lam(1-beta/n) u^{n/(n-1)}) u^p; phi-series (or any
+    variant with ``force_phi``): the truncated series at the same argument.
+    Raises FunctionalOverflowError on overflow.  Where u = 0 and the
+    exp-power factor u^{p-1} is infinite (p < 1), the one-sided derivative
+    is taken as 0.
     """
     arg, darg = _kernel_argument(u, params)
     _check_exp_argument(arg)
@@ -341,7 +336,7 @@ def _radial_exp_integral(g, params, F, force_phi):
     r, w = _exp_rule(g.knots, params.n, params.beta)
     gv = np.interp(r, g.knots, g.values)
     try:
-        kern = pointwise_kernel(gv, params, force_phi=force_phi)
+        kern = _kernel_and_slope(gv, params, force_phi)[0]
     except FunctionalOverflowError as err:
         r_bad = float(r[int(np.argmax(gv))])
         k = max(int(np.searchsorted(g.knots, r_bad, side="right")) - 1, 0)

@@ -21,12 +21,13 @@ C * h; C was calibrated on Euclidean cone profiles at M in {128, 256, 512}
 energy comparison) and frozen with headroom.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .finsler import wulff_volume
-from .functional import (ParamError, FunctionalOverflowError, pointwise_kernel,
+from .finsler import _cached, wulff_volume
+from .functional import (ParamError, FunctionalOverflowError, _kernel_and_slope,
                          dirichlet_energy_radial)
 from .profiles import RadialProfile
 
@@ -55,6 +56,13 @@ def _boundary_nonzero(vals):
     return any(np.any(np.take(vals, (0, -1), axis=k)) for k in range(vals.ndim))
 
 
+def _cell_centers(dim, halfwidth, m):
+    """Cell-center coordinates of the grid of side m on [-halfwidth,
+    halfwidth]^dim, shape (m,)*dim + (dim,)."""
+    ax = -halfwidth + (np.arange(m) + 0.5) * (2.0 * halfwidth / m)
+    return np.stack(np.meshgrid(*([ax] * dim), indexing="ij"), axis=-1)
+
+
 class GridFunction:
     """Nonnegative function sampled at cell centers of [-L, L]^n.
 
@@ -64,10 +72,11 @@ class GridFunction:
 
     A grid function is immutable: the constructor copies ``values`` and
     marks the copy read-only.  That lets ``_cache`` keep what is derived
-    from the values, each computed on first use: the decreasing
-    rearrangement, and per gauge F the convex symmetrization (key
-    ("star", F)) and the radial profile of ``profile_of`` (key
-    ("profile", F)).
+    from the values, each computed on first use by ``finsler._cached``: the
+    decreasing rearrangement, and per gauge F the convex symmetrization
+    (key ("star", F)) and the radial profile of ``profile_of`` (key
+    ("profile", F)).  What depends on the grid alone, F0 at the cell
+    centers, is kept on the gauge, one field per grid (``_wulff_field``).
     """
 
     def __init__(self, halfwidth, values):
@@ -99,13 +108,11 @@ class GridFunction:
         return self.h ** self.dim
 
     def axis_centers(self):
-        return -self.halfwidth + (np.arange(self.m) + 0.5) * self.h
+        return _cell_centers(1, self.halfwidth, self.m)[:, 0]
 
     def centers(self):
         """Cell-center coordinates, shape (m,)*dim + (dim,)."""
-        ax = self.axis_centers()
-        grids = np.meshgrid(*([ax] * self.dim), indexing="ij")
-        return np.stack(grids, axis=-1)
+        return _cell_centers(self.dim, self.halfwidth, self.m)
 
     @classmethod
     def zeros(cls, dim, halfwidth, m):
@@ -192,6 +199,7 @@ def distribution_function(u, s):
     return float(u.cell_volume * np.count_nonzero(u.values >= s))
 
 
+@_cached("sharp")
 def decreasing_rearrangement(u):
     """Exact decreasing rearrangement of the grid step function.
 
@@ -200,42 +208,37 @@ def decreasing_rearrangement(u):
     step, so the result is independent of tie order.  It is computed once
     per grid function and kept in ``u._cache``.
     """
-    if "sharp" not in u._cache:
-        flat = u.values.ravel()
-        pos = flat[flat > 0.0]
-        if pos.size == 0:
-            rearr = StepRearrangement(np.zeros(0), np.zeros(0))
-        else:
-            lev, counts = np.unique(pos, return_counts=True)
-            breaks = np.cumsum(counts[::-1]) * u.cell_volume
-            rearr = StepRearrangement(breaks, lev[::-1])
-            rearr.breakpoints.flags.writeable = rearr.values.flags.writeable = False
-        u._cache["sharp"] = rearr
-    return u._cache["sharp"]
+    flat = u.values.ravel()
+    pos = flat[flat > 0.0]
+    if pos.size == 0:
+        return StepRearrangement(np.zeros(0), np.zeros(0))
+    lev, counts = np.unique(pos, return_counts=True)
+    breaks = np.cumsum(counts[::-1]) * u.cell_volume
+    rearr = StepRearrangement(breaks, lev[::-1])
+    rearr.breakpoints.flags.writeable = rearr.values.flags.writeable = False
+    return rearr
 
 
-def _wulff_field(u, F):
-    """(F0, t_sorted, order) on the cell centers of u's grid.
+@_cached("wulff_field")
+def _wulff_field(F, dim, halfwidth, m):
+    """(F0, t_sorted, order) on the cell centers of the grid of side m on
+    [-halfwidth, halfwidth]^dim.
 
-    F0 is the polar gauge at the centers (shape of u.values), t = kappa F0^n
+    F0 is the polar gauge at the centers (shape (m,)*dim), t = kappa F0^n
     is the Wulff-ball volume of each center's level, and ``order`` sorts the
-    flattened t ascending (t_sorted = t[order]).  The field is cached on the
-    gauge for one grid at a time, keyed by (dim, halfwidth, m), so repeated
-    symmetrizations and resamplings on one grid evaluate F0 once.
+    flattened t ascending (t_sorted = t[order]).  The gauge keeps one
+    read-only field per grid, so all uses on one grid evaluate F0 once.
     """
-    key = (u.dim, u.halfwidth, u.m)
-    cached = F._cache.get("wulff_field")
-    if cached is None or cached[0] != key:
-        f0 = F.polar()(u.centers().reshape(-1, u.dim))
-        t = wulff_volume(F) * f0 ** u.dim
-        order = np.argsort(t, kind="stable").astype(np.int32)
-        cached = (key, f0.reshape(u.values.shape), t[order], order)
-        for arr in cached[1:]:
-            arr.flags.writeable = False   # shared by every caller on this grid
-        F._cache["wulff_field"] = cached
-    return cached[1:]
+    f0 = F.polar()(_cell_centers(dim, halfwidth, m).reshape(-1, dim))
+    t = wulff_volume(F) * f0 ** dim
+    order = np.argsort(t, kind="stable").astype(np.int32)
+    field = (f0.reshape((m,) * dim), t[order], order)
+    for arr in field:
+        arr.flags.writeable = False
+    return field
 
 
+@_cached("star")
 def convex_symmetrization(u, F):
     """u_star(x) = u_sharp(kappa F0(x)^n) sampled on u's own grid.
 
@@ -248,17 +251,10 @@ def convex_symmetrization(u, F):
     Raises SupportOverflowError when the symmetrized support touches the
     zero boundary layer (the caller must enlarge the box).
     """
-    key = ("star", F)
-    if key not in u._cache:
-        u._cache[key] = _symmetrize(u, F)
-    return u._cache[key]
-
-
-def _symmetrize(u, F):
     rearr = decreasing_rearrangement(u)
     if rearr.values.size == 0:
         return GridFunction(u.halfwidth, np.zeros_like(u.values))
-    _, t_sorted, order = _wulff_field(u, F)
+    _, t_sorted, order = _wulff_field(F, u.dim, u.halfwidth, u.m)
     ends = np.searchsorted(t_sorted, rearr.breakpoints, side="left")
     sorted_vals = np.zeros(t_sorted.size)
     sorted_vals[:ends[-1]] = np.repeat(rearr.values, np.diff(ends, prepend=0))
@@ -280,6 +276,7 @@ def _support_overflow(what, radius, F, h):
         f"use half-width >= {need:.6g}", needed_halfwidth=float(need))
 
 
+@_cached("profile")
 def profile_of(u_star, F):
     """Radial profile g with u_star(x) = g(F0(x)), on m + 1 uniform knots.
 
@@ -298,56 +295,51 @@ def profile_of(u_star, F):
     under ("profile", F), with read-only knots and values; a SymmetryError
     is raised again on every call.
     """
-    key = ("profile", F)
-    if key not in u_star._cache:
-        g = _profile(u_star, F)
-        g.knots.flags.writeable = g.values.flags.writeable = False
-        u_star._cache[key] = g
-    return u_star._cache[key]
-
-
-def _profile(u_star, F):
     rearr = decreasing_rearrangement(u_star)
     kappa = wulff_volume(F)
     if rearr.values.size == 0:
-        return RadialProfile(np.array([0.0, u_star.h]), np.zeros(2))
-    n = u_star.dim
-    rho = (rearr.breakpoints / kappa) ** (1.0 / n)
-    radius = float(rho[-1])
-    seg = np.diff(np.concatenate([[0.0], rho])) * rearr.values
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    jump_r = np.concatenate([[0.0], rho])
-    # windows never narrower than the grid resolution: near the center the
-    # staircase jumps are sparser than h and narrower windows stay jagged
-    half = max(0.5 * radius / u_star.m, u_star.h)
-    # knots extend one window width past the staircase so the averaged ramp
-    # descends to zero on its own; truncating it at the support radius leaves
-    # a cliff one knot wide whose slope pollutes the Dirichlet energy
-    knots = np.linspace(0.0, radius + 2.0 * half, u_star.m + 1)
-    half = max(0.5 * (knots[1] - knots[0]), half)
-    lo = np.clip(knots - half, 0.0, None)
-    hi = knots + half
-    ints = np.interp(hi, jump_r, cum) - np.interp(lo, jump_r, cum)
-    vals = ints / (hi - lo)
-    vals[-1] = 0.0
-    g = RadialProfile(knots, np.minimum.accumulate(np.maximum(vals, 0.0)))
-    resampled = g(_wulff_field(u_star, F)[0])
-    l1 = np.sum(np.abs(u_star.values))
-    gap = float(np.sum(np.abs(u_star.values - resampled)) / max(l1, 1e-300))
-    tol = disc_tolerance(u_star.h)
-    if gap > tol:
-        raise SymmetryError(
-            f"input is not Wulff-symmetric within tolerance: relative L1 "
-            f"residual {gap:.3e} > {tol:.3e}")
+        g = RadialProfile(np.array([0.0, u_star.h]), np.zeros(2))
+    else:
+        n = u_star.dim
+        rho = (rearr.breakpoints / kappa) ** (1.0 / n)
+        radius = float(rho[-1])
+        seg = np.diff(np.concatenate([[0.0], rho])) * rearr.values
+        cum = np.concatenate([[0.0], np.cumsum(seg)])
+        jump_r = np.concatenate([[0.0], rho])
+        # windows never narrower than the grid resolution: near the center the
+        # staircase jumps are sparser than h and narrower windows stay jagged
+        half = max(0.5 * radius / u_star.m, u_star.h)
+        # knots extend one window width past the staircase so the averaged ramp
+        # descends to zero on its own; truncating it at the support radius
+        # leaves a cliff one knot wide whose slope pollutes the Dirichlet energy
+        knots = np.linspace(0.0, radius + 2.0 * half, u_star.m + 1)
+        half = max(0.5 * (knots[1] - knots[0]), half)
+        lo = np.clip(knots - half, 0.0, None)
+        hi = knots + half
+        ints = np.interp(hi, jump_r, cum) - np.interp(lo, jump_r, cum)
+        vals = ints / (hi - lo)
+        vals[-1] = 0.0
+        g = RadialProfile(knots, np.minimum.accumulate(np.maximum(vals, 0.0)))
+        resampled = g(_wulff_field(F, n, u_star.halfwidth, u_star.m)[0])
+        l1 = np.sum(np.abs(u_star.values))
+        gap = float(np.sum(np.abs(u_star.values - resampled)) / max(l1, 1e-300))
+        tol = disc_tolerance(u_star.h)
+        if gap > tol:
+            raise SymmetryError(
+                f"input is not Wulff-symmetric within tolerance: relative L1 "
+                f"residual {gap:.3e} > {tol:.3e}")
+    g.knots.flags.writeable = g.values.flags.writeable = False
     return g
 
 
 def rasterize_profile(g, F, halfwidth, m):
     """Sample g(F0(x)) on a fresh grid of F's dimension."""
-    grid = GridFunction.zeros(F.dim, halfwidth, m)
-    vals = g(_wulff_field(grid, F)[0])
+    if not (0.0 < halfwidth < np.inf and operator.index(m) >= 4):
+        raise ValueError(f"a grid needs a positive finite half-width and a side "
+                         f"m >= 4, got {halfwidth} and {m}")
+    vals = g(_wulff_field(F, F.dim, halfwidth, m)[0])
     if _boundary_nonzero(vals):
-        raise _support_overflow("profile", g.support_radius, F, grid.h)
+        raise _support_overflow("profile", g.support_radius, F, 2.0 * halfwidth / m)
     return GridFunction(halfwidth, vals)
 
 
@@ -379,14 +371,14 @@ def grid_atmsc_value(u, params, F):
         raise ParamError("grids with odd m have a cell center at the origin; "
                          "the singular weight needs even m")
     try:
-        kern = pointwise_kernel(u.values, params)
+        kern = _kernel_and_slope(u.values, params, force_phi=False)[0]
     except FunctionalOverflowError as err:
         k = int(np.argmax(u.values))
         raise FunctionalOverflowError(
             f"integrand overflow at grid cell {np.unravel_index(k, u.values.shape)}: {err}",
             knot_index=k, argument=err.argument) from None
     if params.beta > 0.0:
-        w = _wulff_field(u, F)[0] ** (-params.beta)
+        w = _wulff_field(F, u.dim, u.halfwidth, u.m)[0] ** (-params.beta)
         kern = kern * w
     return float(u.cell_volume * np.sum(kern))
 

@@ -18,7 +18,8 @@ from anisotm import (FinslerNorm, WulffBall, GaugeError, wulff_volume,
                      unit_ball_measure)
 from anisotm import finsler
 from anisotm.finsler import (_node_argmax, _node_hull, _polar_values_2d,
-                             _polar_values_sphere, _row_norms, _sphere_grid)
+                             _polar_values_sphere, _row_norms, _sphere_grid,
+                             _unit_coarea_integral)
 
 # p-ball volumes 2 Gamma(1 + 1/p)^dim / Gamma(1 + dim/p) * 2^(dim-1),
 # evaluated once and frozen
@@ -167,6 +168,8 @@ def test_polar_is_involution_on_closed_forms(gauge_euclid, gauge_ellipse,
                                              gauge_pnorm4):
     for F in (gauge_euclid, gauge_ellipse, gauge_pnorm4):
         assert bipolar_residual(F, sample_count=200) < 1e-10
+        # seed 700 draws one point with |x| = 0.071; only the origin is dropped
+        assert bipolar_residual(F, sample_count=1, seed=700) < 1e-10
 
 
 def test_bipolar_residual_sees_a_perturbed_closed_form_dual():
@@ -193,6 +196,7 @@ def test_bipolar_residual_sampled(gauge_maxgauge, gauge_sampled_smooth,
                         lambda self, *a, **k: inits.append(1) or init(self, *a, **k))
     for F in (gauge_maxgauge, gauge_sampled_smooth, seeded):
         assert bipolar_residual(F, sample_count=100) < 1e-8
+        assert bipolar_residual(F, sample_count=1, seed=700) < 1e-8
     assert inits == []
 
 
@@ -508,6 +512,23 @@ def test_wulff_ball_membership_and_volume(gauge_ellipse):
     assert np.array_equal(ball.contains(pts), inside)
     with pytest.raises(GaugeError):
         WulffBall(pol, radius=0.0)
+
+
+@pytest.mark.parametrize("fn", [FinslerNorm.direction_bounds, FinslerNorm.polar,
+                                wulff_volume, _unit_coarea_integral],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("gauge", ["gauge_ellipse", "gauge_sampled_smooth"])
+def test_derived_geometry_is_cached(fn, gauge, request):
+    # the first call stores its result on the gauge; later calls return it,
+    # and it is what a fresh computation gives
+    F = request.getfixturevalue(gauge)
+    first = fn(F)
+    assert fn(F) is first
+    fresh = fn.__wrapped__(F)
+    if isinstance(first, FinslerNorm):
+        assert fresh is not first and fresh.config() == first.config()
+    else:
+        assert np.array_equal(fresh, first)
 
 
 def test_direction_bounds(gauge_ellipse):

@@ -19,6 +19,7 @@ from anisotm import (GridFunction, StepRearrangement, SupportOverflowError,
                      RadialProfile, FunctionalParams, FunctionalOverflowError,
                      ParamError, dirichlet_energy_radial, FinslerNorm,
                      wulff_volume)
+from anisotm.rearrange import _wulff_field
 from conftest import CORPUS_NAMES, corpus_grid
 
 
@@ -230,6 +231,48 @@ def test_symmetrization_cached_per_gauge(gauge_euclid, gauge_ellipse):
     assert np.array_equal(first.values, convex_symmetrization(fresh, gauge_euclid).values)
 
 
+@pytest.mark.parametrize("gauge", ["gauge_pnorm4", "gauge_sampled_smooth"])
+def test_grid_quantities_are_cached(gauge, request):
+    # each derived quantity is stored on first use and returned after that,
+    # and it is what a fresh computation through __wrapped__ gives
+    F = request.getfixturevalue(gauge)
+    u = corpus_grid("two_bumps", F, 48)
+    ustar = convex_symmetrization(u, F)
+    cases = [(decreasing_rearrangement, (u,), lambda r: (r.breakpoints, r.values)),
+             (_wulff_field, (F, u.dim, u.halfwidth, u.m), lambda f: f),
+             (convex_symmetrization, (u, F), lambda g: (g.values,)),
+             (profile_of, (ustar, F), lambda g: (g.knots, g.values))]
+    for fn, args, arrays in cases:
+        first = fn(*args)
+        assert fn(*args) is first, fn.__name__
+        for a, b in zip(arrays(first), arrays(fn.__wrapped__(*args)), strict=True):
+            assert np.array_equal(a, b), fn.__name__
+
+
+def test_wulff_field_evaluated_once_per_grid(monkeypatch):
+    # grid A, grid B, then a new grid function on grid A, with one gauge:
+    # the gauge keeps a field per grid, so F0 is evaluated on two grids only
+    F = FinslerNorm.ellipse([[4.0, 0.0], [0.0, 1.0]])
+    a = corpus_grid("two_bumps", F, 48)
+    b = corpus_grid("cone", F, 64)
+    a2 = GridFunction(a.halfwidth, 0.5 * a.values)
+    pol, call = F.polar(), FinslerNorm.__call__
+    points = []
+
+    def spy(self, x):
+        if self is pol:
+            points.append(np.shape(x)[0])
+        return call(self, x)
+
+    monkeypatch.setattr(FinslerNorm, "__call__", spy)
+    for u in (a, b, a2):
+        convex_symmetrization(u, F)
+    assert points == [48 * 48, 64 * 64]
+    assert np.array_equal(convex_symmetrization(a2, F).values,
+                          convex_symmetrization(GridFunction(a.halfwidth, a2.values),
+                                                FinslerNorm.ellipse(F.matrix)).values)
+
+
 def test_symmetrization_of_zero(gauge_euclid):
     u = GridFunction.zeros(2, 1.0, 4)
     us = convex_symmetrization(u, gauge_euclid)
@@ -272,6 +315,7 @@ def test_profile_of_rejects_asymmetric(gauge_euclid):
 def test_profile_of_zero(gauge_euclid):
     g = profile_of(GridFunction.zeros(2, 1.0, 8), gauge_euclid)
     assert g(0.0) == 0.0 and g.support_radius > 0.0
+    assert not g.knots.flags.writeable and not g.values.flags.writeable
 
 
 def test_profile_of_is_cached(gauge_euclid):
@@ -304,6 +348,12 @@ def test_rasterize_errors(gauge_euclid):
     with pytest.raises(SupportOverflowError) as exc:
         rasterize_profile(cone, gauge_euclid, 1.0, 64)
     assert exc.value.needed_halfwidth > 1.4
+    # the box is checked before any field is built for it
+    for halfwidth, m in ((0.0, 64), (np.nan, 64), (np.inf, 64), (2.0, 3)):
+        with pytest.raises(ValueError, match="half-width"):
+            rasterize_profile(cone, gauge_euclid, halfwidth, m)
+    with pytest.raises(TypeError):
+        rasterize_profile(cone, gauge_euclid, 2.0, 64.0)
 
 
 # -- grid quadratures ---------------------------------------------------------
