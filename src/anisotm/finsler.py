@@ -3,11 +3,9 @@
 A gauge F is a positively 1-homogeneous convex function on R^n that
 vanishes only at the origin.  Its polar F0(x) = sup_{xi != 0} <x, xi>/F(xi)
 is again a gauge, and the sublevel sets {F0 <= r} are the Wulff balls of F.
-Gauges need not be even: F(-x) may differ from F(x), and the polar, the
-Wulff volume and convex symmetrization hold without evenness.  The radial
-energy formula (functional.dirichlet_energy_radial) relies on F(grad F0) = 1
-along the descent direction, so for an uneven gauge it gives the energy of
-g(F0(-x)), not of g(F0(x)).
+Gauges need not be even.  As F(grad F0) = 1, u = g(F0(-x)) has F(grad u) =
+|g'| for decreasing g, so the library's Wulff-symmetric functions are
+g(F0(-x)), which is g(F0(x)) for an even gauge (rearrange, functional).
 The module provides evaluation, gradients, polar duals, Wulff-ball volumes
 kappa_n = |{F0 <= 1}|, the sharp exponential-integrability constant
 
@@ -294,8 +292,10 @@ class FinslerNorm:
         if self.kind == "euclidean":
             g = pts / r[:, None]
         elif self.kind == "pnorm":
-            f = self.__call__(pts)
-            g = np.sign(pts) * (np.abs(pts) / f[:, None]) ** (self.p - 1.0)
+            # s = |x| / max|x| has largest term exactly 1: no rounded ratio
+            s = np.abs(pts) / np.max(np.abs(pts), axis=1, keepdims=True)
+            g = np.sign(pts) * s ** (self.p - 1.0) / np.sum(
+                s ** self.p, axis=1, keepdims=True) ** (1.0 - 1.0 / self.p)
         elif self.kind == "ellipse":
             f = self.__call__(pts)
             g = pts @ self.matrix / f[:, None]

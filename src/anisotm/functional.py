@@ -1,11 +1,12 @@
 """Anisotropic Trudinger-Moser functionals on radial profiles.
 
-For a nonincreasing profile g, the Wulff-symmetric function u(x) = g(F0(x))
-has closed radial reductions: with kappa the unit Wulff-ball volume,
+For a nonincreasing profile g, the Wulff-symmetric function u(x) = g(F0(-x))
+(g(F0(x)) for an even gauge; rearrange explains the reflection) has closed
+radial reductions: with kappa the unit Wulff-ball volume,
 
-    ||u||_q^q            = n kappa int_0^R g^q r^{n-1} dr,
-    ||F(grad u)||_n^n    = n kappa int_0^R |g'|^n r^{n-1} dr,
-    int K(u) F0^{-b} dx  = n kappa int_0^R K(g) r^{n-1-b} dr.
+    ||u||_q^q                = n kappa int_0^R g^q r^{n-1} dr,
+    ||F(grad u)||_n^n        = n kappa int_0^R |g'|^n r^{n-1} dr,
+    int K(u) F0(-x)^{-b} dx  = n kappa int_0^R K(g) r^{n-1-b} dr.
 
 The subcritical functional integrates exp(lam(1-b/n) g^{n/(n-1)}) g^p (the
 exp-power variant) or the truncated exponential series Phi (the phi-series
@@ -264,7 +265,7 @@ def _exp_rule(knots, n, beta):
 
 
 def lq_norm_radial(g, q, F):
-    """(n kappa int_0^R g^q r^{n-1} dr)^{1/q} for u(x) = g(F0(x))."""
+    """(n kappa int_0^R g^q r^{n-1} dr)^{1/q} for u(x) = g(F0(-x))."""
     if q < 1.0:
         raise ParamError(f"q must be >= 1, got {q}")
     n = F.dim

@@ -3,17 +3,16 @@
 The subcritical problem maximizes the exponential functional over
 nonincreasing profiles with both norms 1; the critical problem maximizes
 the truncated-series functional on the constraint sphere
-||F grad u||_n^a + ||u||_q^b = 1.  Both reduce to finite-dimensional
-searches over knot values on a geometric radial grid.  Each restart is one
-bounded L-BFGS-B ascent in the nonnegative knot decrements, so every
-candidate is nonincreasing by construction; no polishing stage follows.  The
-ascent evaluates functional.RadialObjective: the renormalized (unit sphere
-or constraint sphere) value on quadrature built once per search, with its
-analytic gradient.  The best restart's final iterate is then
-renormalized through the library maps and re-evaluated, so every reported
-value is realized by a stored profile and values are honest lower bounds
-for the true suprema.  One routine runs both searches, and the residuals
-of a found profile come from maximizer_diagnostics alone.
+||F grad u||_n^a + ||u||_q^b = 1.  By Wulff symmetry the gauge enters only
+through k = kappa_n(F)/omega_n: with rho = k^{(q/n-1)/n}, h -> k^{-1/n}
+h(r/rho) maps the Euclidean problem at rate lam k^{-1/(n-1)} onto that of
+F at rate lam, keeps both norms and the constraint, and multiplies values
+by k rho^{n-beta} (and k^{-p/n} for the exp-power integrand).  So every
+search runs the Euclidean problem: restarts of one bounded L-BFGS-B ascent
+of functional.RadialObjective in the nonnegative decrements of knot values
+on a geometric grid.  The best final iterate is renormalized, carried to F
+and re-evaluated there, so each reported value is realized by a stored
+profile: an honest lower bound for the true supremum.
 
 The sup identity writes the critical value at lam as
 
@@ -25,28 +24,29 @@ scaling construction turns the sweep argmax into a critical candidate.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .functional import (ParamError, RadialObjective, atmsc_value,
+from .finsler import FinslerNorm, wulff_volume
+from .functional import (EXP_POWER, ParamError, RadialObjective, atmsc_value,
                          critical_value, lq_norm_radial, grad_norm_radial,
                          aa_bracket, series_start, validate_lambda)
 from .profiles import RadialProfile
 from .rearrange import rasterize_profile, convex_symmetrization
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchConfig:
     """Search-space and budget knobs.
 
-    ``radius`` is the outer radius of the pre-normalization knot grid; all
-    initializers are supported within radius/2 so their q-norm tails vanish.
+    ``radius`` is the outer radius of the pre-normalization knot grid, in
+    the units of the Euclidean problem every search runs; all initializers
+    are supported within radius/2 so their q-norm tails vanish.  The
+    subcritical value does not depend on it (normalization rescales radii).
     ``budget`` caps the value-and-gradient evaluations of each restart's
-    L-BFGS-B ascent (the gradient is analytic, so there are no other
-    objective calls); a search makes at most restarts * budget of them.
-    ``extra_inits`` are warm-start profiles (resampled onto the knot grid).
+    L-BFGS-B ascent; a search makes at most restarts * budget of them.
     """
 
     knots: int = 64
@@ -55,7 +55,6 @@ class SearchConfig:
     budget: int = 4000
     seed: int = 0
     radius_critical: float = None    # critical-search radius, default 2*radius
-    extra_inits: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         for name, least in (("knots", 2), ("restarts", 1), ("budget", 1)):
@@ -178,22 +177,27 @@ def _ascend(obj, theta, maxfev):
 
 
 def _search(params, F, config, mode):
-    """Deterministic multistart for ``mode`` ('subcritical' or 'critical'):
-    canonical initializers first, then seeded perturbations of them.  Each
-    restart is one L-BFGS-B ascent; the final iterate of the best, by
-    (value, lowest index), becomes the witness profile, built and
-    re-evaluated through the library maps.  The critical search runs on
-    knots out to ``radius_critical`` (default 2 * radius)."""
+    """Deterministic multistart for ``mode`` ('subcritical' or 'critical')
+    on the Euclidean problem (module docstring): canonical initializers
+    first, then seeded perturbations, each one L-BFGS-B ascent; the best, by
+    (value, lowest index), is built, mapped to F and re-evaluated there.
+    The critical knots reach ``radius_critical`` (default 2 * radius).  For
+    a Euclidean F every factor is exactly 1.0."""
     config = config or SearchConfig()
     validate_lambda(params, F)
+    n = params.n
+    euclid = FinslerNorm.euclidean(n)
+    k = wulff_volume(F) / wulff_volume(euclid)
+    rho = k ** ((params.q / n - 1.0) / n)
+    p = params.p if mode == "subcritical" and params.variant == EXP_POWER else 0.0
+    scale = k ** (1.0 - p / n) * rho ** (n - params.beta)
     radius = config.radius
     if mode == "critical":
         radius = config.radius_critical or 2.0 * radius
     knots = geometric_knots(radius, config.knots)
-    obj = RadialObjective(params, F, knots, mode)
+    obj = RadialObjective(params.with_lam(params.lam * k ** (-1.0 / (n - 1.0))),
+                          euclid, knots, mode)
     inits = _initializers(knots)
-    for extra in config.extra_inits:
-        inits.insert(0, extra(knots[:-1]))
 
     results = []
     for idx in range(config.restarts):
@@ -205,13 +209,15 @@ def _search(params, F, config, mode):
 
     vals = np.array([r[1] for r in results])
     order = np.argsort(-vals, kind="stable")
-    best_val, best_prof = obj.witness(results[order[0]][0])
-    if best_prof is None:
+    best = obj.witness(results[order[0]][0])[1]
+    if best is None:
         raise ParamError("search produced no feasible candidate; the configured "
                          "radius/knot grid admits no usable profile")
-    top = vals[order[:3]]
-    return SearchResult(value=float(best_val), profile=best_prof,
-                        restart_values=tuple(float(v) for v in vals),
+    profile = best.scaled(value_factor=k ** (-1.0 / n), radius_factor=rho)
+    value = (atmsc_value if mode == "subcritical" else critical_value)(profile, params, F)
+    top = vals[order[:3]] * scale
+    return SearchResult(value=float(value), profile=profile,
+                        restart_values=tuple(float(v) * scale for v in vals),
                         spread=float(top[0] - top[-1]))
 
 
@@ -255,29 +261,18 @@ def _sweep_ts(params, grid_size):
 
 
 def identity_sweep(params, F, grid_size=24, config=None):
-    """Sample bracket(t) * f(t) over t in (0, lam).
-
-    f estimates warm-start from the previous t (ascending order), which
-    also makes the stored f sequence consistent with the integrand's
-    monotonicity in t up to search noise.
-    """
+    """Sample bracket(t) * f(t) over t in (0, lam); each f is a standalone
+    estimate_f at its t, with a quarter of the restarts (at least 2)."""
     if grid_size < 8:
         raise ParamError("sweep grid needs at least 8 points")
     config = config or SearchConfig()
     validate_lambda(params, F)
     ts = _sweep_ts(params, grid_size)
     point_config = replace(config, restarts=max(2, config.restarts // 4))
-    fs, spreads, profiles = [], [], []
-    prev = ()
-    for t in ts:
-        point_config.extra_inits = prev
-        est = estimate_f(params.with_lam(float(t)), F, point_config)
-        fs.append(est.value)
-        spreads.append(est.spread)
-        profiles.append(est.profile)
-        prev = (est.profile,)
-    fs = np.array(fs)
-    spreads = np.array(spreads)
+    ests = [estimate_f(params.with_lam(float(t)), F, point_config) for t in ts]
+    fs = np.array([est.value for est in ests])
+    spreads = np.array([est.spread for est in ests])
+    profiles = [est.profile for est in ests]
     brackets = np.asarray(aa_bracket(ts, params))
     products = brackets * fs
     k_star = int(np.argmax(products))

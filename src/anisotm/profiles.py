@@ -1,6 +1,6 @@
 """Radial profiles: nonincreasing piecewise-linear functions of F0-radius.
 
-A profile g stands for the radially symmetric function u(x) = g(F0(x)).
+A profile g stands for the Wulff-symmetric function u(x) = g(F0(-x)).
 Values are stored at increasing knots r_0 = 0 < r_1 < ... < r_M with
 g(r_M) = 0 and linear interpolation in between; beyond the last knot the
 profile is zero.

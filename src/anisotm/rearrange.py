@@ -3,15 +3,16 @@
 Grid functions live at cell centers of [-L, L]^n with zero boundary layer,
 so extension by zero is consistent and the sort-based decreasing
 rearrangement u_sharp is exact (grid functions are step functions).  Convex
-symmetrization composes u_sharp with the Wulff-ball volume radius:
+symmetrization composes u_sharp with the reflected Wulff-ball volume radius:
 
-    u_star(x) = u_sharp(kappa * F0(x)^n),
+    u_star(x) = u_sharp(kappa * F0(-x)^n),
 
-which is equimeasurable with u, Wulff-symmetric, and nonincreasing in
-F0(x).  Schwarz symmetrization is the Euclidean special case.  The module
-also carries the verification harness: equimeasurability gaps, the
-Polya-Szego energy comparison, and the Hardy-Littlewood product inequality
-with its equality-case diagnostic.
+which is equimeasurable with u and nonincreasing in F0(-x).  Reflecting x
+makes F(grad u_star) = |g'|, so the radial formulas of functional hold for
+uneven gauges too (Van Schaftingen, Ann. IHP 23, 2006).  The module also
+carries the verification harness: equimeasurability gaps, the Polya-Szego
+energy comparison, and the Hardy-Littlewood product inequality with its
+equality-case diagnostic.
 
 Discretization allowance: symmetrization moves mass across cell boundaries,
 so identities that are exact in the continuum hold on grids only up to a
@@ -224,12 +225,13 @@ def _wulff_field(F, dim, halfwidth, m):
     """(F0, t_sorted, order) on the cell centers of the grid of side m on
     [-halfwidth, halfwidth]^dim.
 
-    F0 is the polar gauge at the centers (shape (m,)*dim), t = kappa F0^n
-    is the Wulff-ball volume of each center's level, and ``order`` sorts the
+    F0 is the polar gauge at the reflected centers -x (a negated half-width
+    gives them, bit for bit), shape (m,)*dim; t = kappa F0^n is the
+    Wulff-ball volume of each center's level, and ``order`` sorts the
     flattened t ascending (t_sorted = t[order]).  The gauge keeps one
     read-only field per grid, so all uses on one grid evaluate F0 once.
     """
-    f0 = F.polar()(_cell_centers(dim, halfwidth, m).reshape(-1, dim))
+    f0 = F.polar()(_cell_centers(dim, -halfwidth, m).reshape(-1, dim))
     t = wulff_volume(F) * f0 ** dim
     order = np.argsort(t, kind="stable").astype(np.int32)
     field = (f0.reshape((m,) * dim), t[order], order)
@@ -240,10 +242,10 @@ def _wulff_field(F, dim, halfwidth, m):
 
 @_cached("star")
 def convex_symmetrization(u, F):
-    """u_star(x) = u_sharp(kappa F0(x)^n) sampled on u's own grid.
+    """u_star(x) = u_sharp(kappa F0(-x)^n) sampled on u's own grid.
 
-    The cells in ascending order of t = kappa F0^n take the rearrangement's
-    levels in turn: level k goes to the cells with t in
+    The cells in ascending order of t = kappa F0(-x)^n take the
+    rearrangement's levels in turn: level k goes to the cells with t in
     [breakpoints[k-1], breakpoints[k]), found by bisecting the sorted t.
 
     The result is computed once per gauge and kept in ``u._cache``.
@@ -278,7 +280,7 @@ def _support_overflow(what, radius, F, h):
 
 @_cached("profile")
 def profile_of(u_star, F):
-    """Radial profile g with u_star(x) = g(F0(x)), on m + 1 uniform knots.
+    """Radial profile g with u_star(x) = g(F0(-x)), on m + 1 uniform knots.
 
     In the radial variable the rearrangement is a staircase with jumps at
     rho_k = (t_k/kappa)^{1/n}; sampling it pointwise would put its whole
@@ -333,7 +335,7 @@ def profile_of(u_star, F):
 
 
 def rasterize_profile(g, F, halfwidth, m):
-    """Sample g(F0(x)) on a fresh grid of F's dimension."""
+    """Sample g(F0(-x)) on a fresh grid of F's dimension."""
     if not (0.0 < halfwidth < np.inf and operator.index(m) >= 4):
         raise ValueError(f"a grid needs a positive finite half-width and a side "
                          f"m >= 4, got {halfwidth} and {m}")
@@ -362,7 +364,7 @@ def grid_dirichlet_energy(u, F):
 
 
 def grid_atmsc_value(u, params, F):
-    """Grid quadrature of the exponential integrand with weight F0^{-beta}.
+    """Grid quadrature of the exponential integrand with weight F0(-x)^{-beta}.
 
     Cell-center evaluation keeps the singular weight finite provided no
     center sits at the origin; even m guarantees that.

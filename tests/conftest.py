@@ -49,6 +49,16 @@ def gauge_sampled_smooth():
 
 
 @pytest.fixture(scope="session")
+def gauge_uneven():
+    """|xi| + 0.3 xi_1, not even: its Wulff ball is the unit disc centred at
+    (0.3, 0), so F0(-x) differs from F0(x)."""
+    th = np.arange(SMOOTH_NODES) * (2.0 * np.pi / SMOOTH_NODES)
+    F = FinslerNorm.sampled(1.0 + 0.3 * np.cos(th), rule="spline")
+    F.polar()
+    return F
+
+
+@pytest.fixture(scope="session")
 def anchor_gauges(gauge_euclid, gauge_ellipse, gauge_maxgauge):
     return {"euclidean": gauge_euclid, "ellipse": gauge_ellipse,
             "maxgauge": gauge_maxgauge}

@@ -15,7 +15,7 @@ from anisotm import (SearchConfig, SearchResult, estimate_f, identity_sweep,
                      threshold_check, maximizer_diagnostics, normalize_sphere,
                      critical_value, atmsc_value, aa_bracket, lq_norm_radial,
                      grad_norm_radial, FunctionalParams, ParamError,
-                     RadialProfile)
+                     RadialProfile, FinslerNorm, wulff_volume, sharp_constant)
 from anisotm.maximize import geometric_knots, isotonic_nonincreasing
 
 PARAMS = FunctionalParams(n=2, q=2.0, beta=0.5, lam=np.pi, a=2.0, b=2.0)
@@ -149,13 +149,6 @@ def test_estimate_f_rejects_supercritical(gauge_euclid):
         estimate_f(PARAMS.with_lam(4.0 * np.pi), gauge_euclid, small_config())
 
 
-def test_warm_start_profiles(gauge_euclid):
-    est = estimate_f(PARAMS, gauge_euclid, small_config())
-    warm = estimate_f(PARAMS, gauge_euclid,
-                      small_config(extra_inits=(est.profile,)))
-    assert warm.value >= est.value - 1e-9
-
-
 # -- critical search ----------------------------------------------------------
 
 def test_direct_critical_smoke(gauge_euclid):
@@ -179,6 +172,47 @@ def test_searches_share_one_result_type(gauge_euclid, search):
     assert res.spread == max(res.restart_values) - min(res.restart_values)
 
 
+# -- Wulff reduction -----------------------------------------------------------
+
+METAMORPHIC_GAUGES = {
+    "pnorm4": lambda request: request.getfixturevalue("gauge_pnorm4"),
+    "ellipse": lambda request: request.getfixturevalue("gauge_ellipse"),
+    "sampled_even": lambda request: request.getfixturevalue("gauge_sampled_smooth"),
+    "sampled_uneven": lambda request: request.getfixturevalue("gauge_uneven"),
+    "ellipse_3d": lambda request: FinslerNorm.ellipse(np.diag([4.0, 1.0, 2.0])),
+    "pnorm4_3d": lambda request: FinslerNorm.pnorm(4.0, 3),
+}
+
+
+@pytest.mark.parametrize("search,variant", [(estimate_f, "phi_series"),
+                                            (estimate_f, "exp_power"),
+                                            (direct_critical_max, "phi_series")],
+                         ids=["subcritical", "subcritical-exp_power", "critical"])
+@pytest.mark.parametrize("gauge", list(METAMORPHIC_GAUGES))
+def test_search_value_depends_on_gauge_through_kappa(gauge, search, variant, request):
+    # Wulff symmetry: with k = kappa_n(F)/omega_n and rho = k^{(q/n-1)/n},
+    # f_F(lam) = k rho^{n-beta} f_E(lam k^{-1/(n-1)}) (times k^{-p/n} for the
+    # exp-power integrand), q != n and a != b included
+    F = METAMORPHIC_GAUGES[gauge](request)
+    n = F.dim
+    q, beta, a, b = (3.0, 0.5, 1.5, 4.0) if n == 2 else (2.0, 1.0, 2.0, 3.0)
+    params = FunctionalParams(n=n, q=q, beta=beta, lam=0.5 * sharp_constant(F),
+                              a=a, b=b, p=q, variant=variant)
+    euclid = FinslerNorm.euclidean(n)
+    k = wulff_volume(F) / wulff_volume(euclid)
+    rho = k ** ((q / n - 1.0) / n)
+    c = k * rho ** (n - beta)
+    if search is estimate_f and variant == "exp_power":
+        c *= k ** (-q / n)
+    config = small_config(restarts=3)
+    got = search(params, F, config)
+    ref = search(params.with_lam(params.lam * k ** (-1.0 / (n - 1.0))), euclid, config)
+    assert abs(got.value / (c * ref.value) - 1.0) <= 1e-13
+    assert np.allclose(got.restart_values, c * np.array(ref.restart_values),
+                       rtol=1e-13, atol=0.0)
+    assert max(got.restart_values) == pytest.approx(got.value, rel=1e-12)
+
+
 # -- sweep --------------------------------------------------------------------
 
 def test_identity_sweep_smoke(gauge_euclid):
@@ -197,6 +231,16 @@ def test_identity_sweep_smoke(gauge_euclid):
     assert diag["threshold"] is None                       # beta > 0
     with pytest.raises(ParamError):
         identity_sweep(PARAMS, gauge_euclid, grid_size=4)
+
+
+def test_identity_sweep_points_stand_alone(gauge_euclid):
+    # each f is the standalone search at its t with the per-point config
+    # (a quarter of the restarts, at least 2): no warm start carries over
+    sweep = identity_sweep(PARAMS, gauge_euclid, grid_size=8,
+                           config=small_config(restarts=8))
+    point = small_config(restarts=2)
+    for t, f in zip(sweep.ts, sweep.f_estimates):
+        assert f == estimate_f(PARAMS.with_lam(float(t)), gauge_euclid, point).value
 
 
 # -- diagnostics --------------------------------------------------------------

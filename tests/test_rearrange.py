@@ -169,12 +169,12 @@ def test_symmetrization_is_idempotent(hand_grid, gauge_euclid):
 
 
 def pointwise_symmetrization(u, F):
-    """u_sharp(kappa F0(x)^n) evaluated cell by cell, the defining formula."""
-    t = wulff_volume(F) * F.polar()(u.centers().reshape(-1, u.dim)) ** u.dim
+    """u_sharp(kappa F0(-x)^n) evaluated cell by cell, the defining formula."""
+    t = wulff_volume(F) * F.polar()(-u.centers().reshape(-1, u.dim)) ** u.dim
     return decreasing_rearrangement(u)(t).reshape(u.values.shape)
 
 
-@pytest.mark.parametrize("gauge", ["euclid", "pnorm4", "sampled_smooth"])
+@pytest.mark.parametrize("gauge", ["euclid", "pnorm4", "sampled_smooth", "uneven"])
 def test_symmetrization_equals_pointwise_formula(gauge, request):
     # Euclidean grids have many cells with tied t; the scatter must still
     # agree bit for bit with evaluating the rearrangement at each cell
@@ -448,6 +448,28 @@ def test_polya_szego_smoke(gauge_euclid, gauge_ellipse):
             dirichlet_energy_radial(cone, F), rel=0.2)
     zero = polya_szego_check(GridFunction.zeros(2, 1.0, 4), gauge_euclid)
     assert zero.gap == 0.0
+
+
+def test_uneven_gauge_cone_energy_matches_radial(gauge_uneven):
+    # u = g(F0(-x)) has F(grad u) = |g'|, so the radial formula is the grid
+    # energy of the rasterized profile; g(F0(x)) would read 3.73 against 3.14
+    cone = RadialProfile([0.0, 1.0], [1.0, 0.0])
+    u = rasterize_profile(cone, gauge_uneven, 3.0, 512)
+    radial = dirichlet_energy_radial(cone, gauge_uneven)
+    assert abs(grid_dirichlet_energy(u, gauge_uneven) / radial - 1.0) <= disc_tolerance(u.h)
+
+
+def test_uneven_gauge_symmetrization_lowers_energy(gauge_uneven):
+    # Polya-Szego on the grid itself: u_star's own grid energy is at most
+    # u's, for an off-centre Euclidean cone and a gauge that is not even
+    shell = GridFunction.zeros(2, 3.0, 512)
+    x = shell.centers()
+    u = GridFunction(3.0, np.maximum(1.0 - np.hypot(x[..., 0] - 0.5, x[..., 1] - 0.2), 0.0))
+    e_u = grid_dirichlet_energy(u, gauge_uneven)
+    e_star = grid_dirichlet_energy(convex_symmetrization(u, gauge_uneven), gauge_uneven)
+    assert e_star <= e_u + disc_tolerance(u.h) * (1.0 + e_u)
+    assert e_star == pytest.approx(polya_szego_check(u, gauge_uneven).energy_ustar,
+                                   rel=disc_tolerance(u.h))
 
 
 def test_equimeasurability_small(gauge_euclid):
