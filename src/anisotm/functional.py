@@ -14,7 +14,8 @@ variant); the critical functional always uses the Phi form.  Normalization
 maps rescale profiles so both norms are 1 (unit-sphere form) or onto the
 constraint sphere ||F grad u||^a + ||u||_q^b = 1.  RadialObjective gives
 the normalized functionals on one knot grid with their gradients, for the
-profile search; it shares its quadrature rules with the functions above.
+profile search, and without them on blocks of candidates; it shares its
+quadrature rules with the functions above.
 """
 
 import math
@@ -293,11 +294,9 @@ def grad_norm_radial(g, F):
 
 
 def _kernel_argument(u, params):
-    """lam(1-beta/n) u^{n/(n-1)} and its derivative in u."""
+    """lam(1-beta/n) u^{n/(n-1)}, the exponent of the integrand at u."""
     n = params.n
-    rate = params.lam * (1.0 - params.beta / n)
-    u = np.asarray(u, float)
-    return rate * u ** (n / (n - 1.0)), rate * n / (n - 1.0) * u ** (1.0 / (n - 1.0))
+    return params.lam * (1.0 - params.beta / n) * u ** (n / (n - 1.0))
 
 
 def _phi_slope(t, j_start, tail):
@@ -305,19 +304,41 @@ def _phi_slope(t, j_start, tail):
     return tail + t ** (j_start - 1) / math.factorial(j_start - 1)
 
 
-def _kernel_and_slope(u, params, force_phi):
-    """Exponential integrand at the values u >= 0 (an array; no spatial
-    weight) and its derivative in u.
+def _kernel(u, params, force_phi, arg=None, j_start=None):
+    """Exponential integrand at the values u >= 0 (an array of any shape;
+    no spatial weight).
 
     exp-power: exp(lam(1-beta/n) u^{n/(n-1)}) u^p; phi-series (or any
     variant with ``force_phi``): the truncated series at the same argument.
-    Raises FunctionalOverflowError on overflow.  Where u = 0 and the
-    exp-power factor u^{p-1} is infinite (p < 1), the one-sided derivative
-    is taken as 0.
+    ``arg`` and ``j_start``, when given, are that argument and
+    series_start(params).j_start, already computed.  Raises
+    FunctionalOverflowError on overflow.
     """
-    arg, darg = _kernel_argument(u, params)
+    u = np.asarray(u, float)
+    if arg is None:
+        arg = _kernel_argument(u, params)
     _check_exp_argument(arg)
     if params.variant == EXP_POWER and not force_phi:
+        return np.exp(arg) * u ** params.p
+    if j_start is None:
+        j_start = series_start(params).j_start
+    return _phi_stable(arg, j_start)
+
+
+def _kernel_and_slope(u, params, force_phi, j_start):
+    """_kernel at the values u >= 0 and its derivative in u, with j_start =
+    series_start(params).j_start.
+
+    Where u = 0 and the exp-power factor u^{p-1} is infinite (p < 1), the
+    one-sided derivative is taken as 0.
+    """
+    n = params.n
+    u = np.asarray(u, float)
+    arg = _kernel_argument(u, params)
+    darg = params.lam * (1.0 - params.beta / n) * n / (n - 1.0) * u ** (1.0 / (n - 1.0))
+    if params.variant == EXP_POWER and not force_phi:
+        # the product rule needs both factors of exp(arg) u^p
+        _check_exp_argument(arg)
         p = params.p
         ex = np.exp(arg)
         up = u ** p
@@ -325,9 +346,8 @@ def _kernel_and_slope(u, params, force_phi):
             dup = p * u ** (p - 1.0)
         dup[np.isinf(dup)] = 0.0
         return ex * up, ex * (darg * up + dup)
-    j0 = series_start(params).j_start
-    tail = _phi_stable(arg, j0)
-    return tail, _phi_slope(arg, j0, tail) * darg
+    tail = _kernel(u, params, force_phi, arg, j_start)
+    return tail, _phi_slope(arg, j_start, tail) * darg
 
 
 def _radial_exp_integral(g, params, F, force_phi):
@@ -337,7 +357,7 @@ def _radial_exp_integral(g, params, F, force_phi):
     r, w = _exp_rule(g.knots, params.n, params.beta)
     gv = np.interp(r, g.knots, g.values)
     try:
-        kern = _kernel_and_slope(gv, params, force_phi)[0]
+        kern = _kernel(gv, params, force_phi)
     except FunctionalOverflowError as err:
         r_bad = float(r[int(np.argmax(gv))])
         k = max(int(np.searchsorted(g.knots, r_bad, side="right")) - 1, 0)
@@ -465,9 +485,11 @@ class RadialObjective:
     radial rules are homogeneous in the knots, so nodes, weights and
     interpolation indices are built once, on ``knots``: shrinking the radius
     by 1/t multiplies the subcritical integral by t^{beta-n}, and the
-    constraint projection keeps the knots.  The gradient follows by the
-    chain rule through the energy, the q-norm, the kernel and the scale
-    factors.  Degenerate or overflowing candidates have value -inf.
+    constraint projection keeps the knots.  One forward pass (the energy,
+    the q-norm, the scale factor, the kernel) serves value_and_grad, which
+    adds the gradient by the chain rule through each of them, and values,
+    which scores a block of candidates row by row without it.  Degenerate
+    or overflowing candidates have value -inf.
     """
 
     def __init__(self, params, F, knots, mode):
@@ -481,23 +503,84 @@ class RadialObjective:
         self._nkappa = n * kappa
         self._h = np.diff(self.knots)
         self._energy_w = kappa * np.diff(self.knots ** n)
-        r, self._wq = _lq_rule(self.knots, n)
-        self._lq, self._lq_t = self._interpolation(r)
-        r, self._we = _exp_rule(self.knots, n, params.beta)
-        self._exp, self._exp_t = self._interpolation(r)
+        r_q, self._wq = _lq_rule(self.knots, n)
+        r_e, self._we = _exp_rule(self.knots, n, params.beta)
+        lq, exp = self._interpolation(r_q), self._interpolation(r_e)
+        # one sparse product gives the profile at both node sets
+        self._nodes = sparse.vstack([lq, exp], format="csr")
+        self._nq = r_q.size
+        self._lq_t, self._exp_t = lq.T.tocsr(), exp.T.tocsr()
+        self._j_start = series_start(params).j_start
 
     def _interpolation(self, r):
         """Sparse map from knot values to the piecewise-linear profile at
-        the nodes r, and its transpose."""
+        the nodes r."""
         idx = np.clip(np.searchsorted(self.knots, r, side="right") - 1,
                       0, self.knots.size - 2)
         frac = (r - self.knots[idx]) / self._h[idx]
         rows = np.arange(r.size)
-        interp = sparse.csr_array(
+        return sparse.csr_array(
             (np.concatenate([1.0 - frac, frac]),
              (np.concatenate([rows, rows]), np.concatenate([idx, idx + 1]))),
             shape=(r.size, self.knots.size))
-        return interp, interp.T.tocsr()
+
+    def _scale(self, E, Q):
+        """Normalization of one candidate from its energy E and q-norm
+        integral Q, in scalar arithmetic: (ok, X, Y, c, scale) with X =
+        E^{1/n}, Y = Q^{1/q}, the constraint root c ('critical'; None for
+        'subcritical'), the factor scale in value = scale * (weights @
+        kernel), and ok False where the normalization degenerates."""
+        p = self.params
+        n, q = p.n, p.q
+        X, Y = E ** (1.0 / n), Q ** (1.0 / q)
+        if self.mode == "subcritical":
+            # u -> g(t r)/e with e = X, t = (Y/e)^{q/n}
+            ok = X > 1e-14 and Y > 1e-300
+            return ok, X, Y, None, self._nkappa * ((Y / X) ** (q / n)) ** (p.beta - n)
+        # u -> c u with (c X)^a + (c Y)^b = 1
+        return True, X, Y, _constraint_root(X, Y, p.a, p.b), self._nkappa
+
+    def _forward(self, theta):
+        """The pass shared by value_and_grad (theta of shape (K,)) and values
+        (a block of shape (B, K), row by row).
+
+        Returns (ok, w, scale, slope, E, uq, Q, u, X, Y, c): the profile's
+        slopes, its energy E, its values uq and u at the q-norm and
+        exponential nodes, its q-norm integral Q, _scale of E and Q, and the
+        kernel input w (u/X for 'subcritical', c u for 'critical').  A row
+        of a block gets the arithmetic of a lone candidate, bit for bit:
+        its sums are the same dot products over contiguous rows, and its
+        scale factors the same scalar operations.
+        """
+        n, q = self.params.n, self.params.q
+        v = np.concatenate([theta, np.zeros(theta.shape[:-1] + (1,))], axis=-1)
+        slope = np.diff(v) / self._h
+        nodes = np.ascontiguousarray((self._nodes @ v.T).T)
+        uq, u = nodes[..., :self._nq], nodes[..., self._nq:]
+        E = np.vecdot(np.abs(slope) ** n, self._energy_w)
+        Q = self._nkappa * np.vecdot(uq ** q, self._wq)
+        if theta.ndim == 1:
+            ok, X, Y, c, scale = self._scale(E, Q)
+        else:
+            ok, X, Y, c, scale = map(np.array, zip(*map(self._scale, E, Q)))
+        w = u / X[..., None] if self.mode == "subcritical" else np.asarray(c)[..., None] * u
+        return ok, w, scale, slope, E, uq, Q, u, X, Y, c
+
+    def values(self, thetas):
+        """Objective values of a block of candidates, one per row of the
+        (B, K) array ``thetas``: bit for bit the value value_and_grad gives
+        each row, without the gradient; -inf for each degenerate or
+        overflowing row, never an error for the block."""
+        thetas = np.asarray(thetas, dtype=float)
+        p = self.params
+        with np.errstate(all="ignore"):
+            ok, w, scale = self._forward(thetas)[:3]
+            arg = _kernel_argument(w, p)
+            ok = ok & np.any(thetas > 1e-12, axis=-1) & (np.max(arg, axis=-1) <= _EXP_ARG_MAX)
+            kern = _kernel(np.where(ok[:, None], w, 0.0), p, self.mode == "critical",
+                           np.where(ok[:, None], arg, 0.0), self._j_start)
+            vals = scale * np.vecdot(kern, self._we)
+        return np.where(ok & np.isfinite(vals), vals, -np.inf)
 
     def value_and_grad(self, theta):
         """Objective value at the knot values theta and its gradient in
@@ -508,43 +591,29 @@ class RadialObjective:
             return fail
         p = self.params
         n, q = p.n, p.q
-        v = np.append(theta, 0.0)
-        slope = np.diff(v) / self._h
-        E = self._energy_w @ np.abs(slope) ** n
+        ok, w, scale, slope, E, uq, Q, u, X, Y, c = self._forward(theta)
+        if not ok:
+            return fail
+        try:
+            kern, dkern = _kernel_and_slope(w, p, self.mode == "critical", self._j_start)
+        except FunctionalOverflowError:
+            return fail
+        value = scale * np.vecdot(kern, self._we)
         d_slope = n * np.abs(slope) ** (n - 1) * np.sign(slope) * self._energy_w / self._h
         # v_k enters slope k - 1 with +1/h_{k-1} and slope k with -1/h_k
         dE = -np.append(d_slope, 0.0)
         dE[1:] += d_slope
-        uq = self._lq @ v
-        Q = self._nkappa * (self._wq @ uq ** q)
         dQ = self._nkappa * (self._lq_t @ (q * self._wq * uq ** (q - 1.0)))
-        u = self._exp @ v
-        try:
-            if self.mode == "subcritical":
-                # u -> g(t r)/e with e = E^{1/n}, t = (Q^{1/q}/e)^{q/n}
-                e, qn = E ** (1.0 / n), Q ** (1.0 / q)
-                if e <= 1e-14 or qn <= 1e-300:
-                    return fail
-                t = (qn / e) ** (q / n)
-                kern, dkern = _kernel_and_slope(u / e, p, force_phi=False)
-                scale = self._nkappa * t ** (p.beta - n)
-                value = scale * (self._we @ kern)
-                d_u = self._we * dkern / e
-                d_int = self._exp_t @ d_u - (d_u @ u) / (n * E) * dE
-                d_log_t = dQ / (n * Q) - q / (n * n) * dE / E
-                grad = scale * d_int - (n - p.beta) * value * d_log_t
-            else:
-                # u -> c u with (c X)^a + (c Y)^b = 1, X = E^{1/n}, Y = Q^{1/q}
-                X, Y = E ** (1.0 / n), Q ** (1.0 / q)
-                c = _constraint_root(X, Y, p.a, p.b)
-                kern, dkern = _kernel_and_slope(c * u, p, force_phi=True)
-                value = self._nkappa * (self._we @ kern)
-                A, B = p.a * (c * X) ** p.a, p.b * (c * Y) ** p.b
-                d_log_c = -(A * dE / (n * E) + B * dQ / (q * Q)) / (A + B)
-                d_u = self._nkappa * self._we * dkern
-                grad = c * (self._exp_t @ d_u + (d_u @ u) * d_log_c)
-        except FunctionalOverflowError:
-            return fail
+        if self.mode == "subcritical":
+            d_u = self._we * dkern / X
+            d_int = self._exp_t @ d_u - (d_u @ u) / (n * E) * dE
+            d_log_t = dQ / (n * Q) - q / (n * n) * dE / E
+            grad = scale * d_int - (n - p.beta) * value * d_log_t
+        else:
+            A, B = p.a * (c * X) ** p.a, p.b * (c * Y) ** p.b
+            d_log_c = -(A * dE / (n * E) + B * dQ / (q * Q)) / (A + B)
+            d_u = self._nkappa * self._we * dkern
+            grad = c * (self._exp_t @ d_u + (d_u @ u) * d_log_c)
         if not (np.isfinite(value) and np.all(np.isfinite(grad))):
             return fail
         return float(value), grad[:-1]

@@ -322,6 +322,11 @@ def threshold_check(params):
     return ThresholdResult(float("nan"), False)
 
 
+# rows per RadialObjective.values call in maximizer_diagnostics; at 64 knots
+# blocks of 16 or 24 rows ran fastest, 32 rows 1.7 times slower
+_MARGIN_BLOCK = 16
+
+
 def maximizer_diagnostics(g, params, F, grid_resolution=256, objective="subcritical"):
     """Value, residuals and local-optimality margin of a claimed maximizer.
 
@@ -331,7 +336,9 @@ def maximizer_diagnostics(g, params, F, grid_resolution=256, objective="subcriti
     measures the relative L1 gap (0 up to interpolation error, since g is
     already Wulff-symmetric by construction).  The margin is the largest
     functional increase over 200 seeded random monotonicity-preserving
-    renormalized perturbations of relative size 1e-3.
+    renormalized perturbations of relative size 1e-3, scored in row blocks
+    by RadialObjective.values, the objective's own forward pass without its
+    gradient.
     """
     obj = RadialObjective(params, F, g.knots, objective)
     gn = grad_norm_radial(g, F)
@@ -348,11 +355,11 @@ def maximizer_diagnostics(g, params, F, grid_resolution=256, objective="subcriti
 
     theta0 = g.values[:-1]
     rng = np.random.default_rng(0)
-    margin = 0.0
-    for _ in range(200):
-        theta = theta0 * (1.0 + 1e-3 * rng.standard_normal(theta0.size))
-        val, _ = obj.value_and_grad(isotonic_nonincreasing(theta))
-        margin = max(margin, val - value)
+    trials = np.array([isotonic_nonincreasing(theta) for theta in
+                       theta0 * (1.0 + 1e-3 * rng.standard_normal((200, theta0.size)))])
+    best = max(np.max(obj.values(trials[i:i + _MARGIN_BLOCK]))
+               for i in range(0, len(trials), _MARGIN_BLOCK))
+    margin = max(0.0, best - value)
     return MaximizerReport(
         profile=g, value=float(value),
         grad_norm_residual=abs(gn - 1.0), q_norm_residual=abs(qn - 1.0),

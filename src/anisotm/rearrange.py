@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finsler import _cached, wulff_volume
-from .functional import (ParamError, FunctionalOverflowError, _kernel_and_slope,
+from .functional import (ParamError, FunctionalOverflowError, _kernel,
                          dirichlet_energy_radial)
 from .profiles import RadialProfile
 
@@ -373,7 +373,7 @@ def grid_atmsc_value(u, params, F):
         raise ParamError("grids with odd m have a cell center at the origin; "
                          "the singular weight needs even m")
     try:
-        kern = _kernel_and_slope(u.values, params, force_phi=False)[0]
+        kern = _kernel(u.values, params, force_phi=False)
     except FunctionalOverflowError as err:
         k = int(np.argmax(u.values))
         raise FunctionalOverflowError(

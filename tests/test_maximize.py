@@ -13,10 +13,12 @@ import pytest
 from anisotm import (SearchConfig, SearchResult, estimate_f, identity_sweep,
                      direct_critical_max, construct_critical_from_subcritical,
                      threshold_check, maximizer_diagnostics, normalize_sphere,
+                     constraint_scale,
                      critical_value, atmsc_value, aa_bracket, lq_norm_radial,
                      grad_norm_radial, FunctionalParams, ParamError,
                      RadialProfile, FinslerNorm, wulff_volume, sharp_constant)
-from anisotm.maximize import geometric_knots, isotonic_nonincreasing
+from anisotm.functional import RadialObjective
+from anisotm.maximize import _initializers, geometric_knots, isotonic_nonincreasing
 
 PARAMS = FunctionalParams(n=2, q=2.0, beta=0.5, lam=np.pi, a=2.0, b=2.0)
 SMALL = dict(knots=24, radius=8.0, restarts=2, budget=300, seed=0)
@@ -252,7 +254,37 @@ def test_maximizer_diagnostics(gauge_euclid):
     assert rep.value == pytest.approx(est.value, rel=1e-12)
     assert rep.grad_norm_residual < 1e-10
     assert rep.symmetry_residual <= 6.0 * (2.2 * est.profile.support_radius / 128)
-    assert rep.local_optimality_margin >= 0.0
+    # a witness of the ascent: no perturbation beats it
+    assert rep.local_optimality_margin == 0.0
     with pytest.raises(ParamError):
         maximizer_diagnostics(est.profile, PARAMS, gauge_euclid,
                               objective="nope")
+
+
+@pytest.mark.parametrize("mode", ["subcritical", "critical"])
+def test_margin_equals_serial_reference(gauge_euclid, mode, monkeypatch):
+    # the normalized cone is not a maximizer, so its margin is positive; the
+    # blocked scoring must reproduce the one-candidate-at-a-time loop, and
+    # without a single value_and_grad call
+    knots = geometric_knots(8.0, 24)
+    g = RadialProfile(knots, np.append(_initializers(knots)[0], 0.0))
+    g = (normalize_sphere(g, PARAMS.q, gauge_euclid) if mode == "subcritical" else
+         constraint_scale(g, PARAMS.a, PARAMS.b, gauge_euclid, PARAMS.q).scaled)
+    obj = RadialObjective(PARAMS, gauge_euclid, g.knots, mode)
+    rng = np.random.default_rng(0)
+    theta0 = g.values[:-1]
+    value = (atmsc_value if mode == "subcritical" else critical_value)(g, PARAMS, gauge_euclid)
+    want = 0.0
+    for _ in range(200):
+        theta = theta0 * (1.0 + 1e-3 * rng.standard_normal(theta0.size))
+        want = max(want, obj.value_and_grad(isotonic_nonincreasing(theta))[0] - value)
+    assert want > 1e-4
+
+    calls = []
+    serial = RadialObjective.value_and_grad
+    monkeypatch.setattr(RadialObjective, "value_and_grad",
+                        lambda self, theta: calls.append(1) or serial(self, theta))
+    rep = maximizer_diagnostics(g, PARAMS, gauge_euclid, grid_resolution=64,
+                                objective=mode)
+    assert rep.local_optimality_margin == want
+    assert calls == []

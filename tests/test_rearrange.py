@@ -480,5 +480,35 @@ def test_equimeasurability_small(gauge_euclid):
     assert max(gaps.values()) <= disc_tolerance(u.h)
 
 
+@settings(max_examples=60, deadline=None)
+@given(gauge=st.sampled_from(["euclid", "pnorm4", "ellipse", "sampled_smooth", "uneven"]),
+       half_m=st.integers(8, 32), levels=st.integers(0, 6),
+       seed=st.integers(0, 2 ** 32 - 1), q=st.floats(1.0, 5.0))
+def test_equimeasurability_property(gauge, half_m, levels, seed, q, gauge_euclid,
+                                    gauge_pnorm4, gauge_ellipse,
+                                    gauge_sampled_smooth, gauge_uneven):
+    # a random disc-supported grid function, with a few tied levels or
+    # (levels = 0) distinct values everywhere, keeps its distribution
+    # function and its L^q norms under symmetrization up to the allowance
+    F = {"euclid": gauge_euclid, "pnorm4": gauge_pnorm4, "ellipse": gauge_ellipse,
+         "sampled_smooth": gauge_sampled_smooth, "uneven": gauge_uneven}[gauge]
+    rng = np.random.default_rng(seed)
+    halfwidth = 2.6 / min(F.polar().direction_bounds()[0], 1.0)
+    x = GridFunction.zeros(2, halfwidth, 2 * half_m).centers()
+    disc = np.linalg.norm(x - rng.uniform(-0.5, 0.5, 2), axis=-1) < rng.uniform(0.4, 1.2)
+    if levels:
+        vals = rng.integers(1, levels + 1, disc.shape) * rng.uniform(0.1, 3.0)
+    else:
+        vals = rng.uniform(0.1, 3.0, disc.shape)
+    u = GridFunction(halfwidth, np.where(disc, vals, 0.0))
+    ustar = convex_symmetrization(u, F)
+    tol = disc_tolerance(u.h)
+    support = distribution_function(u, np.min(u.values[u.values > 0.0], initial=1.0))
+    for s in np.unique(u.values)[1:]:
+        gap = distribution_function(u, s) - distribution_function(ustar, s)
+        assert abs(gap) <= tol * support
+    assert equimeasurability_gaps(u, ustar, qs=(q,))[q] <= tol
+
+
 def test_disc_tolerance_form():
     assert disc_tolerance(0.01) == DISC_TOL_COEFF * 0.01
