@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,10 @@ def load_config(path, seed_override=None):
         raise ConfigError(f"config is not valid JSON: {err}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    for name in ("params", "search", "sweep"):
+        if not isinstance(cfg.get(name, {}), dict):
+            raise ConfigError(f"config field {name} must be a JSON object, "
+                              f"got {cfg[name]!r}")
     if seed_override is not None:
         cfg.setdefault("search", {})["seed"] = int(seed_override)
     hash_cfg = json.loads(json.dumps(cfg))
@@ -126,15 +131,14 @@ def params_from_config(cfg, F=None):
 
 
 def search_from_config(cfg):
-    """SearchConfig from the ``search`` block; ``search.threads`` is ignored."""
+    """SearchConfig from the fields the ``search`` block sets, so SearchConfig
+    keeps its own defaults; a field whose default is None may be null, and
+    ``search.threads`` is ignored."""
     block = cfg.get("search", {})
-    return SearchConfig(
-        knots=_number(block, "knots", "search", int, 64),
-        radius=_number(block, "radius", "search", float, 8.0),
-        restarts=_number(block, "restarts", "search", int, 4),
-        budget=_number(block, "budget", "search", int, 4000),
-        seed=_number(block, "seed", "search", int, 0),
-        radius_critical=_number(block, "radius_critical", "search", float, None))
+    return SearchConfig(**{
+        f.name: _number(block, f.name, "search", f.type,
+                        None if f.default is None else _REQUIRED)
+        for f in fields(SearchConfig) if f.name in block})
 
 
 # -- output helpers ----------------------------------------------------------
@@ -269,8 +273,11 @@ def cmd_sweep(cfg, digest, out):
     F = gauge_from_config(cfg)
     params = params_from_config(cfg, F)
     sconf = search_from_config(cfg)
-    grid_size = _number(cfg.get("sweep", {}), "grid_size", "sweep", int, 24)
-    res = identity_sweep(params, F, grid_size=grid_size, config=sconf)
+    sweep = cfg.get("sweep", {})
+    # identity_sweep keeps its own default grid size
+    sizing = ({"grid_size": _number(sweep, "grid_size", "sweep", int)}
+              if "grid_size" in sweep else {})
+    res = identity_sweep(params, F, config=sconf, **sizing)
     thr = threshold_check(params)
     if thr.applicable:
         verdict = ("attainment guaranteed" if res.g_value > thr.threshold

@@ -19,10 +19,11 @@ quadrature rules with the functions above.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
+from scipy.special import gammainc
 
 from .finsler import wulff_volume, sharp_constant
 from .profiles import RadialProfile
@@ -71,14 +72,17 @@ class FunctionalParams:
         if int(self.n) != self.n or self.n < 2:
             raise ParamError(f"n must be an integer >= 2, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
-        if not self.q > 1.0:
-            raise ParamError(f"q must exceed 1, got {self.q}")
+        if not (np.isfinite(self.q) and self.q > 1.0):
+            raise ParamError(f"q must exceed 1 and be finite, got {self.q}")
         if not (0.0 <= self.beta < self.n):
             raise ParamError(f"beta must lie in [0, n), got {self.beta}")
         if not (np.isfinite(self.lam) and self.lam > 0.0):
             raise ParamError(f"lam must be positive and finite, got {self.lam}")
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise ParamError("constraint exponents a, b must be positive")
+        if not all(np.isfinite(e) and e > 0.0 for e in (self.a, self.b)):
+            raise ParamError(f"constraint exponents a, b must be positive and "
+                             f"finite, got {self.a}, {self.b}")
+        if self.p is not None and not np.isfinite(self.p):
+            raise ParamError(f"p must be finite, got {self.p}")
         if self.variant not in (EXP_POWER, PHI_SERIES):
             raise ParamError(f"variant must be {EXP_POWER!r} or {PHI_SERIES!r}")
         if self.variant == EXP_POWER:
@@ -135,39 +139,15 @@ def series_start(params):
 def _phi_stable(t, j_start):
     """Tail of the exponential series, sum_{j >= j_start} t^j/j!.
 
-    Three regimes keep relative error near machine precision: expm1 when
-    only the constant term is removed; a direct tail sum for t <= 1 where
-    e^t minus the head would cancel; e^t minus the head elsewhere (the head
-    is then small relative to e^t, so the subtraction is benign).
+    The tail is e^t P(j_start, t), with P the regularized lower incomplete
+    gamma function (DLMF 8.4), which scipy evaluates to near machine
+    precision in relative terms; for j_start = 1 it is e^t - 1, expm1.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ParamError("series argument must be nonnegative")
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    if j_start == 1:
-        out = np.expm1(t)
-    else:
-        out = np.empty_like(t)
-        small = t <= 1.0
-        if np.any(small):
-            ts = t[small]
-            term = ts ** j_start / math.factorial(j_start)
-            acc = term.copy()
-            for j in range(j_start, j_start + 48):
-                term = term * ts / (j + 1.0)
-                acc += term
-            out[small] = acc
-        if np.any(~small):
-            tl = t[~small]
-            head = np.ones_like(tl)
-            term = np.ones_like(tl)
-            for j in range(1, j_start):
-                term = term * tl / j
-                head += term
-            with np.errstate(over="ignore"):
-                out[~small] = np.exp(tl) - head
-    return float(out[0]) if scalar else out
+    out = np.expm1(t) if j_start == 1 else np.exp(t) * gammainc(j_start, t)
+    return out if out.ndim else float(out)
 
 
 def _check_exp_argument(arg):
@@ -300,32 +280,33 @@ def _kernel_argument(u, params):
 
 
 def _phi_slope(t, j_start, tail):
-    """Phi'_{j} = Phi_{j-1} = Phi_j + t^{j-1}/(j-1)!, given tail = Phi_j(t)."""
-    return tail + t ** (j_start - 1) / math.factorial(j_start - 1)
+    """Phi'_{j} = Phi_{j-1}, given tail = Phi_j(t): Phi_0 = Phi_1 + 1, and
+    for j >= 2 the tail that starts one index lower."""
+    return tail + 1.0 if j_start == 1 else _phi_stable(t, j_start - 1)
 
 
-def _kernel(u, params, force_phi, arg=None, j_start=None):
-    """Exponential integrand at the values u >= 0 (an array of any shape;
-    no spatial weight).
+def _kernel(u, params, arg=None, j_start=None):
+    """Exponential integrand of params.variant at the values u >= 0 (an
+    array of any shape; no spatial weight).
 
-    exp-power: exp(lam(1-beta/n) u^{n/(n-1)}) u^p; phi-series (or any
-    variant with ``force_phi``): the truncated series at the same argument.
-    ``arg`` and ``j_start``, when given, are that argument and
-    series_start(params).j_start, already computed.  Raises
-    FunctionalOverflowError on overflow.
+    exp-power: exp(lam(1-beta/n) u^{n/(n-1)}) u^p; phi-series: the
+    truncated series at the same argument (the critical functional passes
+    params with the phi-series variant).  ``arg`` and ``j_start``, when
+    given, are that argument and series_start(params).j_start, already
+    computed.  Raises FunctionalOverflowError on overflow.
     """
     u = np.asarray(u, float)
     if arg is None:
         arg = _kernel_argument(u, params)
     _check_exp_argument(arg)
-    if params.variant == EXP_POWER and not force_phi:
+    if params.variant == EXP_POWER:
         return np.exp(arg) * u ** params.p
     if j_start is None:
         j_start = series_start(params).j_start
     return _phi_stable(arg, j_start)
 
 
-def _kernel_and_slope(u, params, force_phi, j_start):
+def _kernel_and_slope(u, params, j_start):
     """_kernel at the values u >= 0 and its derivative in u, with j_start =
     series_start(params).j_start.
 
@@ -336,7 +317,7 @@ def _kernel_and_slope(u, params, force_phi, j_start):
     u = np.asarray(u, float)
     arg = _kernel_argument(u, params)
     darg = params.lam * (1.0 - params.beta / n) * n / (n - 1.0) * u ** (1.0 / (n - 1.0))
-    if params.variant == EXP_POWER and not force_phi:
+    if params.variant == EXP_POWER:
         # the product rule needs both factors of exp(arg) u^p
         _check_exp_argument(arg)
         p = params.p
@@ -346,18 +327,18 @@ def _kernel_and_slope(u, params, force_phi, j_start):
             dup = p * u ** (p - 1.0)
         dup[np.isinf(dup)] = 0.0
         return ex * up, ex * (darg * up + dup)
-    tail = _kernel(u, params, force_phi, arg, j_start)
+    tail = _kernel(u, params, arg, j_start)
     return tail, _phi_slope(arg, j_start, tail) * darg
 
 
-def _radial_exp_integral(g, params, F, force_phi):
+def _radial_exp_integral(g, params, F):
     """n kappa int_0^R kernel(g) r^{n-1-beta} dr with the singular weight."""
     if params.n != F.dim:
         raise ParamError(f"params dimension {params.n} != gauge dimension {F.dim}")
     r, w = _exp_rule(g.knots, params.n, params.beta)
     gv = np.interp(r, g.knots, g.values)
     try:
-        kern = _kernel(gv, params, force_phi)
+        kern = _kernel(gv, params)
     except FunctionalOverflowError as err:
         r_bad = float(r[int(np.argmax(gv))])
         k = max(int(np.searchsorted(g.knots, r_bad, side="right")) - 1, 0)
@@ -373,12 +354,12 @@ def _radial_exp_integral(g, params, F, force_phi):
 
 def atmsc_value(g, params, F):
     """Subcritical functional of the profile g (raw integral, no norms)."""
-    return _radial_exp_integral(g, params, F, force_phi=False)
+    return _radial_exp_integral(g, params, F)
 
 
 def critical_value(g, params, F):
     """Critical-functional integrand: always the Phi-series form."""
-    return _radial_exp_integral(g, params, F, force_phi=True)
+    return _radial_exp_integral(g, replace(params, variant=PHI_SERIES), F)
 
 
 def ratio_functional(g, params, F):
@@ -405,6 +386,9 @@ def normalize_sphere(g, q, F):
     if qn <= 1e-300:
         raise ParamError("cannot normalize the zero profile")
     t = (qn / e) ** (q / F.dim)
+    if not (np.isfinite(t) and t > 0.0):
+        raise ParamError(f"the radius factor (||g||_q / e)^(q/n) = {t} leaves "
+                         f"the floating-point range")
     return g.scaled(value_factor=1.0 / e, radius_factor=1.0 / t)
 
 
@@ -497,6 +481,8 @@ class RadialObjective:
             raise ParamError(f"unknown objective {mode!r}")
         if params.n != F.dim:
             raise ParamError(f"params dimension {params.n} != gauge dimension {F.dim}")
+        if mode == "critical":          # Phi for either variant
+            params = replace(params, variant=PHI_SERIES)
         self.params, self.F, self.mode = params, F, mode
         self.knots = np.asarray(knots, dtype=float)
         n, kappa = params.n, wulff_volume(F)
@@ -534,9 +520,11 @@ class RadialObjective:
         n, q = p.n, p.q
         X, Y = E ** (1.0 / n), Q ** (1.0 / q)
         if self.mode == "subcritical":
-            # u -> g(t r)/e with e = X, t = (Y/e)^{q/n}
-            ok = X > 1e-14 and Y > 1e-300
-            return ok, X, Y, None, self._nkappa * ((Y / X) ** (q / n)) ** (p.beta - n)
+            # u -> g(t r)/e with e = X, t = (Y/e)^{q/n}; like normalize_sphere,
+            # degenerate where t leaves the floating-point range
+            t = (Y / X) ** (q / n) if X > 1e-14 and Y > 1e-300 else 0.0
+            ok = 0.0 < t < np.inf
+            return ok, X, Y, None, self._nkappa * t ** (p.beta - n) if ok else 0.0
         # u -> c u with (c X)^a + (c Y)^b = 1
         return True, X, Y, _constraint_root(X, Y, p.a, p.b), self._nkappa
 
@@ -577,7 +565,7 @@ class RadialObjective:
             ok, w, scale = self._forward(thetas)[:3]
             arg = _kernel_argument(w, p)
             ok = ok & np.any(thetas > 1e-12, axis=-1) & (np.max(arg, axis=-1) <= _EXP_ARG_MAX)
-            kern = _kernel(np.where(ok[:, None], w, 0.0), p, self.mode == "critical",
+            kern = _kernel(np.where(ok[:, None], w, 0.0), p,
                            np.where(ok[:, None], arg, 0.0), self._j_start)
             vals = scale * np.vecdot(kern, self._we)
         return np.where(ok & np.isfinite(vals), vals, -np.inf)
@@ -595,7 +583,7 @@ class RadialObjective:
         if not ok:
             return fail
         try:
-            kern, dkern = _kernel_and_slope(w, p, self.mode == "critical", self._j_start)
+            kern, dkern = _kernel_and_slope(w, p, self._j_start)
         except FunctionalOverflowError:
             return fail
         value = scale * np.vecdot(kern, self._we)

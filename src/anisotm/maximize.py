@@ -61,6 +61,10 @@ class SearchConfig:
             if getattr(self, name) < least:
                 raise ParamError(f"search.{name} must be at least {least}, "
                                  f"got {getattr(self, name)}")
+        for name in ("radius", "radius_critical"):
+            r = getattr(self, name)
+            if r is not None and not (np.isfinite(r) and r > 0.0):
+                raise ParamError(f"search.{name} must be positive and finite, got {r}")
 
 
 @dataclass
@@ -193,7 +197,7 @@ def _search(params, F, config, mode):
     scale = k ** (1.0 - p / n) * rho ** (n - params.beta)
     radius = config.radius
     if mode == "critical":
-        radius = config.radius_critical or 2.0 * radius
+        radius = 2.0 * radius if config.radius_critical is None else config.radius_critical
     knots = geometric_knots(radius, config.knots)
     obj = RadialObjective(params.with_lam(params.lam * k ** (-1.0 / (n - 1.0))),
                           euclid, knots, mode)

@@ -373,7 +373,7 @@ def grid_atmsc_value(u, params, F):
         raise ParamError("grids with odd m have a cell center at the origin; "
                          "the singular weight needs even m")
     try:
-        kern = _kernel(u.values, params, force_phi=False)
+        kern = _kernel(u.values, params)
     except FunctionalOverflowError as err:
         k = int(np.argmax(u.values))
         raise FunctionalOverflowError(

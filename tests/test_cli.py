@@ -11,7 +11,9 @@ import pytest
 
 from anisotm import (GridFunction, RadialProfile, FinslerNorm,
                      rasterize_profile)
-from anisotm.cli import main, load_config, ConfigError
+import anisotm.cli as cli
+from anisotm.cli import main, load_config, search_from_config, ConfigError
+from anisotm.maximize import SearchConfig
 
 
 def write_config(path, **overrides):
@@ -231,6 +233,56 @@ def test_exit_code_validation(tmp_path, capsys):
         cfg3 = write_config(tmp_path / "field.json", **{block: {field: value}})
         assert main(["maximize", "--config", str(cfg3), "--out", str(tmp_path)]) == 2
         assert f"{block}.{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block, field, value", [
+    ("params", "q", float("inf")), ("params", "a", float("nan")),
+    ("params", "b", float("inf")), ("params", "p", float("nan")),
+    ("search", "radius", 0.0), ("search", "radius", -1.0),
+    ("search", "radius", float("nan")), ("search", "radius", float("inf")),
+    ("search", "radius_critical", 0.0), ("search", "radius_critical", float("nan"))])
+def test_exit_code_non_finite_fields(tmp_path, capsys, block, field, value):
+    # json writes NaN and Infinity, and reads 1e400 as inf; a critical run
+    # with a = NaN used to exit 0 with a NaN constraint residual
+    overrides = {"search": {"objective": "critical"}}
+    overrides.setdefault(block, {})[field] = value
+    cfg = write_config(tmp_path / "field.json", **overrides)
+    assert main(["maximize", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err, err
+
+
+@pytest.mark.parametrize("block", ["params", "search", "sweep"])
+@pytest.mark.parametrize("seed", [None, 3])
+def test_exit_code_non_object_block(tmp_path, capsys, block, seed):
+    cfg = write_config(tmp_path / "block.json", **{block: [1]})
+    argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path)]
+    assert main(argv + ([] if seed is None else ["--seed", str(seed)])) == 2
+    assert f"config field {block} must be a JSON object" in capsys.readouterr().err
+
+
+def test_exit_code_huge_q(tmp_path, capsys):
+    # the radius factor of the unit-sphere map underflows at q = 1e6
+    cfg = write_config(tmp_path / "huge.json", params={"q": 1e6})
+    assert main(["maximize", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "no feasible candidate" in capsys.readouterr().err
+
+
+def test_config_defaults_come_from_the_library(monkeypatch, tmp_path):
+    # absent keys leave SearchConfig's and identity_sweep's defaults alone
+    assert search_from_config({}) == SearchConfig()
+    assert search_from_config({"search": {"radius_critical": None}}) == SearchConfig()
+    seen = {}
+
+    def record(params, F, **kwargs):
+        seen.update(kwargs)
+        raise ConfigError("stop")
+
+    monkeypatch.setattr(cli, "identity_sweep", record)
+    cfg = write_config(tmp_path / "nogrid.json", sweep={})
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "sweep": {}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert set(seen) == {"config"}
 
 
 def _grid_cases(tmp_path):

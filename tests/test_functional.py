@@ -47,7 +47,9 @@ def params_beta05(**kw):
 def test_params_validation():
     for bad in (dict(n=1), dict(n=2.5), dict(q=1.0), dict(beta=-0.1),
                 dict(beta=2.0), dict(lam=0.0), dict(lam=np.inf),
-                dict(a=0.0), dict(b=-1.0), dict(variant="nope")):
+                dict(a=0.0), dict(b=-1.0), dict(variant="nope"),
+                dict(q=np.inf), dict(q=np.nan), dict(a=np.nan), dict(a=np.inf),
+                dict(b=np.nan), dict(b=np.inf), dict(p=np.nan), dict(p=np.inf)):
         with pytest.raises(ParamError):
             params_beta05(**bad)
 
@@ -131,10 +133,11 @@ def _phi_oracle(t, j_start):
     return mpmath.exp(t) * mpmath.gammainc(j_start, 0, t, regularized=True)
 
 
-@pytest.mark.parametrize("j_start", [1, 2, 3, 5])
+@pytest.mark.parametrize("j_start", [1, 2, 3, 5, 8, 12, 16])
 def test_phi_tail_and_slope_mpmath(j_start):
     # the analytic search gradient rests on the tail and on
-    # Phi'_{j0} = Phi_{j0-1} = Phi_{j0} + t^{j0-1}/(j0-1)!
+    # Phi'_{j0} = Phi_{j0-1}; j0 >= 8 reaches past 1 < t < j0, where e^t
+    # minus the head of the series cancels
     ts = np.geomspace(1e-8, 690.0, 40)
     tail = _phi_stable(ts, j_start)
     slope = _phi_slope(ts, j_start, tail)
@@ -144,6 +147,14 @@ def test_phi_tail_and_slope_mpmath(j_start):
             dwant = mpmath.diff(lambda s: _phi_oracle(s, j_start), mpmath.mpf(t))
             assert abs(got - want) / want < 1e-13, (t, got, want)
             assert abs(dgot - dwant) / dwant < 1e-13, (t, dgot, dwant)
+
+
+def test_phi_tail_positive_where_head_cancels():
+    # e^t - sum_{j < 20} t^j/j! at t = 1.1 came out as -4.4e-16
+    got = _phi_stable(1.1, 20)
+    with mpmath.workdps(50):
+        want = _phi_oracle(mpmath.mpf(1.1), 20)
+    assert got > 0.0 and abs(got - want) / want < 1e-13
 
 
 def test_phi_vectorizes():
@@ -280,6 +291,10 @@ def test_normalize_sphere(gauge_euclid, gauge_ellipse):
     zero = RadialProfile([0.0, 1.0], [0.0, 0.0])
     with pytest.raises(ParamError):
         normalize_sphere(zero, 2.0, gauge_euclid)
+    # at q = 1e6 the radius factor (||g||_q / e)^{q/n} underflows to 0
+    plateau = RadialProfile([0.0, 1.0, 1.1], [1.0, 1.0, 0.0])
+    with pytest.raises(ParamError, match="radius factor"):
+        normalize_sphere(plateau, 1e6, gauge_euclid)
 
 
 def test_ratio_grows_under_normalization(gauge_euclid):

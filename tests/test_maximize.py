@@ -139,8 +139,14 @@ def test_estimate_f_exp_power_below_one(gauge_euclid):
 
 
 @pytest.mark.parametrize("setting", [{"knots": 1}, {"restarts": 0},
-                                     {"budget": 0}],
-                         ids=["knots", "restarts", "budget"])
+                                     {"budget": 0}, {"radius": 0.0},
+                                     {"radius": -1.0}, {"radius": np.nan},
+                                     {"radius": np.inf},
+                                     {"radius_critical": 0.0},
+                                     {"radius_critical": np.nan}],
+                         ids=["knots", "restarts", "budget", "radius-zero",
+                              "radius-negative", "radius-nan", "radius-inf",
+                              "radius_critical-zero", "radius_critical-nan"])
 def test_search_config_rejects_degenerate(setting):
     with pytest.raises(ParamError, match=next(iter(setting))):
         small_config(**setting)
