@@ -33,6 +33,7 @@ PHI_SERIES = "phi_series"
 
 _EXP_ARG_MAX = 690.0     # exp(690) ~ 1e299; beyond this the integrand overflows
 _INT_SNAP = 1e-9         # floats this close to an integer count as that integer
+_SPHERE_RESIDUAL_MAX = 1e-9   # a critical witness further off the constraint sphere is rejected
 
 
 class ParamError(ValueError):
@@ -610,7 +611,9 @@ class RadialObjective:
         """(value, profile) through the library maps: the profile is the
         normalize_sphere or constraint_scale image of the knot values theta
         and the value is re-evaluated on it; (-inf, None) for a degenerate or
-        overflowing candidate."""
+        overflowing candidate.  A constraint_scale image whose constraint
+        residual exceeds 1e-9 is no point of the constraint sphere, and
+        raises ParamError naming the residual."""
         if not np.any(np.asarray(theta) > 1e-12):
             return -np.inf, None
         p, F = self.params, self.F
@@ -619,10 +622,13 @@ class RadialObjective:
             if self.mode == "subcritical":
                 gn = normalize_sphere(g, p.q, F)
                 return atmsc_value(gn, p, F), gn
-            gc = constraint_scale(g, p.a, p.b, F, p.q).scaled
-            return critical_value(gc, p, F), gc
+            cs = constraint_scale(g, p.a, p.b, F, p.q)
+            if cs.residual <= _SPHERE_RESIDUAL_MAX:
+                return critical_value(cs.scaled, p, F), cs.scaled
         except (ParamError, FunctionalOverflowError):
             return -np.inf, None
+        raise ParamError(f"the critical witness is off the constraint sphere: "
+                         f"residual {cs.residual:.3g} > {_SPHERE_RESIDUAL_MAX:g}")
 
 
 def aa_bracket(t, params):

@@ -10,9 +10,11 @@ F at rate lam, keeps both norms and the constraint, and multiplies values
 by k rho^{n-beta} (and k^{-p/n} for the exp-power integrand).  So every
 search runs the Euclidean problem: restarts of one bounded L-BFGS-B ascent
 of functional.RadialObjective in the nonnegative decrements of knot values
-on a geometric grid.  The best final iterate is renormalized, carried to F
-and re-evaluated there, so each reported value is realized by a stored
-profile: an honest lower bound for the true supremum.
+on a geometric grid.  The ascent is scipy's compiled L-BFGS-B kernel,
+driven directly by reverse communication, and bitwise what
+scipy.optimize.minimize gives.  The best final iterate is renormalized,
+carried to F and re-evaluated there, so each reported value is realized by
+a stored profile: an honest lower bound for the true supremum.
 
 The sup identity writes the critical value at lam as
 
@@ -27,7 +29,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 
 from .finsler import FinslerNorm, wulff_volume
 from .functional import (EXP_POWER, ParamError, RadialObjective, atmsc_value,
@@ -35,6 +37,22 @@ from .functional import (EXP_POWER, ParamError, RadialObjective, atmsc_value,
                          aa_bracket, series_start, validate_lambda)
 from .profiles import RadialProfile
 from .rearrange import rasterize_profile, convex_symmetrization
+
+# L-BFGS-B settings of every ascent: minimize's maxcor, maxls and maxiter
+# defaults, and factr, pgtol from ftol 1e-16, gtol 1e-14 as minimize sets them
+_MAXCOR, _MAXLS, _MAXITER = 10, 20, 15000
+_FACTR, _PGTOL = 1e-16 / np.finfo(float).eps, 1e-14
+# setulb's task codes: task[0] says what the kernel wants, task[1] why it stopped
+_NEW_X, _FG, _STOP = 1, 3, 5
+_TASK_STATUS = ("START", "NEW_X", "RESTART", "FG", "CONVERGENCE", "STOP",
+                "WARNING", "ERROR", "ABNORMAL")
+_TASK_DETAIL = {401: "NORM OF PROJECTED GRADIENT <= PGTOL",
+                402: "RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
+                502: "TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT",
+                503: "PROJECTED GRADIENT IS SUFFICIENTLY SMALL",
+                504: "TOTAL NO. OF ITERATIONS REACHED LIMIT",
+                601: "ROUNDING ERRORS PREVENT PROGRESS", 602: "STP = STPMAX",
+                603: "STP = STPMIN", 604: "XTOL TEST SATISFIED"}
 
 
 @dataclass(frozen=True)
@@ -70,12 +88,15 @@ class SearchConfig:
 @dataclass
 class SearchResult:
     """Outcome of one subcritical or critical search: the best value, the
-    witness profile that realizes it, and the value each restart reached."""
+    witness profile that realizes it, and per restart the value it reached,
+    its value-and-gradient evaluations and L-BFGS-B's stop message."""
 
     value: float
     profile: RadialProfile
     restart_values: tuple
     spread: float                    # best minus third-best restart value
+    restart_evals: tuple
+    restart_stops: tuple
 
 
 @dataclass
@@ -167,17 +188,51 @@ def _ascend(obj, theta, maxfev):
     Writing the knot values through their nonnegative decrements turns the
     monotone cone into a box, so every candidate is nonincreasing and the
     landscape stays smooth; the gradient in the decrements is the running
-    sum of the analytic gradient in the knot values.  Returns (theta, value)
+    sum of the analytic gradient in the knot values.
+
+    The loop drives scipy's compiled kernel ``setulb`` by reverse
+    communication as scipy.optimize.minimize(method='L-BFGS-B') does, with
+    maxcor 10, maxls 20, maxiter 15000, ftol 1e-16, gtol 1e-14 and maxfun
+    ``maxfev``: x0 is clipped to the box and evaluated once, a request for
+    the last evaluated point reuses its value, and the budget is tested at
+    each new iterate, so x, value and evaluation count are bitwise what
+    minimize returns.  Returns (theta, value, evaluations, stop message)
     at the final iterate.
     """
+    x = np.clip(_theta_to_decrements(theta), 0.0, np.inf)
+    size = x.size
+
     def neg(w):
         value, grad = obj.value_and_grad(_decrements_to_theta(w))
         return -value, -np.cumsum(grad)
 
-    res = minimize(neg, _theta_to_decrements(theta), jac=True,
-                   method="L-BFGS-B", bounds=[(0.0, None)] * theta.size,
-                   options={"maxfun": maxfev, "ftol": 1e-16, "gtol": 1e-14})
-    return _decrements_to_theta(np.maximum(res.x, 0.0)), -float(res.fun)
+    last = x.copy()
+    f, g = neg(last)
+    nfev, nit = 1, 0
+    lower, upper = np.zeros(size), np.zeros(size)
+    nbd = np.ones(size, np.int32)               # lower bound 0 only
+    wa = np.zeros(2 * _MAXCOR * size + 5 * size + 11 * _MAXCOR ** 2 + 8 * _MAXCOR)
+    iwa = np.zeros(3 * size, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    while True:
+        setulb(_MAXCOR, x, lower, upper, nbd, f, g, _FACTR, _PGTOL, wa, iwa,
+               task, lsave, isave, dsave, _MAXLS, ln_task)
+        if task[0] == _FG:
+            if not np.array_equal(x, last):
+                last = x.copy()
+                f, g = neg(last)
+                nfev += 1
+        elif task[0] == _NEW_X:
+            nit += 1
+            if nit >= _MAXITER:
+                task[:] = _STOP, 504
+            elif nfev > maxfev:
+                task[:] = _STOP, 502
+        else:
+            break
+    stop = f"{_TASK_STATUS[task[0]]}: {_TASK_DETAIL.get(int(task[1]), '')}"
+    return _decrements_to_theta(np.maximum(x, 0.0)), -float(f), nfev, stop
 
 
 def _search(params, F, config, mode):
@@ -222,7 +277,9 @@ def _search(params, F, config, mode):
     top = vals[order[:3]] * scale
     return SearchResult(value=float(value), profile=profile,
                         restart_values=tuple(float(v) * scale for v in vals),
-                        spread=float(top[0] - top[-1]))
+                        spread=float(top[0] - top[-1]),
+                        restart_evals=tuple(r[2] for r in results),
+                        restart_stops=tuple(r[3] for r in results))
 
 
 def estimate_f(params, F, config=None):
@@ -321,8 +378,9 @@ def threshold_check(params):
     m = params.q * (params.n - 1.0) / params.n
     integral = abs(m - round(m)) < 1e-9
     if params.beta == 0.0 and integral:
-        k = int(round(m))
-        return ThresholdResult(params.lam ** k / math.factorial(k), True)
+        # a product of k ratios: never above e^lam, underflows to 0 rather
+        # than overflow where lam^k or k! leaves the floating-point range
+        return ThresholdResult(math.prod(params.lam / i for i in range(1, round(m) + 1)), True)
     return ThresholdResult(float("nan"), False)
 
 

@@ -268,6 +268,16 @@ def test_exit_code_huge_q(tmp_path, capsys):
     assert "no feasible candidate" in capsys.readouterr().err
 
 
+def test_exit_code_critical_witness_off_the_sphere(tmp_path, capsys):
+    # at q = 1e6 every candidate's constraint projection misses the sphere
+    cfg = write_config(tmp_path / "huge.json", params={"q": 1e6},
+                       search={"objective": "critical"})
+    assert main(["maximize", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "off the constraint sphere" in err and "residual 0.262" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_config_defaults_come_from_the_library(monkeypatch, tmp_path):
     # absent keys leave SearchConfig's and identity_sweep's defaults alone
     assert search_from_config({}) == SearchConfig()

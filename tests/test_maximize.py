@@ -9,7 +9,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+import anisotm.maximize as maximize
 from anisotm import (SearchConfig, SearchResult, estimate_f, identity_sweep,
                      direct_critical_max, construct_critical_from_subcritical,
                      threshold_check, maximizer_diagnostics, normalize_sphere,
@@ -18,7 +20,9 @@ from anisotm import (SearchConfig, SearchResult, estimate_f, identity_sweep,
                      grad_norm_radial, FunctionalParams, ParamError,
                      RadialProfile, FinslerNorm, wulff_volume, sharp_constant)
 from anisotm.functional import RadialObjective
-from anisotm.maximize import _initializers, geometric_knots, isotonic_nonincreasing
+from anisotm.maximize import (_ascend, _decrements_to_theta, _initializers,
+                              _theta_to_decrements, geometric_knots,
+                              isotonic_nonincreasing)
 
 PARAMS = FunctionalParams(n=2, q=2.0, beta=0.5, lam=np.pi, a=2.0, b=2.0)
 SMALL = dict(knots=24, radius=8.0, restarts=2, budget=300, seed=0)
@@ -65,6 +69,14 @@ def test_threshold_check():
         == pytest.approx(4.5)
     assert not threshold_check(FunctionalParams(2, 2.0, 0.5, 3.0)).applicable
     assert not threshold_check(FunctionalParams(2, 3.0, 0.0, 3.0)).applicable
+
+
+@pytest.mark.parametrize("q", [400.0, 2000.0])
+def test_threshold_check_large_series_index(q):
+    # lam^k / k! with k = q/2 = 200 or 1000: k! is beyond the float range,
+    # the threshold itself is a tiny positive number or underflows to 0
+    res = threshold_check(FunctionalParams(2, q, 0.0, 3.0))
+    assert res.applicable and 0.0 <= res.threshold < 1e-200
 
 
 def test_construct_critical_identity(gauge_euclid):
@@ -178,6 +190,64 @@ def test_searches_share_one_result_type(gauge_euclid, search):
     assert isinstance(res, SearchResult)
     assert len(res.restart_values) == 3
     assert res.spread == max(res.restart_values) - min(res.restart_values)
+
+
+def _minimize_ascent(obj, theta, maxfev):
+    """_ascend through scipy.optimize.minimize, the way it used to run."""
+    def neg(w):
+        value, grad = obj.value_and_grad(_decrements_to_theta(w))
+        return -value, -np.cumsum(grad)
+
+    res = minimize(neg, _theta_to_decrements(theta), jac=True,
+                   method="L-BFGS-B", bounds=[(0.0, None)] * theta.size,
+                   options={"maxfun": maxfev, "ftol": 1e-16, "gtol": 1e-14})
+    return (_decrements_to_theta(np.maximum(res.x, 0.0)), -float(res.fun),
+            res.nfev, res.message)
+
+
+@pytest.mark.parametrize("mode,radius,init,budget", [
+    ("subcritical", 8.0, 0, 500), ("subcritical", 8.0, 3, 500),
+    ("critical", 16.0, 0, 500), ("critical", 16.0, 3, 500),
+    ("subcritical", 8.0, 1, 40)])
+def test_ascend_is_bitwise_minimize(gauge_euclid, mode, radius, init, budget):
+    # the reverse-communication loop drives scipy's private setulb kernel; a
+    # scipy release that changes it must fail here, not move values quietly
+    knots = geometric_knots(radius, 64)
+    obj = RadialObjective(PARAMS.with_lam(0.5 * sharp_constant(gauge_euclid)),
+                          gauge_euclid, knots, mode)
+    theta = _initializers(knots)[init]
+    want = _minimize_ascent(obj, theta, budget)
+    got = _ascend(obj, theta, budget)
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+    if budget == 40:
+        assert got[2] > budget and got[3].startswith("STOP")
+
+
+@pytest.mark.parametrize("search", [estimate_f, direct_critical_max],
+                         ids=["subcritical", "critical"])
+def test_restart_evals_and_stops(gauge_euclid, search, monkeypatch):
+    calls, per_restart = [], []
+    counted = RadialObjective.value_and_grad
+    ascend = maximize._ascend
+    monkeypatch.setattr(RadialObjective, "value_and_grad",
+                        lambda self, theta: calls.append(1) or counted(self, theta))
+
+    def recorded(obj, theta, maxfev):
+        before = len(calls)
+        out = ascend(obj, theta, maxfev)
+        per_restart.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(maximize, "_ascend", recorded)
+    res = search(PARAMS, gauge_euclid, small_config(restarts=3))
+    assert res.restart_evals == tuple(per_restart) and len(per_restart) == 3
+    assert sum(res.restart_evals) == len(calls)
+    assert all(s.split(":")[0] in ("CONVERGENCE", "STOP", "ABNORMAL", "WARNING")
+               for s in res.restart_stops)
+    starved = search(PARAMS, gauge_euclid, small_config(budget=5))
+    assert all(e > 5 for e in starved.restart_evals)
+    assert starved.restart_stops == ("STOP: TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT",) * 2
 
 
 # -- Wulff reduction -----------------------------------------------------------
