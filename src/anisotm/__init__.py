@@ -12,7 +12,7 @@ from .finsler import (FinslerNorm, WulffBall, GaugeError, wulff_volume,
                       sharp_constant, bipolar_residual, coarea_surface_check,
                       unit_ball_measure)
 from .profiles import RadialProfile
-from .functional import (FunctionalParams, SeriesIndex, series_start, phi,
+from .functional import (FunctionalParams, series_start, phi,
                          phi_direct, lq_norm_radial, dirichlet_energy_radial,
                          grad_norm_radial,
                          atmsc_value, ratio_functional, critical_value,

@@ -32,7 +32,6 @@ EXP_POWER = "exp_power"
 PHI_SERIES = "phi_series"
 
 _EXP_ARG_MAX = 690.0     # exp(690) ~ 1e299; beyond this the integrand overflows
-_INT_SNAP = 1e-9         # floats this close to an integer count as that integer
 _SPHERE_RESIDUAL_MAX = 1e-9   # a critical witness further off the constraint sphere is rejected
 
 
@@ -101,6 +100,12 @@ class FunctionalParams:
                                 self.p, self.variant)
 
 
+def _check_dimension(params, F):
+    """ParamError unless the regime and the gauge share their dimension."""
+    if params.n != F.dim:
+        raise ParamError(f"params dimension {params.n} != gauge dimension {F.dim}")
+
+
 def validate_lambda(params, F):
     """Check lam < sharp constant of F (the admissible exponential range)."""
     lam_max = sharp_constant(F)
@@ -108,33 +113,23 @@ def validate_lambda(params, F):
         raise ParamError(
             f"lam = {params.lam} is not below the sharp exponential constant "
             f"{lam_max} of this gauge; the supremum is only finite below it")
-    if params.n != F.dim:
-        raise ParamError(f"params dimension {params.n} != gauge dimension {F.dim}")
+    _check_dimension(params, F)
 
 
-@dataclass(frozen=True)
-class SeriesIndex:
-    """Start index of the truncated exponential series; ``strict`` records
-    whether the defining inequality on j was strict (the beta > 0 case)."""
-
-    j_start: int
-    strict: bool
+def series_threshold(params):
+    """m = q(n-1)/n (1-beta/n), which sets the series start index; within
+    1e-9 of an integer it is that integer, so the index and the
+    integrality of m follow the intended real number, not float noise."""
+    m = params.q * (params.n - 1.0) / params.n * (1.0 - params.beta / params.n)
+    return float(round(m)) if abs(m - round(m)) < 1e-9 else m
 
 
 def series_start(params):
-    """Smallest admissible series index j for the Phi kernel.
-
-    beta > 0: smallest integer strictly above q(n-1)/n * (1-beta/n);
-    beta = 0: smallest integer >= q(n-1)/n.  Values within 1e-9 of an
-    integer are snapped before flooring so the strict branch is decided by
-    the intended real number, not float noise.
-    """
-    m = params.q * (params.n - 1.0) / params.n * (1.0 - params.beta / params.n)
-    if abs(m - round(m)) < _INT_SNAP:
-        m = round(m)
-    if params.beta > 0.0:
-        return SeriesIndex(int(math.floor(m)) + 1, True)
-    return SeriesIndex(int(math.ceil(m)), False)
+    """Smallest admissible series index j for the Phi kernel: the smallest
+    integer strictly above series_threshold(params) when beta > 0, the
+    smallest integer at or above it when beta = 0."""
+    m = series_threshold(params)
+    return math.floor(m) + 1 if params.beta > 0.0 else math.ceil(m)
 
 
 def _phi_stable(t, j_start):
@@ -164,7 +159,7 @@ def phi(params, t):
     """Truncated exponential series sum_{j >= j_start} t^j / j! at t >= 0;
     FunctionalOverflowError beyond the floating-point range."""
     _check_exp_argument(t)
-    return _phi_stable(t, series_start(params).j_start)
+    return _phi_stable(t, series_start(params))
 
 
 def phi_direct(params, t):
@@ -173,7 +168,7 @@ def phi_direct(params, t):
     Converged (hence comparable to phi at full precision) only while the
     truncated tail is negligible, i.e. for t well below 64.
     """
-    j0 = series_start(params).j_start
+    j0 = series_start(params)
     t = np.asarray(t, dtype=float)
     term = t ** j0 / math.factorial(j0)
     acc = term.copy()
@@ -293,8 +288,8 @@ def _kernel(u, params, arg=None, j_start=None):
     exp-power: exp(lam(1-beta/n) u^{n/(n-1)}) u^p; phi-series: the
     truncated series at the same argument (the critical functional passes
     params with the phi-series variant).  ``arg`` and ``j_start``, when
-    given, are that argument and series_start(params).j_start, already
-    computed.  Raises FunctionalOverflowError on overflow.
+    given, are that argument and series_start(params), already computed.
+    Raises FunctionalOverflowError on overflow.
     """
     u = np.asarray(u, float)
     if arg is None:
@@ -303,13 +298,13 @@ def _kernel(u, params, arg=None, j_start=None):
     if params.variant == EXP_POWER:
         return np.exp(arg) * u ** params.p
     if j_start is None:
-        j_start = series_start(params).j_start
+        j_start = series_start(params)
     return _phi_stable(arg, j_start)
 
 
 def _kernel_and_slope(u, params, j_start):
     """_kernel at the values u >= 0 and its derivative in u, with j_start =
-    series_start(params).j_start.
+    series_start(params).
 
     Where u = 0 and the exp-power factor u^{p-1} is infinite (p < 1), the
     one-sided derivative is taken as 0.
@@ -334,8 +329,7 @@ def _kernel_and_slope(u, params, j_start):
 
 def _radial_exp_integral(g, params, F):
     """n kappa int_0^R kernel(g) r^{n-1-beta} dr with the singular weight."""
-    if params.n != F.dim:
-        raise ParamError(f"params dimension {params.n} != gauge dimension {F.dim}")
+    _check_dimension(params, F)
     r, w = _exp_rule(g.knots, params.n, params.beta)
     gv = np.interp(r, g.knots, g.values)
     try:
@@ -373,6 +367,20 @@ def ratio_functional(g, params, F):
 
 # -- normalization maps ------------------------------------------------------
 
+def _sphere_radius_factor(e, qn, q, n):
+    """Radius factor t = (qn / e)^{q/n} of the unit-sphere map for a profile
+    with gradient norm e and q-norm qn; ParamError where the map
+    degenerates: e <= 1e-14, qn <= 1e-300, or t not a positive float."""
+    if e <= 1e-14 or qn <= 1e-300:
+        raise ParamError(f"cannot normalize a profile with gradient norm {e:.3g} "
+                         f"and q-norm {qn:.3g}")
+    t = (qn / e) ** (q / n)
+    if not (np.isfinite(t) and t > 0.0):
+        raise ParamError(f"the radius factor (||g||_q / e)^(q/n) = {t} leaves "
+                         f"the floating-point range")
+    return t
+
+
 def normalize_sphere(g, q, F):
     """Rescale to the unit sphere of both norms.
 
@@ -381,15 +389,7 @@ def normalize_sphere(g, q, F):
     decrease under this map.
     """
     e = grad_norm_radial(g, F)
-    if e <= 1e-14:
-        raise ParamError("cannot normalize a profile with zero gradient energy")
-    qn = lq_norm_radial(g, q, F)
-    if qn <= 1e-300:
-        raise ParamError("cannot normalize the zero profile")
-    t = (qn / e) ** (q / F.dim)
-    if not (np.isfinite(t) and t > 0.0):
-        raise ParamError(f"the radius factor (||g||_q / e)^(q/n) = {t} leaves "
-                         f"the floating-point range")
+    t = _sphere_radius_factor(e, lq_norm_radial(g, q, F), q, F.dim)
     return g.scaled(value_factor=1.0 / e, radius_factor=1.0 / t)
 
 
@@ -460,6 +460,11 @@ def constraint_scale(g, a, b, F, q):
                             residual=float(res))
 
 
+def _nonzero(theta):
+    """Per candidate (last axis): some knot value exceeds 1e-12, else it is degenerate."""
+    return np.any(np.asarray(theta) > 1e-12, axis=-1)
+
+
 class RadialObjective:
     """Search objective over the knot values of one grid, with its gradient.
 
@@ -480,8 +485,7 @@ class RadialObjective:
     def __init__(self, params, F, knots, mode):
         if mode not in ("subcritical", "critical"):
             raise ParamError(f"unknown objective {mode!r}")
-        if params.n != F.dim:
-            raise ParamError(f"params dimension {params.n} != gauge dimension {F.dim}")
+        _check_dimension(params, F)
         if mode == "critical":          # Phi for either variant
             params = replace(params, variant=PHI_SERIES)
         self.params, self.F, self.mode = params, F, mode
@@ -497,7 +501,7 @@ class RadialObjective:
         self._nodes = sparse.vstack([lq, exp], format="csr")
         self._nq = r_q.size
         self._lq_t, self._exp_t = lq.T.tocsr(), exp.T.tocsr()
-        self._j_start = series_start(params).j_start
+        self._j_start = series_start(params)
 
     def _interpolation(self, r):
         """Sparse map from knot values to the piecewise-linear profile at
@@ -521,11 +525,11 @@ class RadialObjective:
         n, q = p.n, p.q
         X, Y = E ** (1.0 / n), Q ** (1.0 / q)
         if self.mode == "subcritical":
-            # u -> g(t r)/e with e = X, t = (Y/e)^{q/n}; like normalize_sphere,
-            # degenerate where t leaves the floating-point range
-            t = (Y / X) ** (q / n) if X > 1e-14 and Y > 1e-300 else 0.0
-            ok = 0.0 < t < np.inf
-            return ok, X, Y, None, self._nkappa * t ** (p.beta - n) if ok else 0.0
+            try:        # u -> g(t r)/X, as normalize_sphere maps it
+                t = _sphere_radius_factor(X, Y, q, n)
+            except ParamError:
+                return False, X, Y, None, 0.0
+            return True, X, Y, None, self._nkappa * t ** (p.beta - n)
         # u -> c u with (c X)^a + (c Y)^b = 1
         return True, X, Y, _constraint_root(X, Y, p.a, p.b), self._nkappa
 
@@ -565,7 +569,7 @@ class RadialObjective:
         with np.errstate(all="ignore"):
             ok, w, scale = self._forward(thetas)[:3]
             arg = _kernel_argument(w, p)
-            ok = ok & np.any(thetas > 1e-12, axis=-1) & (np.max(arg, axis=-1) <= _EXP_ARG_MAX)
+            ok = ok & _nonzero(thetas) & (np.max(arg, axis=-1) <= _EXP_ARG_MAX)
             kern = _kernel(np.where(ok[:, None], w, 0.0), p,
                            np.where(ok[:, None], arg, 0.0), self._j_start)
             vals = scale * np.vecdot(kern, self._we)
@@ -576,7 +580,7 @@ class RadialObjective:
         theta; (-inf, 0) for a degenerate or overflowing candidate."""
         theta = np.asarray(theta, dtype=float)
         fail = (-np.inf, np.zeros_like(theta))
-        if not np.any(theta > 1e-12):
+        if not _nonzero(theta):
             return fail
         p = self.params
         n, q = p.n, p.q
@@ -608,25 +612,23 @@ class RadialObjective:
         return float(value), grad[:-1]
 
     def witness(self, theta):
-        """(value, profile) through the library maps: the profile is the
-        normalize_sphere or constraint_scale image of the knot values theta
-        and the value is re-evaluated on it; (-inf, None) for a degenerate or
-        overflowing candidate.  A constraint_scale image whose constraint
+        """The profile the knot values theta stand for, through the library
+        maps: their normalize_sphere or constraint_scale image; None for a
+        degenerate candidate.  A constraint_scale image whose constraint
         residual exceeds 1e-9 is no point of the constraint sphere, and
         raises ParamError naming the residual."""
-        if not np.any(np.asarray(theta) > 1e-12):
-            return -np.inf, None
+        if not _nonzero(theta):
+            return None
         p, F = self.params, self.F
         g = RadialProfile(self.knots, np.append(theta, 0.0))
         try:
             if self.mode == "subcritical":
-                gn = normalize_sphere(g, p.q, F)
-                return atmsc_value(gn, p, F), gn
+                return normalize_sphere(g, p.q, F)
             cs = constraint_scale(g, p.a, p.b, F, p.q)
-            if cs.residual <= _SPHERE_RESIDUAL_MAX:
-                return critical_value(cs.scaled, p, F), cs.scaled
-        except (ParamError, FunctionalOverflowError):
-            return -np.inf, None
+        except ParamError:
+            return None
+        if cs.residual <= _SPHERE_RESIDUAL_MAX:
+            return cs.scaled
         raise ParamError(f"the critical witness is off the constraint sphere: "
                          f"residual {cs.residual:.3g} > {_SPHERE_RESIDUAL_MAX:g}")
 
@@ -634,12 +636,13 @@ class RadialObjective:
 def aa_bracket(t, params):
     """Sup-identity bracket ((1 - s^{a(n-1)/n}) / s^{b(n-1)/n})^{(q/b)(1-beta/n)}
     at s = t/lam, linking the subcritical value at t to the critical value
-    at lam."""
+    at lam; inf where it exceeds the floating-point range."""
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0) or np.any(t >= params.lam):
         raise ParamError("bracket is defined for t strictly inside (0, lam)")
     s = t / params.lam
     ex = (params.n - 1.0) / params.n
-    out = ((1.0 - s ** (params.a * ex)) / s ** (params.b * ex)) \
-        ** ((params.q / params.b) * (1.0 - params.beta / params.n))
+    with np.errstate(over="ignore"):
+        out = ((1.0 - s ** (params.a * ex)) / s ** (params.b * ex)) \
+            ** ((params.q / params.b) * (1.0 - params.beta / params.n))
     return out if out.ndim else float(out)

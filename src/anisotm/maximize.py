@@ -29,12 +29,15 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 from scipy.optimize._lbfgsb import setulb
+from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 from .finsler import FinslerNorm, wulff_volume
 from .functional import (EXP_POWER, ParamError, RadialObjective, atmsc_value,
                          critical_value, lq_norm_radial, grad_norm_radial,
-                         aa_bracket, series_start, validate_lambda)
+                         aa_bracket, series_start, series_threshold,
+                         validate_lambda)
 from .profiles import RadialProfile
 from .rearrange import rasterize_profile, convex_symmetrization
 
@@ -44,15 +47,6 @@ _MAXCOR, _MAXLS, _MAXITER = 10, 20, 15000
 _FACTR, _PGTOL = 1e-16 / np.finfo(float).eps, 1e-14
 # setulb's task codes: task[0] says what the kernel wants, task[1] why it stopped
 _NEW_X, _FG, _STOP = 1, 3, 5
-_TASK_STATUS = ("START", "NEW_X", "RESTART", "FG", "CONVERGENCE", "STOP",
-                "WARNING", "ERROR", "ABNORMAL")
-_TASK_DETAIL = {401: "NORM OF PROJECTED GRADIENT <= PGTOL",
-                402: "RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
-                502: "TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT",
-                503: "PROJECTED GRADIENT IS SUFFICIENTLY SMALL",
-                504: "TOTAL NO. OF ITERATIONS REACHED LIMIT",
-                601: "ROUNDING ERRORS PREVENT PROGRESS", 602: "STP = STPMAX",
-                603: "STP = STPMIN", 604: "XTOL TEST SATISFIED"}
 
 
 @dataclass(frozen=True)
@@ -140,21 +134,8 @@ def geometric_knots(radius, count):
 
 
 def isotonic_nonincreasing(y):
-    """Best nonincreasing least-squares fit (pool adjacent violators)."""
-    y = np.asarray(y, dtype=float)
-    level = []
-    weight = []
-    for v in y[::-1]:
-        level.append(v)
-        weight.append(1)
-        while len(level) >= 2 and level[-2] > level[-1]:
-            w = weight[-2] + weight[-1]
-            lv = (level[-2] * weight[-2] + level[-1] * weight[-1]) / w
-            level[-2:] = [lv]
-            weight[-2:] = [w]
-        # stack holds a nondecreasing sequence of pooled blocks
-    out = np.repeat(level, weight)[::-1]
-    return np.maximum(out, 0.0)
+    """Best nonincreasing least-squares fit, clipped at 0 (scipy's PAVA)."""
+    return np.maximum(isotonic_regression(y, increasing=False).x, 0.0)
 
 
 def _initializers(knots):
@@ -193,11 +174,11 @@ def _ascend(obj, theta, maxfev):
     The loop drives scipy's compiled kernel ``setulb`` by reverse
     communication as scipy.optimize.minimize(method='L-BFGS-B') does, with
     maxcor 10, maxls 20, maxiter 15000, ftol 1e-16, gtol 1e-14 and maxfun
-    ``maxfev``: x0 is clipped to the box and evaluated once, a request for
-    the last evaluated point reuses its value, and the budget is tested at
-    each new iterate, so x, value and evaluation count are bitwise what
-    minimize returns.  Returns (theta, value, evaluations, stop message)
-    at the final iterate.
+    ``maxfev``, so x, evaluation count and stop message are bitwise what
+    minimize returns.  The value is that of the final x, the last accepted
+    iterate (x0 or the last NEW_X): after an abnormal line search minimize
+    reports that of the last trial point instead.  Returns (theta, value,
+    evaluations, stop message).
     """
     x = np.clip(_theta_to_decrements(theta), 0.0, np.inf)
     size = x.size
@@ -208,6 +189,7 @@ def _ascend(obj, theta, maxfev):
 
     last = x.copy()
     f, g = neg(last)
+    accepted = f
     nfev, nit = 1, 0
     lower, upper = np.zeros(size), np.zeros(size)
     nbd = np.ones(size, np.int32)               # lower bound 0 only
@@ -224,6 +206,7 @@ def _ascend(obj, theta, maxfev):
                 f, g = neg(last)
                 nfev += 1
         elif task[0] == _NEW_X:
+            accepted = f
             nit += 1
             if nit >= _MAXITER:
                 task[:] = _STOP, 504
@@ -231,8 +214,8 @@ def _ascend(obj, theta, maxfev):
                 task[:] = _STOP, 502
         else:
             break
-    stop = f"{_TASK_STATUS[task[0]]}: {_TASK_DETAIL.get(int(task[1]), '')}"
-    return _decrements_to_theta(np.maximum(x, 0.0)), -float(f), nfev, stop
+    stop = f"{status_messages[task[0]]}: {task_messages[task[1]]}"
+    return _decrements_to_theta(np.maximum(x, 0.0)), -float(accepted), nfev, stop
 
 
 def _search(params, F, config, mode):
@@ -268,7 +251,7 @@ def _search(params, F, config, mode):
 
     vals = np.array([r[1] for r in results])
     order = np.argsort(-vals, kind="stable")
-    best = obj.witness(results[order[0]][0])[1]
+    best = obj.witness(results[order[0]][0])
     if best is None:
         raise ParamError("search produced no feasible candidate; the configured "
                          "radius/knot grid admits no usable profile")
@@ -302,13 +285,8 @@ def _sweep_ts(params, grid_size):
     """
     lam = params.lam
     n, q, beta, a, b = params.n, params.q, params.beta, params.a, params.b
-    thr = q * (n - 1.0) / n * (1.0 - beta / n)
-    delta = series_start(params).j_start - thr
-    if beta > 0.0 and delta > 1e-9:
-        lo = min(1e-3, 0.02 ** (1.0 / delta))
-        lo = max(lo, 1e-8)
-    else:
-        lo = 1e-3
+    delta = series_start(params) - series_threshold(params)    # > 0 for beta > 0
+    lo = max(min(1e-3, 0.02 ** (1.0 / delta)), 1e-8) if beta > 0.0 else 1e-3
     exp_hi = (q / b) * (1.0 - beta / n)
     b_half = aa_bracket(0.5 * lam, params)
     # bracket(t) ~ (a(n-1)/n * (1 - t/lam))^exp_hi near t = lam
@@ -335,7 +313,8 @@ def identity_sweep(params, F, grid_size=24, config=None):
     spreads = np.array([est.spread for est in ests])
     profiles = [est.profile for est in ests]
     brackets = np.asarray(aa_bracket(ts, params))
-    products = brackets * fs
+    # 0 where f underflows to 0, also where the bracket overflows to inf
+    products = np.multiply(brackets, fs, out=np.zeros_like(fs), where=fs != 0.0)
     k_star = int(np.argmax(products))
     thr = threshold_check(params)
     diag = {
@@ -375,12 +354,11 @@ def construct_critical_from_subcritical(t_lambda, u_profile, params, F):
 def threshold_check(params):
     """Non-attainment threshold lam^{q(n-1)/n}/(q(n-1)/n)! when beta = 0 and
     q(n-1)/n is an integer; otherwise not applicable."""
-    m = params.q * (params.n - 1.0) / params.n
-    integral = abs(m - round(m)) < 1e-9
-    if params.beta == 0.0 and integral:
+    m = series_threshold(params)
+    if params.beta == 0.0 and m.is_integer():
         # a product of k ratios: never above e^lam, underflows to 0 rather
         # than overflow where lam^k or k! leaves the floating-point range
-        return ThresholdResult(math.prod(params.lam / i for i in range(1, round(m) + 1)), True)
+        return ThresholdResult(math.prod(params.lam / i for i in range(1, int(m) + 1)), True)
     return ThresholdResult(float("nan"), False)
 
 

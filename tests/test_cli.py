@@ -184,6 +184,26 @@ def test_sweep_outputs_and_determinism(config_path, tmp_path):
     assert report["verdict"] == "threshold not applicable"   # beta > 0
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_sweep_where_bracket_overflows_and_f_underflows(tmp_path):
+    # at q = 400, beta = 0 the low-t bracket overflows to inf where the
+    # subcritical value underflows to 0: the product is 0 there, not NaN,
+    # and no RuntimeWarning is raised (pytest turns one into an error)
+    cfg = write_config(tmp_path / "q400.json",
+                       params={"q": 400.0, "beta": 0.0, "a": 1.0, "b": 1.0},
+                       search={"knots": 16, "budget": 100})
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "sweep.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert np.isfinite(report["g_value"])
+    rows = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=2)
+    assert np.isinf(rows[0, 1]) and rows[0, 2] == 0.0 and rows[0, 3] == 0.0
+    assert not np.any(np.isnan(rows))
+
+
 def test_seed_override_changes_output(config_path, tmp_path):
     out1, out2 = tmp_path / "m1", tmp_path / "m2"
     assert main(["maximize", "--config", str(config_path), "--out", str(out1),

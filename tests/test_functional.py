@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from anisotm import (FunctionalParams, SeriesIndex, series_start, phi,
+from anisotm import (FunctionalParams, series_start, phi,
                      phi_direct, lq_norm_radial, dirichlet_energy_radial,
                      grad_norm_radial, atmsc_value, critical_value,
                      ratio_functional, normalize_sphere, constraint_scale,
@@ -84,14 +84,14 @@ def test_validate_lambda(gauge_euclid):
 
 def test_series_start_cases():
     # beta > 0: smallest integer strictly above q(n-1)/n (1 - beta/n)
-    assert series_start(params_beta05()) == SeriesIndex(1, True)
-    assert series_start(params_beta05(beta=1.5)) == SeriesIndex(1, True)
+    assert series_start(params_beta05()) == 1
+    assert series_start(params_beta05(beta=1.5)) == 1
     # threshold value 1.0 exactly: strict inequality pushes to 2
-    assert series_start(FunctionalParams(3, 3.0, 1.5, 1.0)) == SeriesIndex(2, True)
+    assert series_start(FunctionalParams(3, 3.0, 1.5, 1.0)) == 2
     # beta = 0: ceiling, ties stay
-    assert series_start(params_beta05(q=3.0, beta=0.0)) == SeriesIndex(2, False)
-    assert series_start(params_beta05(beta=0.0)) == SeriesIndex(1, False)
-    assert series_start(params_beta05(q=4.0, beta=0.0)) == SeriesIndex(2, False)
+    assert series_start(params_beta05(q=3.0, beta=0.0)) == 2
+    assert series_start(params_beta05(beta=0.0)) == 1
+    assert series_start(params_beta05(q=4.0, beta=0.0)) == 2
 
 
 def test_phi_frozen_values():
@@ -229,7 +229,7 @@ def test_radial_integrals_match_mpmath(shape, gauge_euclid):
     for beta in (0.0, 0.5, 1.5):
         ps = params_beta05(beta=beta)
         pe = params_beta05(beta=beta, variant="exp_power", p=2.5)
-        rate, j0 = ps.lam * (1.0 - beta / 2.0), series_start(ps).j_start
+        rate, j0 = ps.lam * (1.0 - beta / 2.0), series_start(ps)
         power = 1 - mpmath.mpf(beta)
         series = _radial_oracle(g, lambda v: _phi_oracle(rate * v * v, j0), power)
         exp_power = _radial_oracle(
@@ -390,12 +390,15 @@ def test_radial_objective_matches_library(params, F, mode):
         # the library path: normalize or project, then re-evaluate
         g = RadialProfile(knots, np.append(theta, 0.0))
         if mode == "subcritical":
-            want = atmsc_value(normalize_sphere(g, params.q, F), params, F)
+            image = normalize_sphere(g, params.q, F)
+            want = atmsc_value(image, params, F)
         else:
-            gc = constraint_scale(g, params.a, params.b, F, params.q).scaled
-            want = critical_value(gc, params, F)
+            image = constraint_scale(g, params.a, params.b, F, params.q).scaled
+            want = critical_value(image, params, F)
         assert value == pytest.approx(want, rel=1e-12)
-        assert obj.witness(theta)[0] == want
+        witness = obj.witness(theta)
+        assert np.array_equal(witness.knots, image.knots)
+        assert np.array_equal(witness.values, image.values)
         fd = np.empty_like(theta)
         for i in range(theta.size):
             step = 1e-6 * max(theta[i], 1e-2)
@@ -411,7 +414,7 @@ def test_radial_objective_rejects_degenerate(gauge_euclid):
     obj = RadialObjective(params_beta05(), gauge_euclid, knots, "critical")
     value, grad = obj.value_and_grad(np.zeros(knots.size - 1))
     assert value == -np.inf and np.all(grad == 0.0)
-    assert obj.witness(np.zeros(knots.size - 1)) == (-np.inf, None)
+    assert obj.witness(np.zeros(knots.size - 1)) is None
     # a rate far above the sharp constant overflows the kernel: -inf, never
     # a non-finite gradient
     hot = RadialObjective(params_beta05(lam=1e5), gauge_euclid, knots, "critical")

@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
 import anisotm.maximize as maximize
@@ -19,9 +20,9 @@ from anisotm import (SearchConfig, SearchResult, estimate_f, identity_sweep,
                      critical_value, atmsc_value, aa_bracket, lq_norm_radial,
                      grad_norm_radial, FunctionalParams, ParamError,
                      RadialProfile, FinslerNorm, wulff_volume, sharp_constant)
-from anisotm.functional import RadialObjective
+from anisotm.functional import RadialObjective, series_start, series_threshold
 from anisotm.maximize import (_ascend, _decrements_to_theta, _initializers,
-                              _theta_to_decrements, geometric_knots,
+                              _sweep_ts, _theta_to_decrements, geometric_knots,
                               isotonic_nonincreasing)
 
 PARAMS = FunctionalParams(n=2, q=2.0, beta=0.5, lam=np.pi, a=2.0, b=2.0)
@@ -62,6 +63,38 @@ def test_isotonic_properties():
         assert np.allclose(isotonic_nonincreasing(z), z, atol=1e-12)
 
 
+def _pava_oracle(y):
+    """Pool adjacent violators by hand: the nonincreasing least-squares fit,
+    clipped at 0."""
+    level, weight = [], []
+    for v in np.asarray(y, dtype=float)[::-1]:
+        level.append(v)
+        weight.append(1)
+        # the stack holds a nondecreasing sequence of pooled blocks
+        while len(level) >= 2 and level[-2] > level[-1]:
+            w = weight[-2] + weight[-1]
+            level[-2:] = [(level[-2] * weight[-2] + level[-1] * weight[-1]) / w]
+            weight[-2:] = [w]
+    return np.maximum(np.repeat(level, weight)[::-1], 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-1.0, 1.0)),
+                  min_size=1, max_size=80),
+       scale=st.floats(1e-3, 1e3))
+@example(y=[0.0, 5e-324, 5e-324], scale=1.0)
+def test_isotonic_matches_pava_oracle(y, scale):
+    # small integers give ties, the floats everything between them; below
+    # the smallest normal float the two round subnormal means differently
+    y = scale * np.array(y)
+    z = isotonic_nonincreasing(y)
+    tol = 1e-12 * np.max(np.abs(y)) + np.finfo(float).tiny
+    assert z.shape == y.shape
+    assert np.max(np.abs(z - _pava_oracle(y))) <= tol
+    assert np.all(np.diff(z) <= 0.0) and np.all(z >= 0.0)
+    assert np.max(np.abs(isotonic_nonincreasing(z) - z)) <= tol
+
+
 def test_threshold_check():
     res = threshold_check(FunctionalParams(2, 2.0, 0.0, 3.0))
     assert res.applicable and res.threshold == pytest.approx(3.0)
@@ -69,6 +102,25 @@ def test_threshold_check():
         == pytest.approx(4.5)
     assert not threshold_check(FunctionalParams(2, 2.0, 0.5, 3.0)).applicable
     assert not threshold_check(FunctionalParams(2, 3.0, 0.0, 3.0)).applicable
+
+
+@pytest.mark.parametrize("q,beta", [(2.0 - 2e-10, 0.0), (2.0 + 2e-10, 0.0),
+                                    (8.0 / 3.0, 0.5)])
+def test_one_series_rule(q, beta):
+    # m = q(n-1)/n (1 - beta/n) lies within 1e-10 of 1; the series index,
+    # the threshold check and the sweep grid all read the snapped m = 1
+    params = FunctionalParams(2, q, beta, 3.0, a=2.0, b=2.0)
+    assert abs(q / 2.0 * (1.0 - beta / 2.0) - 1.0) <= 1.1e-10
+    assert series_threshold(params) == 1.0
+    j = series_start(params)
+    assert type(j) is int and j == (1 if beta == 0.0 else 2)
+    thr = threshold_check(params)
+    assert thr.applicable == (beta == 0.0)
+    if thr.applicable:
+        assert thr.threshold == 3.0                        # lam^1 / 1!
+    # beta > 0: the low end comes from delta = j - m = 1, which puts it at
+    # min(1e-3, 0.02^(1/delta)) = 1e-3 of lam, as at beta = 0
+    assert _sweep_ts(params, 8)[0] == params.lam * 1e-3
 
 
 @pytest.mark.parametrize("q", [400.0, 2000.0])
@@ -208,10 +260,12 @@ def _minimize_ascent(obj, theta, maxfev):
 @pytest.mark.parametrize("mode,radius,init,budget", [
     ("subcritical", 8.0, 0, 500), ("subcritical", 8.0, 3, 500),
     ("critical", 16.0, 0, 500), ("critical", 16.0, 3, 500),
-    ("subcritical", 8.0, 1, 40)])
+    ("subcritical", 8.0, 1, 40), ("subcritical", 8.0, 1, 500)])
 def test_ascend_is_bitwise_minimize(gauge_euclid, mode, radius, init, budget):
     # the reverse-communication loop drives scipy's private setulb kernel; a
-    # scipy release that changes it must fail here, not move values quietly
+    # scipy release that changes it must fail here, not move iterates
+    # quietly.  The value is that of the returned iterate, which minimize's
+    # is not after an abnormal line search (the last case)
     knots = geometric_knots(radius, 64)
     obj = RadialObjective(PARAMS.with_lam(0.5 * sharp_constant(gauge_euclid)),
                           gauge_euclid, knots, mode)
@@ -219,9 +273,12 @@ def test_ascend_is_bitwise_minimize(gauge_euclid, mode, radius, init, budget):
     want = _minimize_ascent(obj, theta, budget)
     got = _ascend(obj, theta, budget)
     assert np.array_equal(got[0], want[0])
-    assert got[1:] == want[1:]
+    assert got[2:] == want[2:]
+    assert got[1] == obj.value_and_grad(got[0])[0]
     if budget == 40:
         assert got[2] > budget and got[3].startswith("STOP")
+    if init == 1 and budget == 500:
+        assert got[3] == "ABNORMAL: " and got[1] != want[1]
 
 
 @pytest.mark.parametrize("search", [estimate_f, direct_critical_max],
@@ -248,6 +305,27 @@ def test_restart_evals_and_stops(gauge_euclid, search, monkeypatch):
     starved = search(PARAMS, gauge_euclid, small_config(budget=5))
     assert all(e > 5 for e in starved.restart_evals)
     assert starved.restart_stops == ("STOP: TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT",) * 2
+
+
+def test_restart_values_are_those_of_the_iterates(gauge_euclid, monkeypatch):
+    # the bench-size subcritical search at seed 0: restarts 1 and 5 end in
+    # an abnormal line search, and each restart still reports the value of
+    # the iterate it returns (k = 1 for the Euclidean gauge, so no scaling)
+    runs = []
+    ascend = maximize._ascend
+
+    def recorded(obj, theta, maxfev):
+        out = ascend(obj, theta, maxfev)
+        runs.append((obj, out))
+        return out
+
+    monkeypatch.setattr(maximize, "_ascend", recorded)
+    params = PARAMS.with_lam(0.5 * sharp_constant(gauge_euclid))
+    res = estimate_f(params, gauge_euclid, SearchConfig(knots=64, radius=8.0,
+                                                        restarts=6, budget=500))
+    assert [stop for _, (_, _, _, stop) in runs].count("ABNORMAL: ") == 2
+    assert res.restart_values == tuple(obj.value_and_grad(theta)[0]
+                                       for obj, (theta, _, _, _) in runs)
 
 
 # -- Wulff reduction -----------------------------------------------------------
