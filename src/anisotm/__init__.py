@@ -8,14 +8,13 @@ the two problems.
 
 __version__ = "0.1.0"
 
-from .finsler import (FinslerNorm, WulffBall, GaugeError, wulff_volume,
+from .finsler import (FinslerNorm, GaugeError, wulff_volume,
                       sharp_constant, bipolar_residual, coarea_surface_check,
                       unit_ball_measure)
 from .profiles import RadialProfile
 from .functional import (FunctionalParams, series_start, phi,
-                         phi_direct, lq_norm_radial, dirichlet_energy_radial,
-                         grad_norm_radial,
-                         atmsc_value, ratio_functional, critical_value,
+                         lq_norm_radial, dirichlet_energy_radial,
+                         grad_norm_radial, atmsc_value, critical_value,
                          normalize_sphere, constraint_scale, aa_bracket,
                          FunctionalOverflowError, ParamError)
 from .rearrange import (GridFunction, StepRearrangement, SupportOverflowError,

@@ -25,7 +25,7 @@ from . import __version__
 from .finsler import (FinslerNorm, GaugeError, wulff_volume, sharp_constant,
                       bipolar_residual, coarea_surface_check)
 from .functional import (FunctionalParams, ParamError, FunctionalOverflowError,
-                         phi, phi_direct, normalize_sphere,
+                         phi, normalize_sphere,
                          lq_norm_radial, grad_norm_radial, validate_lambda,
                          PHI_SERIES)
 from .profiles import RadialProfile, ProfileError
@@ -304,7 +304,7 @@ def cmd_sweep(cfg, digest, out):
 def cmd_check(cfg, digest, out):
     """Quick invariant battery over the built-in anchor gauges."""
     del digest, out
-    seed = _number(cfg.get("search", {}), "seed", "search", int, 0) if cfg else 0
+    seed = search_from_config(cfg).seed
     failures = 0
 
     def report(name, ok, detail=""):
@@ -328,11 +328,12 @@ def cmd_check(cfg, digest, out):
                bipolar_residual(F, 100, seed=seed) < 1e-10)
         report(f"coarea residual {name} <= 1e-8",
                abs(coarea_surface_check(F, 1.0)) < 1e-8)
-    params = FunctionalParams(n=2, q=2.0, beta=0.0, lam=1.0)
-    t = np.geomspace(1e-6, 10.0, 25)
-    gap = np.max(np.abs(phi(params, t) - phi_direct(params, t))
-                 / np.maximum(phi(params, t), 1e-300))
-    report("phi stable vs direct <= 1e-12", gap < 1e-12, f"{gap:.2e}")
+    # series start j = 2; below t = 0.1 the closed form itself cancels
+    t = np.geomspace(0.1, 10.0, 25)
+    exact = np.expm1(t) - t
+    gap = np.max(np.abs(phi(FunctionalParams(n=2, q=3.0, beta=0.0, lam=1.0), t)
+                        - exact) / exact)
+    report("phi at j = 2 equals expm1(t) - t within 1e-12", gap < 1e-12, f"{gap:.2e}")
     rng = np.random.default_rng(seed)
     knots = np.linspace(0.0, 3.0, 33)
     ok_norm = True

@@ -673,22 +673,3 @@ def _unit_coarea_integral(F):
         integ = (elem / _row_norms(grad)).reshape(kt, kp)
         val = float(wt @ integ.sum(axis=1)) * (2.0 * np.pi / kp)
     return val
-
-
-class WulffBall:
-    """Sublevel set {x : gauge(x - center) <= radius} of a polar gauge."""
-
-    def __init__(self, gauge, radius, center=None):
-        if radius <= 0.0:
-            raise GaugeError("Wulff ball radius must be positive")
-        self.gauge = gauge
-        self.radius = float(radius)
-        self.center = np.zeros(gauge.dim) if center is None else np.asarray(center, float)
-
-    def contains(self, x):
-        pts, single = _as_points(x, self.gauge.dim)
-        inside = self.gauge(pts - self.center) <= self.radius
-        return bool(inside[0]) if single else inside.reshape(np.asarray(x).shape[:-1])
-
-    def volume(self):
-        return unit_ball_measure(self.gauge) * self.radius ** self.gauge.dim

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import brentq
 from scipy.special import gammainc
 
 from .finsler import wulff_volume, sharp_constant
@@ -160,22 +161,6 @@ def phi(params, t):
     FunctionalOverflowError beyond the floating-point range."""
     _check_exp_argument(t)
     return _phi_stable(t, series_start(params))
-
-
-def phi_direct(params, t):
-    """Reference route: plain ascending summation of 64 tail terms.
-
-    Converged (hence comparable to phi at full precision) only while the
-    truncated tail is negligible, i.e. for t well below 64.
-    """
-    j0 = series_start(params)
-    t = np.asarray(t, dtype=float)
-    term = t ** j0 / math.factorial(j0)
-    acc = term.copy()
-    for j in range(j0, j0 + 63):
-        term = term * t / (j + 1.0)
-        acc = acc + term
-    return acc if acc.ndim else float(acc)
 
 
 # -- radial quadrature -------------------------------------------------------
@@ -357,14 +342,6 @@ def critical_value(g, params, F):
     return _radial_exp_integral(g, replace(params, variant=PHI_SERIES), F)
 
 
-def ratio_functional(g, params, F):
-    """atmsc_value(g) / ||g||_q^{q(1-beta/n)}."""
-    qn = lq_norm_radial(g, params.q, F)
-    if qn <= 0.0:
-        raise ParamError("ratio functional is undefined for the zero profile")
-    return atmsc_value(g, params, F) / qn ** (params.q * (1.0 - params.beta / params.n))
-
-
 # -- normalization maps ------------------------------------------------------
 
 def _sphere_radius_factor(e, qn, q, n):
@@ -385,8 +362,8 @@ def normalize_sphere(g, q, F):
     """Rescale to the unit sphere of both norms.
 
     v(r) = g(t r)/e with e = ||F grad g||_n and t = (||g||_q / e)^{q/n}
-    gives ||F grad v||_n = ||v||_q = 1; the ratio functional does not
-    decrease under this map.
+    gives ||F grad v||_n = ||v||_q = 1; the ratio atmsc_value(g) /
+    ||g||_q^{q(1-beta/n)} does not decrease under this map.
     """
     e = grad_norm_radial(g, F)
     t = _sphere_radius_factor(e, lq_norm_radial(g, q, F), q, F.dim)
@@ -403,43 +380,34 @@ class ConstraintScaled:
     residual: float         # |constraint(scaled) - 1|, re-evaluated
 
 
+def constraint_value(X, Y, a, b):
+    """X^a + Y^b, the constraint at norms X, Y; inf beyond the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.float64(X) ** a + np.float64(Y) ** b)
+
+
 def _constraint_root(X, Y, a, b):
     """The c > 0 with (c X)^a + (c Y)^b = 1, for X, Y >= 0 not both 0.
 
     For a = b the root is c = (X^a + Y^a)^{-1/a}, evaluated with the larger
     of X, Y factored out so that the powers cannot overflow.  Otherwise the
-    left side is strictly increasing in c, so the root is unique; bisection
-    runs to relative width 1e-14.
+    left side increases strictly in c.  At c_hi = min(1/X, 1/Y) one term is
+    1 (or an ulp below: c_hi is then the root to rounding), at c_lo = c_hi
+    4^{-1/min(a, b)} each is at most 1/4 (c_lo = c_hi once min(a, b) passes
+    1e16), and brentq searches between them, where no term exceeds 1.
     """
     if a == b:
         top = max(X, Y)
         return 1.0 / (top * ((X / top) ** a + (Y / top) ** a) ** (1.0 / a))
-    return _bisect_constraint_root(X, Y, a, b)
+    hi = min(1.0 / X if X else math.inf, 1.0 / Y if Y else math.inf)
+    lo = hi * 0.25 ** (1.0 / min(a, b))
 
+    def excess(c):
+        return (c * X) ** a + (c * Y) ** b - 1.0
 
-def _bisect_constraint_root(X, Y, a, b):
-    """_constraint_root by bisection, for any a, b > 0."""
-    def val(c):
-        return (c * X) ** a + (c * Y) ** b
-
-    lo = hi = 1.0
-    for _ in range(200):
-        if val(hi) >= 1.0:
-            break
-        hi *= 2.0
-    for _ in range(200):
-        if val(lo) <= 1.0:
-            break
-        lo /= 2.0
-    for _ in range(200):
-        c = 0.5 * (lo + hi)
-        if val(c) < 1.0:
-            lo = c
-        else:
-            hi = c
-        if hi - lo <= 1e-14 * hi:
-            break
-    return 0.5 * (lo + hi)
+    if lo == hi or excess(hi) <= 0.0:
+        return hi
+    return brentq(excess, lo, hi, xtol=1e-300)     # relative: rtol 4 eps
 
 
 def constraint_scale(g, a, b, F, q):
@@ -450,14 +418,15 @@ def constraint_scale(g, a, b, F, q):
     """
     X = grad_norm_radial(g, F)
     Y = lq_norm_radial(g, q, F)
-    S = X ** a + Y ** b
+    S = constraint_value(X, Y, a, b)
     if S <= 0.0:
         raise ParamError("zero profile cannot be scaled onto the constraint sphere")
     c = _constraint_root(X, Y, a, b)
     scaled = g.scaled(value_factor=c)
-    res = abs(grad_norm_radial(scaled, F) ** a + lq_norm_radial(scaled, q, F) ** b - 1.0)
+    res = abs(constraint_value(grad_norm_radial(scaled, F),
+                               lq_norm_radial(scaled, q, F), a, b) - 1.0)
     return ConstraintScaled(c=c, scaled=scaled, feasible=S <= 1.0 + 1e-12,
-                            residual=float(res))
+                            residual=res)
 
 
 def _nonzero(theta):

@@ -35,9 +35,9 @@ from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 from .finsler import FinslerNorm, wulff_volume
 from .functional import (EXP_POWER, ParamError, RadialObjective, atmsc_value,
-                         critical_value, lq_norm_radial, grad_norm_radial,
-                         aa_bracket, series_start, series_threshold,
-                         validate_lambda)
+                         critical_value, constraint_value, lq_norm_radial,
+                         grad_norm_radial, aa_bracket, series_start,
+                         series_threshold, validate_lambda)
 from .profiles import RadialProfile
 from .rearrange import rasterize_profile, convex_symmetrization
 
@@ -69,7 +69,7 @@ class SearchConfig:
     radius_critical: float = None    # critical-search radius, default 2*radius
 
     def __post_init__(self):
-        for name, least in (("knots", 2), ("restarts", 1), ("budget", 1)):
+        for name, least in (("knots", 2), ("restarts", 1), ("budget", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ParamError(f"search.{name} must be at least {least}, "
                                  f"got {getattr(self, name)}")
@@ -117,7 +117,6 @@ class SweepResult:
     g_value: float
     endpoint_diagnostics: dict
     profiles: list
-    f_spreads: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -310,7 +309,6 @@ def identity_sweep(params, F, grid_size=24, config=None):
     point_config = replace(config, restarts=max(2, config.restarts // 4))
     ests = [estimate_f(params.with_lam(float(t)), F, point_config) for t in ts]
     fs = np.array([est.value for est in ests])
-    spreads = np.array([est.spread for est in ests])
     profiles = [est.profile for est in ests]
     brackets = np.asarray(aa_bracket(ts, params))
     # 0 where f underflows to 0, also where the bracket overflows to inf
@@ -326,8 +324,7 @@ def identity_sweep(params, F, grid_size=24, config=None):
     return SweepResult(lam=params.lam, ts=ts, f_estimates=fs, brackets=brackets,
                        products=products, t_star=float(ts[k_star]),
                        g_value=float(products[k_star]),
-                       endpoint_diagnostics=diag, profiles=profiles,
-                       f_spreads=spreads)
+                       endpoint_diagnostics=diag, profiles=profiles)
 
 
 def construct_critical_from_subcritical(t_lambda, u_profile, params, F):
@@ -356,9 +353,14 @@ def threshold_check(params):
     q(n-1)/n is an integer; otherwise not applicable."""
     m = series_threshold(params)
     if params.beta == 0.0 and m.is_integer():
-        # a product of k ratios: never above e^lam, underflows to 0 rather
-        # than overflow where lam^k or k! leaves the floating-point range
-        return ThresholdResult(math.prod(params.lam / i for i in range(1, int(m) + 1)), True)
+        # k ratios multiplied left to right as math.prod does: never above
+        # e^lam, 0 (and no later factor changes it) once it underflows
+        value = 1.0
+        for i in range(1, int(m) + 1):
+            value *= params.lam / i
+            if value == 0.0:
+                break
+        return ThresholdResult(value, True)
     return ThresholdResult(float("nan"), False)
 
 
@@ -403,5 +405,5 @@ def maximizer_diagnostics(g, params, F, grid_resolution=256, objective="subcriti
     return MaximizerReport(
         profile=g, value=float(value),
         grad_norm_residual=abs(gn - 1.0), q_norm_residual=abs(qn - 1.0),
-        constraint_residual=abs(gn ** params.a + qn ** params.b - 1.0),
+        constraint_residual=abs(constraint_value(gn, qn, params.a, params.b) - 1.0),
         symmetry_residual=sym, local_optimality_margin=float(margin))

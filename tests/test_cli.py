@@ -298,6 +298,43 @@ def test_exit_code_critical_witness_off_the_sphere(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_maximize_critical_large_b(tmp_path, capsys):
+    # (c Y)^b at b = 1100 overflows a float unless no term above 1 is formed
+    cfg = write_config(tmp_path / "b.json", params={"b": 1100.0},
+                       search={"objective": "critical", "knots": 16,
+                               "budget": 60})
+    out = tmp_path / "b1100"
+    assert main(["maximize", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["constraint_residual"] <= 1e-9
+
+
+def test_maximize_critical_huge_b(tmp_path, capsys):
+    # at b = 1e300 the sphere is not resolvable in floats: a clean exit
+    cfg = write_config(tmp_path / "b.json", params={"b": 1e300},
+                       search={"objective": "critical", "knots": 16,
+                               "budget": 60})
+    code = main(["maximize", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_negative_seed_is_a_validation_error(tmp_path, capsys):
+    # the sixth restart is the first seeded perturbation: default_rng(seed, 5)
+    cfg = write_config(tmp_path / "cfg.json", search={"restarts": 6})
+    assert main(["maximize", "--config", str(cfg), "--out", str(tmp_path),
+                 "--seed", "-1"]) == 2
+    assert "search.seed must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_check_rejects_negative_seed(tmp_path, capsys):
+    cfg = tmp_path / "check.json"
+    cfg.write_text(json.dumps({"search": {"seed": -1}}))
+    assert main(["check", "--config", str(cfg)]) == 2
+    assert "search.seed must be at least 0" in capsys.readouterr().err
+
+
 def test_config_defaults_come_from_the_library(monkeypatch, tmp_path):
     # absent keys leave SearchConfig's and identity_sweep's defaults alone
     assert search_from_config({}) == SearchConfig()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anisotm import (FinslerNorm, WulffBall, GaugeError, wulff_volume,
+from anisotm import (FinslerNorm, GaugeError, wulff_volume,
                      sharp_constant, bipolar_residual, coarea_surface_check,
                      unit_ball_measure)
 from anisotm import finsler
@@ -497,20 +497,6 @@ def test_coarea_sampled_and_3d(gauge_maxgauge):
     assert abs(coarea_surface_check(gauge_maxgauge, 1.0)) < 1e-8
     assert abs(coarea_surface_check(FinslerNorm.euclidean(3), 1.0)) < 1e-10
     assert abs(coarea_surface_check(FinslerNorm.pnorm(3.0, 3), 1.0)) < 1e-5
-
-
-# -- Wulff balls --------------------------------------------------------------
-
-def test_wulff_ball_membership_and_volume(gauge_ellipse):
-    # the Wulff ball of F is a sublevel set of the polar gauge
-    pol = gauge_ellipse.polar()
-    ball = WulffBall(pol, radius=1.5, center=(0.3, -0.2))
-    assert abs(ball.volume() - 2.0 * np.pi * 1.5 ** 2) < 1e-8
-    pts = rand_points(2, 200, 4)
-    inside = pol(pts - np.array([0.3, -0.2])) <= 1.5
-    assert np.array_equal(ball.contains(pts), inside)
-    with pytest.raises(GaugeError):
-        WulffBall(pol, radius=0.0)
 
 
 @pytest.mark.parametrize("fn", [FinslerNorm.direction_bounds, FinslerNorm.polar,

@@ -10,16 +10,16 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anisotm import (FunctionalParams, series_start, phi,
-                     phi_direct, lq_norm_radial, dirichlet_energy_radial,
+                     lq_norm_radial, dirichlet_energy_radial,
                      grad_norm_radial, atmsc_value, critical_value,
-                     ratio_functional, normalize_sphere, constraint_scale,
+                     normalize_sphere, constraint_scale,
                      aa_bracket, FunctionalOverflowError, ParamError,
                      RadialProfile, FinslerNorm, wulff_volume, sharp_constant)
-from anisotm.functional import (RadialObjective, _bisect_constraint_root,
-                                _constraint_root, _phi_slope, _phi_stable,
-                                validate_lambda)
+from anisotm.functional import (RadialObjective, _constraint_root, _phi_slope,
+                                _phi_stable, validate_lambda)
 from anisotm.maximize import geometric_knots
 
 R_CONE = 1.3
@@ -103,15 +103,6 @@ def test_phi_frozen_values():
     assert phi(pb, 0.5) == pytest.approx(0.14872127070012814, rel=1e-14)
     assert phi(pb, 5.0) == pytest.approx(142.4131591025766, rel=1e-14)
     assert phi(pb, 50.0) == pytest.approx(5.184705528587072e21, rel=1e-14)
-
-
-def test_phi_matches_direct_summation():
-    ts = np.linspace(0.0, 12.0, 121)
-    for pa in (params_beta05(), params_beta05(q=3.0, beta=0.0),
-               FunctionalParams(3, 3.0, 1.5, 1.0)):
-        a = phi(pa, ts)
-        b = phi_direct(pa, ts)
-        assert np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)) < 1e-12
 
 
 def test_phi_rejects_negative_argument():
@@ -270,16 +261,6 @@ def test_dimension_mismatch(gauge_euclid):
         atmsc_value(cone(), FunctionalParams(3, 2.0, 0.5, 1.0), gauge_euclid)
 
 
-def test_ratio_functional(gauge_euclid):
-    pa = params_beta05()
-    val = ratio_functional(cone(), pa, gauge_euclid)
-    expect = ATMSC_CONE_BETA05 / LQ_CONE_Q2 ** (2.0 * 0.75)
-    assert val == pytest.approx(expect, rel=1e-11)
-    zero = RadialProfile([0.0, 1.0], [0.0, 0.0])
-    with pytest.raises(ParamError):
-        ratio_functional(zero, pa, gauge_euclid)
-
-
 # -- normalization maps -------------------------------------------------------
 
 def test_normalize_sphere(gauge_euclid, gauge_ellipse):
@@ -295,24 +276,6 @@ def test_normalize_sphere(gauge_euclid, gauge_ellipse):
     plateau = RadialProfile([0.0, 1.0, 1.1], [1.0, 1.0, 0.0])
     with pytest.raises(ParamError, match="radius factor"):
         normalize_sphere(plateau, 1e6, gauge_euclid)
-
-
-def test_ratio_grows_under_normalization(gauge_euclid):
-    # the normalization map only raises the ratio functional on profiles
-    # with gradient norm at most 1 (division by the norm then increases the
-    # exponential argument), so draw from that set
-    pa = params_beta05()
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        vals = np.sort(rng.uniform(0.0, 1.2, 6))[::-1]
-        vals[-1] = 0.0
-        g = RadialProfile(np.linspace(0.0, rng.uniform(0.5, 2.0), 6), vals)
-        e = grad_norm_radial(g, gauge_euclid)
-        g = g.scaled(value_factor=rng.uniform(0.3, 1.0) / e)
-        before = ratio_functional(g, pa, gauge_euclid)
-        after = ratio_functional(normalize_sphere(g, pa.q, gauge_euclid),
-                                 pa, gauge_euclid)
-        assert after >= before - 1e-10 * abs(before)
 
 
 def test_constraint_scale(gauge_euclid):
@@ -335,10 +298,36 @@ def test_constraint_scale(gauge_euclid):
         constraint_scale(zero, 2.0, 2.0, gauge_euclid, 2.0)
 
 
+def _bisect_constraint_root(X, Y, a, b):
+    """Oracle for _constraint_root: bisection on a bracket found by halving
+    and doubling from 1, to relative width 1e-14."""
+    def val(c):
+        return (c * X) ** a + (c * Y) ** b
+
+    lo = hi = 1.0
+    for _ in range(200):
+        if val(hi) >= 1.0:
+            break
+        hi *= 2.0
+    for _ in range(200):
+        if val(lo) <= 1.0:
+            break
+        lo /= 2.0
+    for _ in range(200):
+        c = 0.5 * (lo + hi)
+        if val(c) < 1.0:
+            lo = c
+        else:
+            hi = c
+        if hi - lo <= 1e-14 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
 @pytest.mark.parametrize("a", [1.5, 2.0, 3.0])
 def test_constraint_root_closed_form(a):
     # a = b has the closed-form root (X^a + Y^a)^{-1/a}; it must agree with
-    # the bisection that serves a != b, including X = 0 or Y = 0
+    # the bisection oracle, including X = 0 or Y = 0
     rng = np.random.default_rng(int(10 * a))
     pairs = [(0.0, 1.7), (2.3, 0.0), (1e-6, 3e5)]
     pairs += [tuple(10.0 ** rng.uniform(-3.0, 3.0, 2)) for _ in range(200)]
@@ -347,6 +336,32 @@ def test_constraint_root_closed_form(a):
         want = _bisect_constraint_root(X, Y, a, a)
         assert abs(got - want) <= 1e-14 * want
         assert (got * X) ** a + (got * Y) ** a == pytest.approx(1.0, abs=1e-14)
+
+
+_norm = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(X=_norm, Y=_norm, zero=st.sampled_from([None, "X", "Y"]),
+       a=st.floats(0.5, 8.0), b=st.floats(0.5, 8.0))
+def test_constraint_root_brentq(X, Y, zero, a, b):
+    # a != b: brentq on the closed-form bracket agrees with the bisection
+    # oracle and lands on the constraint sphere
+    X = 0.0 if zero == "X" else X
+    Y = 0.0 if zero == "Y" else Y
+    got = _constraint_root(X, Y, a, b)
+    want = _bisect_constraint_root(X, Y, a, b)
+    assert abs(got - want) <= 1e-13 * want
+    assert abs((got * X) ** a + (got * Y) ** b - 1.0) <= 1e-14
+
+
+def test_constraint_scale_large_b(gauge_euclid):
+    # (c Y)^b for b in the thousands, and X^a + Y^b beyond the float range
+    g = RadialProfile([0.0, 0.6, 1.5], [2.9, 1.4, 0.0])
+    assert lq_norm_radial(g, 2.0, gauge_euclid) > 1.0
+    for b in (1100.0, 3000.0):
+        out = constraint_scale(g, 2.0, b, gauge_euclid, 2.0)
+        assert not out.feasible and out.residual <= 1e-12
 
 
 def test_aa_bracket(gauge_euclid):

@@ -5,6 +5,7 @@ so the whole file stays under a few seconds; the acceptance suite runs the
 calibrated settings.
 """
 
+import time
 import warnings
 
 import numpy as np
@@ -97,9 +98,8 @@ def test_isotonic_matches_pava_oracle(y, scale):
 
 def test_threshold_check():
     res = threshold_check(FunctionalParams(2, 2.0, 0.0, 3.0))
-    assert res.applicable and res.threshold == pytest.approx(3.0)
-    assert threshold_check(FunctionalParams(2, 4.0, 0.0, 3.0)).threshold \
-        == pytest.approx(4.5)
+    assert res.applicable and res.threshold == 3.0
+    assert threshold_check(FunctionalParams(2, 4.0, 0.0, 3.0)).threshold == 4.5
     assert not threshold_check(FunctionalParams(2, 2.0, 0.5, 3.0)).applicable
     assert not threshold_check(FunctionalParams(2, 3.0, 0.0, 3.0)).applicable
 
@@ -123,11 +123,14 @@ def test_one_series_rule(q, beta):
     assert _sweep_ts(params, 8)[0] == params.lam * 1e-3
 
 
-@pytest.mark.parametrize("q", [400.0, 2000.0])
+@pytest.mark.parametrize("q", [400.0, 2000.0, 2e10])
 def test_threshold_check_large_series_index(q):
-    # lam^k / k! with k = q/2 = 200 or 1000: k! is beyond the float range,
-    # the threshold itself is a tiny positive number or underflows to 0
+    # lam^k / k! with k = q/2 = 200, 1000 or 1e10: k! is beyond the float
+    # range, the threshold itself is a tiny positive number or underflows
+    # to 0, and the product stops there instead of running through all k
+    start = time.perf_counter()
     res = threshold_check(FunctionalParams(2, q, 0.0, 3.0))
+    assert time.perf_counter() - start < 1.0
     assert res.applicable and 0.0 <= res.threshold < 1e-200
 
 
@@ -381,7 +384,6 @@ def test_identity_sweep_smoke(gauge_euclid):
     assert sweep.t_star == sweep.ts[k]
     assert sweep.g_value == sweep.products[k]
     assert len(sweep.profiles) == sweep.ts.size
-    assert sweep.f_spreads.shape == sweep.ts.shape
     diag = sweep.endpoint_diagnostics
     assert set(diag) >= {"low_t_products", "high_t_products", "threshold"}
     assert diag["threshold"] is None                       # beta > 0
