@@ -83,6 +83,11 @@ def load_config(path, seed_override=None):
         if not isinstance(cfg.get(name, {}), dict):
             raise ConfigError(f"config field {name} must be a JSON object, "
                               f"got {cfg[name]!r}")
+    return _resolve_config(cfg, seed_override)
+
+
+def _resolve_config(cfg, seed_override=None):
+    """Apply the --seed override to a config dict; returns (dict, sha256)."""
     if seed_override is not None:
         cfg.setdefault("search", {})["seed"] = int(seed_override)
     hash_cfg = json.loads(json.dumps(cfg))
@@ -382,7 +387,7 @@ def main(argv=None):
         if args.config is None:
             if args.command != "check":
                 raise ConfigError("--config is required for this command")
-            cfg, digest = {}, hashlib.sha256(b"{}").hexdigest()
+            cfg, digest = _resolve_config({}, args.seed)
         else:
             cfg, digest = load_config(args.config, args.seed)
         out = Path(args.out)

@@ -13,9 +13,9 @@ exp-power variant) or the truncated exponential series Phi (the phi-series
 variant); the critical functional always uses the Phi form.  Normalization
 maps rescale profiles so both norms are 1 (unit-sphere form) or onto the
 constraint sphere ||F grad u||^a + ||u||_q^b = 1.  RadialObjective gives
-the normalized functionals on one knot grid with their gradients, for the
-profile search, and without them on blocks of candidates; it shares its
-quadrature rules with the functions above.
+the normalized functionals on one knot grid, with their gradients for the
+profile search or without them; it shares its quadrature rules with the
+functions above.
 """
 
 import math
@@ -430,8 +430,8 @@ def constraint_scale(g, a, b, F, q):
 
 
 def _nonzero(theta):
-    """Per candidate (last axis): some knot value exceeds 1e-12, else it is degenerate."""
-    return np.any(np.asarray(theta) > 1e-12, axis=-1)
+    """Some knot value exceeds 1e-12; else the candidate is degenerate."""
+    return np.any(np.asarray(theta) > 1e-12)
 
 
 class RadialObjective:
@@ -445,10 +445,9 @@ class RadialObjective:
     interpolation indices are built once, on ``knots``: shrinking the radius
     by 1/t multiplies the subcritical integral by t^{beta-n}, and the
     constraint projection keeps the knots.  One forward pass (the energy,
-    the q-norm, the scale factor, the kernel) serves value_and_grad, which
-    adds the gradient by the chain rule through each of them, and values,
-    which scores a block of candidates row by row without it.  Degenerate
-    or overflowing candidates have value -inf.
+    the q-norm, the scale factor, the kernel input) serves value, and
+    value_and_grad, which adds the gradient by the chain rule through each
+    of them.  Degenerate or overflowing candidates have value -inf.
     """
 
     def __init__(self, params, F, knots, mode):
@@ -484,83 +483,69 @@ class RadialObjective:
              (np.concatenate([rows, rows]), np.concatenate([idx, idx + 1]))),
             shape=(r.size, self.knots.size))
 
-    def _scale(self, E, Q):
-        """Normalization of one candidate from its energy E and q-norm
-        integral Q, in scalar arithmetic: (ok, X, Y, c, scale) with X =
-        E^{1/n}, Y = Q^{1/q}, the constraint root c ('critical'; None for
+    def _forward(self, theta):
+        """The pass shared by value and value_and_grad at the knot values
+        theta: None where the candidate or its normalization degenerates,
+        else (w, scale, slope, E, uq, Q, u, X, Y, c).
+
+        These are the profile's slopes, its energy E = X^n, its values uq
+        and u at the q-norm and exponential nodes, its q-norm integral
+        Q = Y^q, the constraint root c ('critical'; None for
         'subcritical'), the factor scale in value = scale * (weights @
-        kernel), and ok False where the normalization degenerates."""
+        kernel), and the kernel input w (u/X for 'subcritical', c u for
+        'critical').
+        """
+        if not _nonzero(theta):
+            return None
         p = self.params
         n, q = p.n, p.q
-        X, Y = E ** (1.0 / n), Q ** (1.0 / q)
-        if self.mode == "subcritical":
-            try:        # u -> g(t r)/X, as normalize_sphere maps it
-                t = _sphere_radius_factor(X, Y, q, n)
-            except ParamError:
-                return False, X, Y, None, 0.0
-            return True, X, Y, None, self._nkappa * t ** (p.beta - n)
-        # u -> c u with (c X)^a + (c Y)^b = 1
-        return True, X, Y, _constraint_root(X, Y, p.a, p.b), self._nkappa
-
-    def _forward(self, theta):
-        """The pass shared by value_and_grad (theta of shape (K,)) and values
-        (a block of shape (B, K), row by row).
-
-        Returns (ok, w, scale, slope, E, uq, Q, u, X, Y, c): the profile's
-        slopes, its energy E, its values uq and u at the q-norm and
-        exponential nodes, its q-norm integral Q, _scale of E and Q, and the
-        kernel input w (u/X for 'subcritical', c u for 'critical').  A row
-        of a block gets the arithmetic of a lone candidate, bit for bit:
-        its sums are the same dot products over contiguous rows, and its
-        scale factors the same scalar operations.
-        """
-        n, q = self.params.n, self.params.q
-        v = np.concatenate([theta, np.zeros(theta.shape[:-1] + (1,))], axis=-1)
+        v = np.append(theta, 0.0)
         slope = np.diff(v) / self._h
-        nodes = np.ascontiguousarray((self._nodes @ v.T).T)
-        uq, u = nodes[..., :self._nq], nodes[..., self._nq:]
-        E = np.vecdot(np.abs(slope) ** n, self._energy_w)
-        Q = self._nkappa * np.vecdot(uq ** q, self._wq)
-        if theta.ndim == 1:
-            ok, X, Y, c, scale = self._scale(E, Q)
-        else:
-            ok, X, Y, c, scale = map(np.array, zip(*map(self._scale, E, Q)))
-        w = u / X[..., None] if self.mode == "subcritical" else np.asarray(c)[..., None] * u
-        return ok, w, scale, slope, E, uq, Q, u, X, Y, c
+        nodes = self._nodes @ v
+        uq, u = nodes[:self._nq], nodes[self._nq:]
+        E = np.abs(slope) ** n @ self._energy_w
+        Q = self._nkappa * (uq ** q @ self._wq)
+        X, Y = E ** (1.0 / n), Q ** (1.0 / q)
+        if self.mode == "critical":     # u -> c u with (c X)^a + (c Y)^b = 1
+            c = _constraint_root(X, Y, p.a, p.b)
+            return c * u, self._nkappa, slope, E, uq, Q, u, X, Y, c
+        try:        # u -> g(t r)/X, as normalize_sphere maps it
+            t = _sphere_radius_factor(X, Y, q, n)
+        except ParamError:
+            return None
+        return u / X, self._nkappa * t ** (p.beta - n), slope, E, uq, Q, u, X, Y, None
 
-    def values(self, thetas):
-        """Objective values of a block of candidates, one per row of the
-        (B, K) array ``thetas``: bit for bit the value value_and_grad gives
-        each row, without the gradient; -inf for each degenerate or
-        overflowing row, never an error for the block."""
-        thetas = np.asarray(thetas, dtype=float)
-        p = self.params
-        with np.errstate(all="ignore"):
-            ok, w, scale = self._forward(thetas)[:3]
-            arg = _kernel_argument(w, p)
-            ok = ok & _nonzero(thetas) & (np.max(arg, axis=-1) <= _EXP_ARG_MAX)
-            kern = _kernel(np.where(ok[:, None], w, 0.0), p,
-                           np.where(ok[:, None], arg, 0.0), self._j_start)
-            vals = scale * np.vecdot(kern, self._we)
-        return np.where(ok & np.isfinite(vals), vals, -np.inf)
+    def value(self, theta):
+        """Objective value at the knot values theta: bit for bit the value
+        value_and_grad gives, without the gradient; -inf for a degenerate
+        or overflowing candidate."""
+        fwd = self._forward(np.asarray(theta, dtype=float))
+        if fwd is None:
+            return -np.inf
+        w, scale = fwd[:2]
+        try:
+            kern = _kernel(w, self.params, j_start=self._j_start)
+        except FunctionalOverflowError:
+            return -np.inf
+        value = scale * (kern @ self._we)
+        return float(value) if np.isfinite(value) else -np.inf
 
     def value_and_grad(self, theta):
         """Objective value at the knot values theta and its gradient in
         theta; (-inf, 0) for a degenerate or overflowing candidate."""
         theta = np.asarray(theta, dtype=float)
         fail = (-np.inf, np.zeros_like(theta))
-        if not _nonzero(theta):
+        fwd = self._forward(theta)
+        if fwd is None:
             return fail
+        w, scale, slope, E, uq, Q, u, X, Y, c = fwd
         p = self.params
         n, q = p.n, p.q
-        ok, w, scale, slope, E, uq, Q, u, X, Y, c = self._forward(theta)
-        if not ok:
-            return fail
         try:
             kern, dkern = _kernel_and_slope(w, p, self._j_start)
         except FunctionalOverflowError:
             return fail
-        value = scale * np.vecdot(kern, self._we)
+        value = scale * (kern @ self._we)
         d_slope = n * np.abs(slope) ** (n - 1) * np.sign(slope) * self._energy_w / self._h
         # v_k enters slope k - 1 with +1/h_{k-1} and slope k with -1/h_k
         dE = -np.append(d_slope, 0.0)
@@ -605,13 +590,20 @@ class RadialObjective:
 def aa_bracket(t, params):
     """Sup-identity bracket ((1 - s^{a(n-1)/n}) / s^{b(n-1)/n})^{(q/b)(1-beta/n)}
     at s = t/lam, linking the subcritical value at t to the critical value
-    at lam; inf where it exceeds the floating-point range."""
+    at lam; inf where it exceeds the floating-point range.
+
+    Where s^{b(n-1)/n} underflows (large b), b cancels from the power of s:
+    the bracket is (1 - s^{a(n-1)/n})^{(q/b)(1-beta/n)} s^{-q(n-1)/n (1-beta/n)}.
+    """
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0) or np.any(t >= params.lam):
         raise ParamError("bracket is defined for t strictly inside (0, lam)")
     s = t / params.lam
     ex = (params.n - 1.0) / params.n
-    with np.errstate(over="ignore"):
-        out = ((1.0 - s ** (params.a * ex)) / s ** (params.b * ex)) \
-            ** ((params.q / params.b) * (1.0 - params.beta / params.n))
+    decay = 1.0 - params.beta / params.n
+    power = (params.q / params.b) * decay
+    with np.errstate(over="ignore", divide="ignore"):
+        head = 1.0 - s ** (params.a * ex)
+        out = (head / s ** (params.b * ex)) ** power
+        out = np.where(np.isfinite(out), out, head ** power * s ** (-params.q * ex * decay))
     return out if out.ndim else float(out)

@@ -3,7 +3,17 @@
 Sampled-gauge construction is the expensive part (the polar sweep touches
 every node), so those instances are session-scoped and their polars are
 forced once up front.
+
+The BLAS pool is pinned to one thread before numpy loads, as the benchmark
+pins it: the search's L-BFGS-B kernel calls BLAS on every iteration, and a
+second BLAS thread slows it badly once the other cores are busy.  An
+explicit environment wins.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

@@ -204,6 +204,21 @@ def test_sweep_where_bracket_overflows_and_f_underflows(tmp_path):
     assert not np.any(np.isnan(rows))
 
 
+@pytest.mark.parametrize("b", [1100.0, 1e300])
+def test_sweep_large_b_writes_strict_json(tmp_path, b):
+    # at low t, s^{b(n-1)/n} underflows to 0; the bracket then takes the
+    # form in which b cancels from the power of s, and stays finite with
+    # no RuntimeWarning (pytest turns one into an error)
+    cfg = write_config(tmp_path / "b.json", params={"b": b},
+                       search={"knots": 16, "budget": 60})
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "sweep.json").read_text(),
+                        parse_constant=_reject_constant)
+    rows = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=2)
+    assert np.all(np.isfinite(rows))
+    assert report["g_value"] == np.max(rows[:, 3])
+
+
 def test_seed_override_changes_output(config_path, tmp_path):
     out1, out2 = tmp_path / "m1", tmp_path / "m2"
     assert main(["maximize", "--config", str(config_path), "--out", str(out1),
@@ -333,6 +348,21 @@ def test_check_rejects_negative_seed(tmp_path, capsys):
     cfg.write_text(json.dumps({"search": {"seed": -1}}))
     assert main(["check", "--config", str(cfg)]) == 2
     assert "search.seed must be at least 0" in capsys.readouterr().err
+
+
+def test_check_seed_without_config(monkeypatch, capsys):
+    assert main(["check", "--seed", "-1"]) == 2
+    assert "search.seed must be at least 0" in capsys.readouterr().err
+    seeds = []
+    orig = cli.bipolar_residual
+
+    def record(F, sample_count, seed):
+        seeds.append(seed)
+        return orig(F, sample_count, seed=seed)
+
+    monkeypatch.setattr(cli, "bipolar_residual", record)
+    assert main(["check", "--seed", "5"]) == 0
+    assert seeds and set(seeds) == {5}
 
 
 def test_config_defaults_come_from_the_library(monkeypatch, tmp_path):

@@ -441,24 +441,25 @@ def test_radial_objective_rejects_degenerate(gauge_euclid):
 
 @pytest.mark.parametrize("params,F,mode", list(_objective_cases()))
 def test_values_match_value_and_grad(params, F, mode):
-    # each row of a block gets the arithmetic of a lone candidate, so the
-    # batched values equal the serial ones bit for bit (the critical case
-    # also with a != b, whose constraint root comes from bisection)
+    # value runs the forward pass of value_and_grad without the gradient, so
+    # the two agree bit for bit (the critical case also with a != b, whose
+    # constraint root comes from brentq)
     knots = geometric_knots(6.0, 16)
     rng = np.random.default_rng(11)
     thetas = np.sort(rng.uniform(0.0, 1.0, (12, knots.size - 1)), axis=1)[:, ::-1]
     thetas *= rng.uniform(0.05, 3.0, (12, 1))
     for ab in ((2.0, 2.0), (1.5, 3.0)) if mode == "critical" else ((2.0, 2.0),):
         obj = RadialObjective(replace(params, a=ab[0], b=ab[1]), F, knots, mode)
-        want = np.array([obj.value_and_grad(theta)[0] for theta in thetas])
-        assert np.all(np.isfinite(want))
-        assert np.array_equal(obj.values(thetas), want)
+        for theta in thetas:
+            want = obj.value_and_grad(theta)[0]
+            assert np.isfinite(want)
+            assert obj.value(theta) == want
 
 
 @pytest.mark.parametrize("mode", ["subcritical", "critical"])
 def test_values_reject_bad_rows_alone(gauge_euclid, mode):
-    # knots reaching 1e-120 let a Moser-type row concentrate far beyond a
-    # cone, so one rate keeps the cone finite and overflows the spike
+    # knots reaching 1e-120 let a Moser-type candidate concentrate far
+    # beyond a cone, so one rate keeps the cone finite and overflows the spike
     params = params_beta05(lam=15.0 * sharp_constant(gauge_euclid))
     knots = np.concatenate([[0.0], np.geomspace(1e-120, 1.0, 24)])
     cone = 1.0 - knots[:-1]
@@ -471,9 +472,9 @@ def test_values_reject_bad_rows_alone(gauge_euclid, mode):
     assert params.lam * (1.0 - params.beta / 2.0) * top ** 2 > 690.0
     assert grad_norm_radial(RadialProfile(knots, np.append(tiny, 0.0)), gauge_euclid) <= 1e-14
     obj = RadialObjective(params, gauge_euclid, knots, mode)
-    got = obj.values(np.array([cone, zero, spike, tiny, cone]))
     want = obj.value_and_grad(cone)[0]
     assert np.isfinite(want)
-    assert np.array_equal(got, [want, -np.inf, -np.inf, -np.inf, want])
+    assert obj.value(cone) == want
     for bad in (zero, spike, tiny):
+        assert obj.value(bad) == -np.inf
         assert obj.value_and_grad(bad)[0] == -np.inf

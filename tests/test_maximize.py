@@ -420,8 +420,8 @@ def test_maximizer_diagnostics(gauge_euclid):
 @pytest.mark.parametrize("mode", ["subcritical", "critical"])
 def test_margin_equals_serial_reference(gauge_euclid, mode, monkeypatch):
     # the normalized cone is not a maximizer, so its margin is positive; the
-    # blocked scoring must reproduce the one-candidate-at-a-time loop, and
-    # without a single value_and_grad call
+    # margin scores each candidate through value, which must reproduce this
+    # value_and_grad loop without a single value_and_grad call
     knots = geometric_knots(8.0, 24)
     g = RadialProfile(knots, np.append(_initializers(knots)[0], 0.0))
     g = (normalize_sphere(g, PARAMS.q, gauge_euclid) if mode == "subcritical" else
