@@ -14,7 +14,7 @@ variant); the critical functional always uses the Phi form.  Normalization
 maps rescale profiles so both norms are 1 (unit-sphere form) or onto the
 constraint sphere ||F grad u||^a + ||u||_q^b = 1.  RadialObjective gives
 the normalized functionals on one knot grid, with their gradients for the
-profile search or without them; it shares its quadrature rules with the
+profile search or without them; it shares its quadrature rule with the
 functions above.
 """
 
@@ -170,60 +170,35 @@ _QUAD_SPLIT = 4
 _QUAD_GEOM = 24
 
 
-def _interval_rule(knots):
-    """Composite Gauss-Legendre nodes/weights over the knot intervals."""
-    lo, hi = knots[:-1], knots[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    r = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    w = half[:, None] * _GL_WEIGHTS[None, :]
-    return r, w
+def _radial_rule(knots, n, beta):
+    """Flat nodes r and weights W_q, W_e with sum W_q f(r) ~ int_0^R f(r)
+    r^{n-1} dr and sum W_e f(r) ~ int_0^R f(r) r^{n-1-beta} dr.
 
-
-def _panelize(knots, refine=()):
-    """Subdivide knot intervals so the rule sees only smooth pieces.
-
-    Each interval splits into equal panels; the panel touching the first or
-    last knot is further refined geometrically when requested, which absorbs
-    fractional-power behavior there (the singular radial weight at the
-    origin, powers of the vanishing profile at the support radius).  Profiles
-    with few knots, like a bare cone, would otherwise under-resolve these.
+    Composite Gauss-Legendre on panels: each knot interval splits into equal
+    panels, and the first and last panels are further refined geometrically,
+    which absorbs fractional-power behavior there (the singular radial weight
+    at the origin, powers of the vanishing profile at the support radius);
+    profiles with few knots, like a bare cone, would otherwise under-resolve
+    these.  For beta > n-1 the weight exponent is negative; the substitution
+    r = rho^{1/(n-beta)} makes the weight of W_e constant, and W_q then
+    carries r^beta.  Either way the rule is built from ``knots`` by maps
+    homogeneous in the knots, so scaling the knots by s scales the nodes by
+    s and the two integrals by s^n and s^{n-beta}.
     """
-    lo, hi = knots[:-1], knots[1:]
-    frac = np.arange(_QUAD_SPLIT) / _QUAD_SPLIT
-    pts = (lo[:, None] + (hi - lo)[:, None] * frac[None, :]).ravel()
-    pts = np.append(pts, knots[-1])
+    ex = n - beta if beta > n - 1.0 else 1.0
+    t = knots ** ex
+    pts = np.append((t[:-1, None] + np.diff(t)[:, None]
+                     * (np.arange(_QUAD_SPLIT) / _QUAD_SPLIT)).ravel(), t[-1])
     geo = 2.0 ** -np.arange(_QUAD_GEOM, 0, -1)
-    if "origin" in refine and pts.size > 1:
-        a, b = pts[0], pts[1]
-        pts = np.concatenate([[a], a + (b - a) * geo, pts[1:]])
-    if "end" in refine and pts.size > 1:
-        a, b = pts[-2], pts[-1]
-        pts = np.concatenate([pts[:-1], b - (b - a) * geo[::-1], [b]])
-    return pts
-
-
-def _lq_rule(knots, n):
-    """Flat nodes r and weights W with sum W f(r) ~ int_0^R f(r) r^{n-1} dr."""
-    r, w = _interval_rule(_panelize(knots, refine=("end",)))
-    return r.ravel(), (w * r ** (n - 1.0)).ravel()
-
-
-def _exp_rule(knots, n, beta):
-    """Flat nodes r and weights W with sum W f(r) ~ int_0^R f(r) r^{n-1-beta} dr.
-
-    For beta > n-1 the weight exponent is negative; the substitution
-    r = rho^{1/(n-beta)} makes the weight constant, at the cost of
-    evaluating f at transformed nodes.  Either way the rule is built from
-    ``knots`` by maps homogeneous in the knots, so scaling the knots by s
-    scales the nodes by s and the integral by s^{n-beta}.
-    """
+    a, b, y, z = pts[0], pts[1], pts[-2], pts[-1]
+    pts = np.concatenate([[a], a + (b - a) * geo, pts[1:-1], z - (z - y) * geo[::-1], [z]])
+    half, mid = 0.5 * np.diff(pts), 0.5 * (pts[1:] + pts[:-1])
+    r = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+    w = (half[:, None] * _GL_WEIGHTS).ravel()
     if beta > n - 1.0:
-        ex = n - beta
-        rho, w = _interval_rule(_panelize(knots ** ex, refine=("origin", "end")))
-        return rho.ravel() ** (1.0 / ex), w.ravel() / ex
-    r, w = _interval_rule(_panelize(knots, refine=("origin", "end")))
-    return r.ravel(), (w * r ** (n - 1.0 - beta)).ravel()
+        r = r ** (1.0 / ex)
+        return r, w / ex * r ** beta, w / ex
+    return r, w * r ** (n - 1.0), w * r ** (n - 1.0 - beta)
 
 
 def lq_norm_radial(g, q, F):
@@ -231,7 +206,7 @@ def lq_norm_radial(g, q, F):
     if q < 1.0:
         raise ParamError(f"q must be >= 1, got {q}")
     n = F.dim
-    r, w = _lq_rule(g.knots, n)
+    r, w, _ = _radial_rule(g.knots, n, 0.0)
     gv = np.interp(r, g.knots, g.values)
     val = float(np.sum(w * gv ** q))
     return (n * wulff_volume(F) * val) ** (1.0 / q)
@@ -315,7 +290,7 @@ def _kernel_and_slope(u, params, j_start):
 def _radial_exp_integral(g, params, F):
     """n kappa int_0^R kernel(g) r^{n-1-beta} dr with the singular weight."""
     _check_dimension(params, F)
-    r, w = _exp_rule(g.knots, params.n, params.beta)
+    r, _, w = _radial_rule(g.knots, params.n, params.beta)
     gv = np.interp(r, g.knots, g.values)
     try:
         kern = _kernel(gv, params)
@@ -441,13 +416,14 @@ class RadialObjective:
     (the last value is 0).  Mode 'subcritical' gives atmsc_value of
     normalize_sphere(g); mode 'critical' gives critical_value of the
     constraint_scale projection of g.  Both maps only rescale g, and the
-    radial rules are homogeneous in the knots, so nodes, weights and
-    interpolation indices are built once, on ``knots``: shrinking the radius
-    by 1/t multiplies the subcritical integral by t^{beta-n}, and the
-    constraint projection keeps the knots.  One forward pass (the energy,
-    the q-norm, the scale factor, the kernel input) serves value, and
-    value_and_grad, which adds the gradient by the chain rule through each
-    of them.  Degenerate or overflowing candidates have value -inf.
+    radial rule is homogeneous in the knots, so its nodes, both weight
+    vectors and the interpolation map to the nodes are built once, on
+    ``knots``: shrinking the radius by 1/t multiplies the subcritical
+    integral by t^{beta-n}, and the constraint projection keeps the knots.
+    One forward pass (the energy, the q-norm and the kernel input, all from
+    the profile at one node set) serves value, and value_and_grad, which
+    adds the gradient by the chain rule through each of them.  Degenerate or
+    overflowing candidates have value -inf.
     """
 
     def __init__(self, params, F, knots, mode):
@@ -462,38 +438,29 @@ class RadialObjective:
         self._nkappa = n * kappa
         self._h = np.diff(self.knots)
         self._energy_w = kappa * np.diff(self.knots ** n)
-        r_q, self._wq = _lq_rule(self.knots, n)
-        r_e, self._we = _exp_rule(self.knots, n, params.beta)
-        lq, exp = self._interpolation(r_q), self._interpolation(r_e)
-        # one sparse product gives the profile at both node sets
-        self._nodes = sparse.vstack([lq, exp], format="csr")
-        self._nq = r_q.size
-        self._lq_t, self._exp_t = lq.T.tocsr(), exp.T.tocsr()
-        self._j_start = series_start(params)
-
-    def _interpolation(self, r):
-        """Sparse map from knot values to the piecewise-linear profile at
-        the nodes r."""
+        r, self._wq, self._we = _radial_rule(self.knots, n, params.beta)
+        # the piecewise-linear profile at the nodes r is _interp @ knot values
         idx = np.clip(np.searchsorted(self.knots, r, side="right") - 1,
                       0, self.knots.size - 2)
         frac = (r - self.knots[idx]) / self._h[idx]
         rows = np.arange(r.size)
-        return sparse.csr_array(
+        self._interp = sparse.csr_array(
             (np.concatenate([1.0 - frac, frac]),
              (np.concatenate([rows, rows]), np.concatenate([idx, idx + 1]))),
             shape=(r.size, self.knots.size))
+        self._interp_t = self._interp.T.tocsr()
+        self._j_start = series_start(params)
 
     def _forward(self, theta):
         """The pass shared by value and value_and_grad at the knot values
         theta: None where the candidate or its normalization degenerates,
-        else (w, scale, slope, E, uq, Q, u, X, Y, c).
+        else (w, scale, slope, E, Q, u, X, Y, c).
 
-        These are the profile's slopes, its energy E = X^n, its values uq
-        and u at the q-norm and exponential nodes, its q-norm integral
-        Q = Y^q, the constraint root c ('critical'; None for
-        'subcritical'), the factor scale in value = scale * (weights @
-        kernel), and the kernel input w (u/X for 'subcritical', c u for
-        'critical').
+        These are the profile's slopes, its energy E = X^n, its values u at
+        the nodes, its q-norm integral Q = Y^q, the constraint root c
+        ('critical'; None for 'subcritical'), the factor scale in value =
+        scale * (weights @ kernel), and the kernel input w (u/X for
+        'subcritical', c u for 'critical').
         """
         if not _nonzero(theta):
             return None
@@ -501,19 +468,18 @@ class RadialObjective:
         n, q = p.n, p.q
         v = np.append(theta, 0.0)
         slope = np.diff(v) / self._h
-        nodes = self._nodes @ v
-        uq, u = nodes[:self._nq], nodes[self._nq:]
+        u = self._interp @ v
         E = np.abs(slope) ** n @ self._energy_w
-        Q = self._nkappa * (uq ** q @ self._wq)
+        Q = self._nkappa * (u ** q @ self._wq)
         X, Y = E ** (1.0 / n), Q ** (1.0 / q)
         if self.mode == "critical":     # u -> c u with (c X)^a + (c Y)^b = 1
             c = _constraint_root(X, Y, p.a, p.b)
-            return c * u, self._nkappa, slope, E, uq, Q, u, X, Y, c
+            return c * u, self._nkappa, slope, E, Q, u, X, Y, c
         try:        # u -> g(t r)/X, as normalize_sphere maps it
             t = _sphere_radius_factor(X, Y, q, n)
         except ParamError:
             return None
-        return u / X, self._nkappa * t ** (p.beta - n), slope, E, uq, Q, u, X, Y, None
+        return u / X, self._nkappa * t ** (p.beta - n), slope, E, Q, u, X, Y, None
 
     def value(self, theta):
         """Objective value at the knot values theta: bit for bit the value
@@ -538,7 +504,7 @@ class RadialObjective:
         fwd = self._forward(theta)
         if fwd is None:
             return fail
-        w, scale, slope, E, uq, Q, u, X, Y, c = fwd
+        w, scale, slope, E, Q, u, X, Y, c = fwd
         p = self.params
         n, q = p.n, p.q
         try:
@@ -550,17 +516,19 @@ class RadialObjective:
         # v_k enters slope k - 1 with +1/h_{k-1} and slope k with -1/h_k
         dE = -np.append(d_slope, 0.0)
         dE[1:] += d_slope
-        dQ = self._nkappa * (self._lq_t @ (q * self._wq * uq ** (q - 1.0)))
-        if self.mode == "subcritical":
-            d_u = self._we * dkern / X
-            d_int = self._exp_t @ d_u - (d_u @ u) / (n * E) * dE
-            d_log_t = dQ / (n * Q) - q / (n * n) * dE / E
-            grad = scale * d_int - (n - p.beta) * value * d_log_t
-        else:
+        # dQ = _interp_t @ dq: the q-norm term joins the kernel's node vector
+        # before the one transposed product
+        dq = self._nkappa * q * self._wq * u ** (q - 1.0)
+        if self.mode == "subcritical":  # scale ~ t^{beta-n}, n log t = log Q - (q/n) log E
+            d_u = scale * self._we * dkern / X
+            k = (n - p.beta) * value / n
+            grad = (self._interp_t @ (d_u - k / Q * dq)
+                    + (k * q / n - d_u @ u / n) / E * dE)
+        else:                           # (c X)^a + (c Y)^b = 1 gives d log c
             A, B = p.a * (c * X) ** p.a, p.b * (c * Y) ** p.b
-            d_log_c = -(A * dE / (n * E) + B * dQ / (q * Q)) / (A + B)
-            d_u = self._nkappa * self._we * dkern
-            grad = c * (self._exp_t @ d_u + (d_u @ u) * d_log_c)
+            d_u = c * self._nkappa * self._we * dkern
+            k = (d_u @ u) / (A + B)
+            grad = self._interp_t @ (d_u - k * B / (q * Q) * dq) - k * A / (n * E) * dE
         if not (np.isfinite(value) and np.all(np.isfinite(grad))):
             return fail
         return float(value), grad[:-1]

@@ -236,6 +236,12 @@ def _search(params, F, config, mode):
     if mode == "critical":
         radius = 2.0 * radius if config.radius_critical is None else config.radius_critical
     knots = geometric_knots(radius, config.knots)
+    # the energy weights take radius^n, the slopes up to (knot spacing)^-n
+    with np.errstate(over="ignore", divide="ignore"):
+        span = knots[-1] ** n, np.min(np.diff(knots)) ** -n
+    if not np.all(np.isfinite(span)):
+        raise ParamError(f"search radius {radius:g} puts the energy of the knot grid "
+                         f"outside the floating-point range")
     obj = RadialObjective(params.with_lam(params.lam * k ** (-1.0 / (n - 1.0))),
                           euclid, knots, mode)
     inits = _initializers(knots)

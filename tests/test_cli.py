@@ -287,6 +287,24 @@ def test_exit_code_non_finite_fields(tmp_path, capsys, block, field, value):
     assert err.startswith("error: ") and field in err, err
 
 
+@pytest.mark.parametrize("field, value, objective", [
+    ("radius", 1e160, "subcritical"), ("radius", 1e-200, "subcritical"),
+    ("radius_critical", 1e300, "critical"), ("radius_critical", 1e-100, "critical")])
+def test_exit_code_extreme_radius(tmp_path, capsys, field, value, objective):
+    # the knot grid's energy leaves the float range (radius^n, or its
+    # smallest spacing to the power -n): such a run used to end in "no
+    # feasible candidate" or "residual nan", and tier-1 turns the
+    # RuntimeWarnings behind those into errors; 1e-100 stays in range
+    cfg = write_config(tmp_path / "radius.json",
+                       search={field: value, "objective": objective})
+    code = main(["maximize", "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    if value == 1e-100:
+        assert code == 0, err
+    else:
+        assert code == 2 and f"error: search radius {value:g} " in err, err
+
+
 @pytest.mark.parametrize("block", ["params", "search", "sweep"])
 @pytest.mark.parametrize("seed", [None, 3])
 def test_exit_code_non_object_block(tmp_path, capsys, block, seed):

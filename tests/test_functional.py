@@ -19,7 +19,7 @@ from anisotm import (FunctionalParams, series_start, phi,
                      aa_bracket, FunctionalOverflowError, ParamError,
                      RadialProfile, FinslerNorm, wulff_volume, sharp_constant)
 from anisotm.functional import (RadialObjective, _constraint_root, _phi_slope,
-                                _phi_stable, validate_lambda)
+                                _phi_stable, _radial_rule, validate_lambda)
 from anisotm.maximize import geometric_knots
 
 R_CONE = 1.3
@@ -181,6 +181,29 @@ def test_atmsc_frozen_oracles(gauge_euclid):
     # beta > n-1 exercises the substitution branch for the singular weight
     got = atmsc_value(cone(), params_beta05(beta=1.5), gauge_euclid)
     assert got == pytest.approx(ATMSC_CONE_BETA15, rel=1e-11)
+
+
+@pytest.mark.parametrize("n,beta", [(2, 0.0), (2, 0.5), (2, 1.0), (2, 1.5),
+                                    (3, 1.0), (3, 2.0), (3, 2.5)])
+def test_radial_rule_moments(n, beta):
+    # one node set, two weights: W_q against r^{n-1}, W_e against
+    # r^{n-1-beta} (beta > n - 1 takes the substituted rule), both exact on
+    # r^m to rounding; scaling the knots by s scales the two integrals of
+    # f(r/s) by s^n and s^{n-beta}.  Integrals, not weights, are compared:
+    # the tiny end-panel weights agree only to about 1e-8 relative
+    knots = geometric_knots(6.0, 16)
+    powers = np.arange(4)[:, None] + np.array([n, n - beta])
+
+    def moments(s):
+        r, wq, we = _radial_rule(s * knots, n, beta)
+        return np.array([[(r / s) ** m @ wq, (r / s) ** m @ we] for m in range(4)])
+
+    got = moments(1.0)
+    want = knots[-1] ** powers / powers
+    assert np.max(np.abs(got / want - 1.0)) < 1e-13
+    for s in (0.37, 5.0):
+        scaled = moments(s) / s ** np.array([n, n - beta])
+        assert np.max(np.abs(scaled / got - 1.0)) < 1e-13
 
 
 def _bump():
