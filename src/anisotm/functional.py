@@ -20,6 +20,7 @@ functions above.
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -34,6 +35,8 @@ PHI_SERIES = "phi_series"
 
 _EXP_ARG_MAX = 690.0     # exp(690) ~ 1e299; beyond this the integrand overflows
 _SPHERE_RESIDUAL_MAX = 1e-9   # a critical witness further off the constraint sphere is rejected
+_ZERO = np.zeros(1)      # the last knot value of every profile
+_ZERO.flags.writeable = False
 
 
 class ParamError(ValueError):
@@ -141,15 +144,16 @@ def _phi_stable(t, j_start):
     precision in relative terms; for j_start = 1 it is e^t - 1, expm1.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
+    if (t < 0.0).any():
         raise ParamError("series argument must be nonnegative")
     out = np.expm1(t) if j_start == 1 else np.exp(t) * gammainc(j_start, t)
     return out if out.ndim else float(out)
 
 
 def _check_exp_argument(arg):
-    """Raise FunctionalOverflowError when exp(arg) leaves the float range."""
-    amax = float(np.max(arg)) if np.size(arg) else 0.0
+    """Raise FunctionalOverflowError when exp(arg), an array, leaves the
+    float range."""
+    amax = float(arg.max()) if arg.size else 0.0
     if amax > _EXP_ARG_MAX:
         raise FunctionalOverflowError(
             f"exponential argument {amax:.6g} exceeds the floating-point range",
@@ -159,6 +163,7 @@ def _check_exp_argument(arg):
 def phi(params, t):
     """Truncated exponential series sum_{j >= j_start} t^j / j! at t >= 0;
     FunctionalOverflowError beyond the floating-point range."""
+    t = np.asarray(t, dtype=float)
     _check_exp_argument(t)
     return _phi_stable(t, series_start(params))
 
@@ -168,6 +173,17 @@ def phi(params, t):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _QUAD_SPLIT = 4
 _QUAD_GEOM = 24
+
+
+def _check_grid(knots, n):
+    """ParamError unless radius^n and (smallest spacing)^-n of the knot grid,
+    the scales of its energy weights and of its slopes, are finite."""
+    with np.errstate(over="ignore", divide="ignore"):
+        finite = (math.isfinite(knots[-1] ** n)
+                  and math.isfinite((knots[1:] - knots[:-1]).min() ** -n))
+    if not finite:
+        raise ParamError(f"the knot grid of radius {knots[-1]:g} puts radius^n or "
+                         f"(smallest spacing)^-n outside the floating-point range")
 
 
 def _radial_rule(knots, n, beta):
@@ -183,8 +199,10 @@ def _radial_rule(knots, n, beta):
     r = rho^{1/(n-beta)} makes the weight of W_e constant, and W_q then
     carries r^beta.  Either way the rule is built from ``knots`` by maps
     homogeneous in the knots, so scaling the knots by s scales the nodes by
-    s and the two integrals by s^n and s^{n-beta}.
+    s and the two integrals by s^n and s^{n-beta}.  A grid that fails
+    _check_grid raises ParamError.
     """
+    _check_grid(knots, n)
     ex = n - beta if beta > n - 1.0 else 1.0
     t = knots ** ex
     pts = np.append((t[:-1, None] + np.diff(t)[:, None]
@@ -199,6 +217,33 @@ def _radial_rule(knots, n, beta):
         r = r ** (1.0 / ex)
         return r, w / ex * r ** beta, w / ex
     return r, w * r ** (n - 1.0), w * r ** (n - 1.0 - beta)
+
+
+@lru_cache(maxsize=4)
+def _grid_operators(grid, n, beta):
+    """The lam-independent operators of a RadialObjective on the knot grid
+    whose float64 bytes are ``grid``: the knot spacings, the differences of
+    knots^n, the weights W_q and W_e of _radial_rule, and the matrix that
+    maps knot values to the piecewise-linear profile at its nodes, with its
+    transpose.  Built once per (grid, n, beta) and shared, read-only, by
+    every objective on that grid, such as the sweep's points.
+    """
+    knots = np.frombuffer(grid)
+    r, wq, we = _radial_rule(knots, n, beta)
+    h = np.diff(knots)
+    idx = np.clip(np.searchsorted(knots, r, side="right") - 1, 0, knots.size - 2)
+    frac = (r - knots[idx]) / h[idx]
+    # row i holds 1 - frac at column idx and frac at column idx + 1
+    interp = sparse.csr_array(
+        (np.column_stack([1.0 - frac, frac]).ravel(),
+         np.column_stack([idx, idx + 1]).ravel(), np.arange(0, 2 * r.size + 1, 2)),
+        shape=(r.size, knots.size))
+    interp_t = interp.T.tocsr()
+    ops = h, np.diff(knots ** n), wq, we, interp, interp_t
+    for arr in (*ops[:4], interp.data, interp.indices, interp.indptr,
+                interp_t.data, interp_t.indices, interp_t.indptr):
+        arr.flags.writeable = False
+    return ops
 
 
 def lq_norm_radial(g, q, F):
@@ -216,9 +261,11 @@ def dirichlet_energy_radial(g, F):
     """n kappa int_0^R |g'|^n r^{n-1} dr, exact for piecewise-linear g.
 
     Per interval the slope is constant, so the integral is
-    |s_k|^n (r_{k+1}^n - r_k^n)/n in closed form.
+    |s_k|^n (r_{k+1}^n - r_k^n)/n in closed form.  A grid that fails
+    _check_grid raises ParamError.
     """
     n = F.dim
+    _check_grid(g.knots, n)
     slopes = np.diff(g.values) / np.diff(g.knots)
     rn = g.knots ** n
     return float(wulff_volume(F) * np.sum(np.abs(slopes) ** n * np.diff(rn)))
@@ -327,7 +374,7 @@ def _sphere_radius_factor(e, qn, q, n):
         raise ParamError(f"cannot normalize a profile with gradient norm {e:.3g} "
                          f"and q-norm {qn:.3g}")
     t = (qn / e) ** (q / n)
-    if not (np.isfinite(t) and t > 0.0):
+    if not (math.isfinite(t) and t > 0.0):
         raise ParamError(f"the radius factor (||g||_q / e)^(q/n) = {t} leaves "
                          f"the floating-point range")
     return t
@@ -406,7 +453,7 @@ def constraint_scale(g, a, b, F, q):
 
 def _nonzero(theta):
     """Some knot value exceeds 1e-12; else the candidate is degenerate."""
-    return np.any(np.asarray(theta) > 1e-12)
+    return (np.asarray(theta) > 1e-12).any()
 
 
 class RadialObjective:
@@ -418,8 +465,9 @@ class RadialObjective:
     constraint_scale projection of g.  Both maps only rescale g, and the
     radial rule is homogeneous in the knots, so its nodes, both weight
     vectors and the interpolation map to the nodes are built once, on
-    ``knots``: shrinking the radius by 1/t multiplies the subcritical
-    integral by t^{beta-n}, and the constraint projection keeps the knots.
+    ``knots``, and shared by every objective on that grid (_grid_operators):
+    shrinking the radius by 1/t multiplies the subcritical integral by
+    t^{beta-n}, and the constraint projection keeps the knots.
     One forward pass (the energy, the q-norm and the kernel input, all from
     the profile at one node set) serves value, and value_and_grad, which
     adds the gradient by the chain rule through each of them.  Degenerate or
@@ -436,19 +484,11 @@ class RadialObjective:
         self.knots = np.asarray(knots, dtype=float)
         n, kappa = params.n, wulff_volume(F)
         self._nkappa = n * kappa
-        self._h = np.diff(self.knots)
-        self._energy_w = kappa * np.diff(self.knots ** n)
-        r, self._wq, self._we = _radial_rule(self.knots, n, params.beta)
-        # the piecewise-linear profile at the nodes r is _interp @ knot values
-        idx = np.clip(np.searchsorted(self.knots, r, side="right") - 1,
-                      0, self.knots.size - 2)
-        frac = (r - self.knots[idx]) / self._h[idx]
-        rows = np.arange(r.size)
-        self._interp = sparse.csr_array(
-            (np.concatenate([1.0 - frac, frac]),
-             (np.concatenate([rows, rows]), np.concatenate([idx, idx + 1]))),
-            shape=(r.size, self.knots.size))
-        self._interp_t = self._interp.T.tocsr()
+        # the piecewise-linear profile at the nodes is _interp @ knot values
+        (self._h, dkn, self._wq, self._we, self._interp,
+         self._interp_t) = _grid_operators(self.knots.tobytes(), n, params.beta)
+        self._energy_w = kappa * dkn
+        self._dq_w = self._nkappa * params.q * self._wq     # dQ/du over u^{q-1}
         self._j_start = series_start(params)
 
     def _forward(self, theta):
@@ -466,8 +506,8 @@ class RadialObjective:
             return None
         p = self.params
         n, q = p.n, p.q
-        v = np.append(theta, 0.0)
-        slope = np.diff(v) / self._h
+        v = np.concatenate((theta, _ZERO))
+        slope = (v[1:] - v[:-1]) / self._h
         u = self._interp @ v
         E = np.abs(slope) ** n @ self._energy_w
         Q = self._nkappa * (u ** q @ self._wq)
@@ -494,31 +534,30 @@ class RadialObjective:
         except FunctionalOverflowError:
             return -np.inf
         value = scale * (kern @ self._we)
-        return float(value) if np.isfinite(value) else -np.inf
+        return float(value) if math.isfinite(value) else -np.inf
 
     def value_and_grad(self, theta):
         """Objective value at the knot values theta and its gradient in
         theta; (-inf, 0) for a degenerate or overflowing candidate."""
         theta = np.asarray(theta, dtype=float)
-        fail = (-np.inf, np.zeros_like(theta))
         fwd = self._forward(theta)
         if fwd is None:
-            return fail
+            return -np.inf, np.zeros_like(theta)
         w, scale, slope, E, Q, u, X, Y, c = fwd
         p = self.params
         n, q = p.n, p.q
         try:
             kern, dkern = _kernel_and_slope(w, p, self._j_start)
         except FunctionalOverflowError:
-            return fail
+            return -np.inf, np.zeros_like(theta)
         value = scale * (kern @ self._we)
         d_slope = n * np.abs(slope) ** (n - 1) * np.sign(slope) * self._energy_w / self._h
         # v_k enters slope k - 1 with +1/h_{k-1} and slope k with -1/h_k
-        dE = -np.append(d_slope, 0.0)
+        dE = -np.concatenate((d_slope, _ZERO))
         dE[1:] += d_slope
         # dQ = _interp_t @ dq: the q-norm term joins the kernel's node vector
         # before the one transposed product
-        dq = self._nkappa * q * self._wq * u ** (q - 1.0)
+        dq = self._dq_w * u ** (q - 1.0)
         if self.mode == "subcritical":  # scale ~ t^{beta-n}, n log t = log Q - (q/n) log E
             d_u = scale * self._we * dkern / X
             k = (n - p.beta) * value / n
@@ -529,8 +568,8 @@ class RadialObjective:
             d_u = c * self._nkappa * self._we * dkern
             k = (d_u @ u) / (A + B)
             grad = self._interp_t @ (d_u - k * B / (q * Q) * dq) - k * A / (n * E) * dE
-        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-            return fail
+        if not (math.isfinite(value) and np.isfinite(grad).all()):
+            return -np.inf, np.zeros_like(theta)
         return float(value), grad[:-1]
 
     def witness(self, theta):

@@ -34,10 +34,10 @@ from scipy.optimize._lbfgsb import setulb
 from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 from .finsler import FinslerNorm, wulff_volume
-from .functional import (EXP_POWER, ParamError, RadialObjective, atmsc_value,
-                         critical_value, constraint_value, lq_norm_radial,
-                         grad_norm_radial, aa_bracket, series_start,
-                         series_threshold, validate_lambda)
+from .functional import (EXP_POWER, ParamError, RadialObjective, _check_grid,
+                         atmsc_value, critical_value, constraint_value,
+                         lq_norm_radial, grad_norm_radial, aa_bracket,
+                         series_start, series_threshold, validate_lambda)
 from .profiles import RadialProfile
 from .rearrange import rasterize_profile, convex_symmetrization
 
@@ -200,7 +200,7 @@ def _ascend(obj, theta, maxfev):
         setulb(_MAXCOR, x, lower, upper, nbd, f, g, _FACTR, _PGTOL, wa, iwa,
                task, lsave, isave, dsave, _MAXLS, ln_task)
         if task[0] == _FG:
-            if not np.array_equal(x, last):
+            if not (x == last).all():
                 last = x.copy()
                 f, g = neg(last)
                 nfev += 1
@@ -236,12 +236,11 @@ def _search(params, F, config, mode):
     if mode == "critical":
         radius = 2.0 * radius if config.radius_critical is None else config.radius_critical
     knots = geometric_knots(radius, config.knots)
-    # the energy weights take radius^n, the slopes up to (knot spacing)^-n
-    with np.errstate(over="ignore", divide="ignore"):
-        span = knots[-1] ** n, np.min(np.diff(knots)) ** -n
-    if not np.all(np.isfinite(span)):
+    try:
+        _check_grid(knots, n)
+    except ParamError:
         raise ParamError(f"search radius {radius:g} puts the energy of the knot grid "
-                         f"outside the floating-point range")
+                         f"outside the floating-point range") from None
     obj = RadialObjective(params.with_lam(params.lam * k ** (-1.0 / (n - 1.0))),
                           euclid, knots, mode)
     inits = _initializers(knots)

@@ -10,6 +10,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, settings, strategies as st
 
 from anisotm import (FunctionalParams, series_start, phi,
@@ -18,6 +19,7 @@ from anisotm import (FunctionalParams, series_start, phi,
                      normalize_sphere, constraint_scale,
                      aa_bracket, FunctionalOverflowError, ParamError,
                      RadialProfile, FinslerNorm, wulff_volume, sharp_constant)
+from anisotm import functional
 from anisotm.functional import (RadialObjective, _constraint_root, _phi_slope,
                                 _phi_stable, _radial_rule, validate_lambda)
 from anisotm.maximize import geometric_knots
@@ -501,3 +503,58 @@ def test_values_reject_bad_rows_alone(gauge_euclid, mode):
     for bad in (zero, spike, tiny):
         assert obj.value(bad) == -np.inf
         assert obj.value_and_grad(bad)[0] == -np.inf
+
+
+@pytest.mark.parametrize("mode", ["subcritical", "critical"])
+def test_objectives_share_grid_operators(gauge_euclid, mode):
+    # two rates on one grid, as at two points of the sweep
+    knots = geometric_knots(6.0, 16)
+    objs = [RadialObjective(params_beta05(lam=lam), gauge_euclid, knots, mode)
+            for lam in (1.0, 3.0)]
+    for name in ("_h", "_wq", "_we", "_interp", "_interp_t"):
+        assert getattr(objs[0], name) is getattr(objs[1], name)
+    interp, interp_t = objs[0]._interp, objs[0]._interp_t
+    for arr in (objs[0]._h, objs[0]._wq, objs[0]._we, interp.data, interp.indices,
+                interp.indptr, interp_t.data, interp_t.indices, interp_t.indptr):
+        assert not arr.flags.writeable
+    # the two-entry rows hold what the COO assembly with summed duplicates
+    # gives, in the same order, so both products run the same operations
+    r = _radial_rule(knots, 2, 0.5)[0]
+    idx = np.clip(np.searchsorted(knots, r, side="right") - 1, 0, knots.size - 2)
+    frac = (r - knots[idx]) / np.diff(knots)[idx]
+    rows = np.arange(r.size)
+    coo = sparse.csr_array((np.concatenate([1.0 - frac, frac]),
+                            (np.concatenate([rows, rows]), np.concatenate([idx, idx + 1]))),
+                           shape=interp.shape)
+    for got, want in ((interp, coo), (interp_t, coo.T.tocsr())):
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    rng = np.random.default_rng(3)
+    thetas = np.sort(rng.uniform(0.0, 1.0, (4, knots.size - 1)), axis=1)[:, ::-1]
+    for obj in objs:
+        functional._grid_operators.cache_clear()
+        fresh = RadialObjective(obj.params, gauge_euclid, knots, mode)
+        assert fresh._wq is not obj._wq
+        for theta in thetas:
+            value, grad = obj.value_and_grad(theta)
+            want, want_grad = fresh.value_and_grad(theta)
+            assert value == want and np.array_equal(grad, want_grad)
+            assert obj.value(theta) == fresh.value(theta)
+
+
+@pytest.mark.parametrize("case", ["objective", "lq_norm", "normalize", "critical_fine"])
+def test_grid_outside_float_range(gauge_euclid, case):
+    # radius^2 overflows at radius 1e160; (smallest spacing)^-2 at 1e-200
+    huge = geometric_knots(1e160, 8)
+    fine = geometric_knots(1e-200, 8)
+    g = RadialProfile(huge, np.linspace(1.0, 0.0, huge.size))
+    build = {
+        "objective": lambda: RadialObjective(params_beta05(), gauge_euclid, huge,
+                                             "subcritical"),
+        "lq_norm": lambda: lq_norm_radial(g, 2.0, gauge_euclid),
+        "normalize": lambda: normalize_sphere(g, 2.0, gauge_euclid),
+        "critical_fine": lambda: RadialObjective(params_beta05(), gauge_euclid, fine,
+                                                 "critical"),
+    }[case]
+    with pytest.raises(ParamError, match="outside the floating-point range"):
+        build()

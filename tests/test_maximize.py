@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
+import anisotm.functional as functional
 import anisotm.maximize as maximize
 from anisotm import (SearchConfig, SearchResult, estimate_f, identity_sweep,
                      direct_critical_max, construct_critical_from_subcritical,
@@ -418,6 +419,27 @@ def test_identity_sweep_points_stand_alone(gauge_euclid):
     point = small_config(restarts=2)
     for t, f in zip(sweep.ts, sweep.f_estimates):
         assert f == estimate_f(PARAMS.with_lam(float(t)), gauge_euclid, point).value
+
+
+def test_identity_sweep_builds_grid_operators_once(gauge_euclid, monkeypatch):
+    # every point of the sweep searches on one knot grid, so its rule at
+    # PARAMS.beta is built once; the witness's q-norms take the rule at beta
+    # 0, and its value the rule on a rescaled grid
+    grids = []
+    rule = functional._radial_rule
+
+    def counting_rule(knots, n, beta):
+        if beta == PARAMS.beta:
+            grids.append(np.array(knots))
+        return rule(knots, n, beta)
+
+    monkeypatch.setattr(functional, "_radial_rule", counting_rule)
+    functional._grid_operators.cache_clear()
+    config = small_config()
+    sweep = identity_sweep(PARAMS, gauge_euclid, grid_size=8, config=config)
+    assert sweep.ts.size == 8
+    grid = geometric_knots(config.radius, config.knots)
+    assert sum(np.array_equal(knots, grid) for knots in grids) == 1
 
 
 # -- diagnostics --------------------------------------------------------------
