@@ -42,9 +42,12 @@ from .profiles import RadialProfile
 from .rearrange import rasterize_profile, convex_symmetrization
 
 # L-BFGS-B settings of every ascent: minimize's maxcor, maxls and maxiter
-# defaults, and factr, pgtol from ftol 1e-16, gtol 1e-14 as minimize sets them
+# defaults, and factr, pgtol from ftol 1e-14, gtol 1e-14 as minimize sets them.
+# factr about 45 stops an ascent once an iteration gains less than 1e-14
+# relative, below the ~3e-14 at which a 2-D search's restarts agree anyway;
+# factr < 1 (ftol 1e-16) asks for a gain below one ulp and chases rounding
 _MAXCOR, _MAXLS, _MAXITER = 10, 20, 15000
-_FACTR, _PGTOL = 1e-16 / np.finfo(float).eps, 1e-14
+_FACTR, _PGTOL = 1e-14 / np.finfo(float).eps, 1e-14
 # setulb's task codes: task[0] says what the kernel wants, task[1] why it stopped
 _NEW_X, _FG, _STOP = 1, 3, 5
 
@@ -172,12 +175,15 @@ def _ascend(obj, theta, maxfev):
 
     The loop drives scipy's compiled kernel ``setulb`` by reverse
     communication as scipy.optimize.minimize(method='L-BFGS-B') does, with
-    maxcor 10, maxls 20, maxiter 15000, ftol 1e-16, gtol 1e-14 and maxfun
+    maxcor 10, maxls 20, maxiter 15000, ftol 1e-14, gtol 1e-14 and maxfun
     ``maxfev``, so x, evaluation count and stop message are bitwise what
-    minimize returns.  The value is that of the final x, the last accepted
-    iterate (x0 or the last NEW_X): after an abnormal line search minimize
-    reports that of the last trial point instead.  Returns (theta, value,
-    evaluations, stop message).
+    minimize returns.  ftol 1e-14 stops the ascent once an iteration gains
+    less than 1e-14 of the value: smaller gains are rounding noise, and
+    chasing them cost a quarter of the evaluations and made their count
+    jump when an input moved by one ulp.  The value is that of the final
+    x, the last accepted iterate (x0 or the last NEW_X): after an abnormal
+    line search minimize reports that of the last trial point instead.
+    Returns (theta, value, evaluations, stop message).
     """
     x = np.clip(_theta_to_decrements(theta), 0.0, np.inf)
     size = x.size

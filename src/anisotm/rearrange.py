@@ -74,7 +74,8 @@ class GridFunction:
     A grid function is immutable: the constructor copies ``values`` and
     marks the copy read-only.  That lets ``_cache`` keep what is derived
     from the values, each computed on first use by ``finsler._cached``: the
-    decreasing rearrangement, and per gauge F the convex symmetrization
+    decreasing rearrangement (key "sharp", which ``convex_symmetrization``
+    fills in for its result), and per gauge F the convex symmetrization
     (key ("star", F)) and the radial profile of ``profile_of`` (key
     ("profile", F)).  What depends on the grid alone, F0 at the cell
     centers, is kept on the gauge, one field per grid (``_wulff_field``).
@@ -228,12 +229,14 @@ def _wulff_field(F, dim, halfwidth, m):
     F0 is the polar gauge at the reflected centers -x (a negated half-width
     gives them, bit for bit), shape (m,)*dim; t = kappa F0^n is the
     Wulff-ball volume of each center's level, and ``order`` sorts the
-    flattened t ascending (t_sorted = t[order]).  The gauge keeps one
-    read-only field per grid, so all uses on one grid evaluate F0 once.
+    flattened t ascending (t_sorted = t[order]); the order among equal t is
+    unspecified, since convex_symmetrization gives every cell of a block of
+    equal t one value.  The gauge keeps one read-only field per grid, so
+    all uses on one grid evaluate F0 once.
     """
     f0 = F.polar()(_cell_centers(dim, -halfwidth, m).reshape(-1, dim))
     t = wulff_volume(F) * f0 ** dim
-    order = np.argsort(t, kind="stable").astype(np.int32)
+    order = np.argsort(t).astype(np.int32)
     field = (f0.reshape((m,) * dim), t[order], order)
     for arr in field:
         arr.flags.writeable = False
@@ -247,8 +250,13 @@ def convex_symmetrization(u, F):
     The cells in ascending order of t = kappa F0(-x)^n take the
     rearrangement's levels in turn: level k goes to the cells with t in
     [breakpoints[k-1], breakpoints[k]), found by bisecting the sorted t.
+    A left bisection never splits a block of equal t, so the order of ties
+    in the sort changes no value.
 
-    The result is computed once per gauge and kept in ``u._cache``.
+    The result is computed once per gauge and kept in ``u._cache``, and
+    u_star's own decreasing rearrangement in u_star's: the levels that got
+    cells, each ending at the measure of the cells up to its last, bit for
+    bit what decreasing_rearrangement would compute by sorting u_star.
 
     Raises SupportOverflowError when the symmetrized support touches the
     zero boundary layer (the caller must enlarge the box).
@@ -258,15 +266,21 @@ def convex_symmetrization(u, F):
         return GridFunction(u.halfwidth, np.zeros_like(u.values))
     _, t_sorted, order = _wulff_field(F, u.dim, u.halfwidth, u.m)
     ends = np.searchsorted(t_sorted, rearr.breakpoints, side="left")
+    counts = np.diff(ends, prepend=0)
     sorted_vals = np.zeros(t_sorted.size)
-    sorted_vals[:ends[-1]] = np.repeat(rearr.values, np.diff(ends, prepend=0))
+    sorted_vals[:ends[-1]] = np.repeat(rearr.values, counts)
     vals = np.empty(t_sorted.size)
     vals[order] = sorted_vals
     vals = vals.reshape(u.values.shape)
     if _boundary_nonzero(vals):
         r_supp = (rearr.total_support / wulff_volume(F)) ** (1.0 / u.dim)
         raise _support_overflow("symmetrized", r_supp, F, u.h)
-    return GridFunction(u.halfwidth, vals)
+    ustar = GridFunction(u.halfwidth, vals)
+    kept = counts > 0
+    own = StepRearrangement(ends[kept] * ustar.cell_volume, rearr.values[kept])
+    own.breakpoints.flags.writeable = own.values.flags.writeable = False
+    ustar._cache["sharp"] = own
+    return ustar
 
 
 def _support_overflow(what, radius, F, h):

@@ -248,15 +248,16 @@ def test_searches_share_one_result_type(gauge_euclid, search):
     assert res.spread == max(res.restart_values) - min(res.restart_values)
 
 
-def _minimize_ascent(obj, theta, maxfev):
-    """_ascend through scipy.optimize.minimize, the way it used to run."""
+def _minimize_ascent(obj, theta, maxfev, ftol=1e-14):
+    """_ascend through scipy.optimize.minimize, the way it used to run; at
+    the default ftol these are _ascend's own settings."""
     def neg(w):
         value, grad = obj.value_and_grad(_decrements_to_theta(w))
         return -value, -np.cumsum(grad)
 
     res = minimize(neg, _theta_to_decrements(theta), jac=True,
                    method="L-BFGS-B", bounds=[(0.0, None)] * theta.size,
-                   options={"maxfun": maxfev, "ftol": 1e-16, "gtol": 1e-14})
+                   options={"maxfun": maxfev, "ftol": ftol, "gtol": 1e-14})
     return (_decrements_to_theta(np.maximum(res.x, 0.0)), -float(res.fun),
             res.nfev, res.message)
 
@@ -282,6 +283,44 @@ def test_ascend_is_bitwise_minimize(gauge_euclid, mode, radius, init, budget):
         assert got[2] > budget and got[3].startswith("STOP")
     if init == 1 and budget == 500:
         assert got[3] == "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
+
+
+@pytest.mark.parametrize("mode,radius", [("subcritical", 8.0), ("critical", 16.0)])
+def test_ascent_stop_loses_nothing(gauge_euclid, mode, radius):
+    # ftol 1e-14 stops each ascent once an iteration gains less than 1e-14
+    # relative.  Run on to ftol 1e-16 (factr < 1, less than one ulp), the
+    # same ascents raise the best restart by less than 1e-14 and no restart
+    # by more than the 3.4e-14 by which the acceptance restarts differ
+    # (1.7e-14 at most here), at a quarter more evaluations
+    knots = geometric_knots(radius, 64)
+    obj = RadialObjective(PARAMS.with_lam(0.5 * sharp_constant(gauge_euclid)),
+                          gauge_euclid, knots, mode)
+    values, oracle_values, evals, oracle_evals = [], [], 0, 0
+    for theta in _initializers(knots):
+        _, value, nfev, _ = _ascend(obj, theta, 4000)
+        oracle = _minimize_ascent(obj, theta, 4000, ftol=1e-16)
+        oracle_values.append(obj.value_and_grad(oracle[0])[0])
+        values.append(value)
+        evals += nfev
+        oracle_evals += oracle[2]
+    values, oracle_values = np.array(values), np.array(oracle_values)
+    assert values.max() >= oracle_values.max() * (1.0 - 1e-14)
+    assert np.all(values >= oracle_values * (1.0 - 3.4e-14))
+    assert evals <= 0.85 * oracle_evals
+
+
+def test_evaluation_counts_stable_at_rounding_level(gauge_euclid):
+    # the bench-size searches at lambda_rel 0.5 and the five floats below it:
+    # an ascent that stops before it chases rounding noise takes about the
+    # same number of evaluations at each (ftol 1e-16 gave 688 to 812)
+    config = SearchConfig(knots=64, radius=8.0, restarts=6, budget=500, seed=0)
+    rel, totals = 0.5, []
+    for _ in range(6):
+        params = PARAMS.with_lam(rel * sharp_constant(gauge_euclid))
+        totals.append(sum(estimate_f(params, gauge_euclid, config).restart_evals)
+                      + sum(direct_critical_max(params, gauge_euclid, config).restart_evals))
+        rel = np.nextafter(rel, 0.0)
+    assert max(totals) <= 1.05 * min(totals), totals
 
 
 class _WrongSignGradient:

@@ -19,6 +19,7 @@ from anisotm import (GridFunction, StepRearrangement, SupportOverflowError,
                      RadialProfile, FunctionalParams, FunctionalOverflowError,
                      ParamError, dirichlet_energy_radial, FinslerNorm,
                      wulff_volume)
+import anisotm.rearrange as rearrange
 from anisotm.rearrange import _wulff_field
 from conftest import CORPUS_NAMES, corpus_grid
 
@@ -247,6 +248,36 @@ def test_grid_quantities_are_cached(gauge, request):
         assert fn(*args) is first, fn.__name__
         for a, b in zip(arrays(first), arrays(fn.__wrapped__(*args)), strict=True):
             assert np.array_equal(a, b), fn.__name__
+
+
+@pytest.mark.parametrize("m", [64, 128])
+@pytest.mark.parametrize("gauge", ["euclid", "ellipse", "sampled_smooth"])
+def test_symmetrization_carries_its_rearrangement(gauge, m, request, monkeypatch):
+    # convex_symmetrization stores u_star's own rearrangement, so profile_of
+    # does not sort u_star again; it must be what decreasing_rearrangement
+    # computes from u_star's values, bit for bit.  The sort of t leaves ties
+    # in any order, and the stable order must give the same u_star
+    F = request.getfixturevalue(f"gauge_{gauge}")
+    for name in CORPUS_NAMES:
+        u = corpus_grid(name, F, m)
+        ustar = convex_symmetrization(u, F)
+        assert "sharp" in ustar._cache, name
+        got = decreasing_rearrangement(ustar)
+        assert got is ustar._cache["sharp"], name
+        fresh = GridFunction(ustar.halfwidth, ustar.values)
+        want = decreasing_rearrangement.__wrapped__(fresh)
+        for a, b in ((got.breakpoints, want.breakpoints), (got.values, want.values)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            assert not a.flags.writeable
+
+        f0, t_sorted, _ = _wulff_field(F, u.dim, u.halfwidth, u.m)
+        t = wulff_volume(F) * f0.ravel() ** u.dim
+        stable = np.argsort(t, kind="stable").astype(np.int32)
+        assert t[stable].tobytes() == t_sorted.tobytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(rearrange, "_wulff_field", lambda *args: (f0, t[stable], stable))
+            again = convex_symmetrization.__wrapped__(u, F)
+        assert again.values.tobytes() == ustar.values.tobytes(), name
 
 
 def test_wulff_field_evaluated_once_per_grid(monkeypatch):
