@@ -451,16 +451,19 @@ def constraint_scale(g, a, b, F, q):
                             residual=res)
 
 
-def _nonzero(theta):
-    """Some knot value exceeds 1e-12; else the candidate is degenerate."""
-    return (np.asarray(theta) > 1e-12).any()
+def _knot_values(w):
+    """Knot values (theta, 0), theta_k = sum_{j >= k} w_j, of the decrements
+    w; None for a degenerate candidate: top value theta_0 at most 1e-12."""
+    v = np.concatenate((np.cumsum(w[::-1])[::-1], _ZERO))
+    return v if v[0] > 1e-12 else None
 
 
 class RadialObjective:
-    """Search objective over the knot values of one grid, with its gradient.
+    """Search objective in the knot decrements of one grid, with its gradient.
 
-    ``theta`` holds the values of a nonincreasing profile g at ``knots[:-1]``
-    (the last value is 0).  Mode 'subcritical' gives atmsc_value of
+    The K decrements w >= 0 stand for the nonincreasing profile g with value
+    theta_k = sum_{j >= k} w_j at knots[k], k < K, and 0 at the last knot,
+    so its slopes are -w/h.  Mode 'subcritical' gives atmsc_value of
     normalize_sphere(g); mode 'critical' gives critical_value of the
     constraint_scale projection of g.  Both maps only rescale g, and the
     radial rule is homogeneous in the knots, so its nodes, both weight
@@ -491,97 +494,96 @@ class RadialObjective:
         self._dq_w = self._nkappa * params.q * self._wq     # dQ/du over u^{q-1}
         self._j_start = series_start(params)
 
-    def _forward(self, theta):
-        """The pass shared by value and value_and_grad at the knot values
-        theta: None where the candidate or its normalization degenerates,
-        else (w, scale, slope, E, Q, u, X, Y, c).
+    def _forward(self, w):
+        """The pass shared by value and value_and_grad at the decrements w:
+        None where the candidate or its normalization degenerates, else
+        (z, scale, s, E, Q, u, X, Y, c).
 
-        These are the profile's slopes, its energy E = X^n, its values u at
-        the nodes, its q-norm integral Q = Y^q, the constraint root c
-        ('critical'; None for 'subcritical'), the factor scale in value =
-        scale * (weights @ kernel), and the kernel input w (u/X for
-        'subcritical', c u for 'critical').
+        These are the slope magnitudes s = w/h, the profile's energy E =
+        X^n, its values u at the nodes, its q-norm integral Q = Y^q, the
+        constraint root c ('critical'; None for 'subcritical'), the factor
+        scale in value = scale * (weights @ kernel), and the kernel input z
+        (u/X for 'subcritical', c u for 'critical').
         """
-        if not _nonzero(theta):
+        v = _knot_values(w)
+        if v is None:
             return None
         p = self.params
         n, q = p.n, p.q
-        v = np.concatenate((theta, _ZERO))
-        slope = (v[1:] - v[:-1]) / self._h
+        s = w / self._h
         u = self._interp @ v
-        E = np.abs(slope) ** n @ self._energy_w
+        E = s ** n @ self._energy_w
         Q = self._nkappa * (u ** q @ self._wq)
         X, Y = E ** (1.0 / n), Q ** (1.0 / q)
         if self.mode == "critical":     # u -> c u with (c X)^a + (c Y)^b = 1
             c = _constraint_root(X, Y, p.a, p.b)
-            return c * u, self._nkappa, slope, E, Q, u, X, Y, c
+            return c * u, self._nkappa, s, E, Q, u, X, Y, c
         try:        # u -> g(t r)/X, as normalize_sphere maps it
             t = _sphere_radius_factor(X, Y, q, n)
         except ParamError:
             return None
-        return u / X, self._nkappa * t ** (p.beta - n), slope, E, Q, u, X, Y, None
+        return u / X, self._nkappa * t ** (p.beta - n), s, E, Q, u, X, Y, None
 
-    def value(self, theta):
-        """Objective value at the knot values theta: bit for bit the value
+    def value(self, w):
+        """Objective value at the decrements w: bit for bit the value
         value_and_grad gives, without the gradient; -inf for a degenerate
         or overflowing candidate."""
-        fwd = self._forward(np.asarray(theta, dtype=float))
+        fwd = self._forward(np.asarray(w, dtype=float))
         if fwd is None:
             return -np.inf
-        w, scale = fwd[:2]
+        z, scale = fwd[:2]
         try:
-            kern = _kernel(w, self.params, j_start=self._j_start)
+            kern = _kernel(z, self.params, j_start=self._j_start)
         except FunctionalOverflowError:
             return -np.inf
         value = scale * (kern @ self._we)
         return float(value) if math.isfinite(value) else -np.inf
 
-    def value_and_grad(self, theta):
-        """Objective value at the knot values theta and its gradient in
-        theta; (-inf, 0) for a degenerate or overflowing candidate."""
-        theta = np.asarray(theta, dtype=float)
-        fwd = self._forward(theta)
+    def value_and_grad(self, w):
+        """Objective value at the decrements w and its gradient in w;
+        (-inf, 0) for a degenerate or overflowing candidate."""
+        w = np.asarray(w, dtype=float)
+        fwd = self._forward(w)
         if fwd is None:
-            return -np.inf, np.zeros_like(theta)
-        w, scale, slope, E, Q, u, X, Y, c = fwd
+            return -np.inf, np.zeros_like(w)
+        z, scale, s, E, Q, u, X, Y, c = fwd
         p = self.params
         n, q = p.n, p.q
         try:
-            kern, dkern = _kernel_and_slope(w, p, self._j_start)
+            kern, dkern = _kernel_and_slope(z, p, self._j_start)
         except FunctionalOverflowError:
-            return -np.inf, np.zeros_like(theta)
+            return -np.inf, np.zeros_like(w)
         value = scale * (kern @ self._we)
-        d_slope = n * np.abs(slope) ** (n - 1) * np.sign(slope) * self._energy_w / self._h
-        # v_k enters slope k - 1 with +1/h_{k-1} and slope k with -1/h_k
-        dE = -np.concatenate((d_slope, _ZERO))
-        dE[1:] += d_slope
+        dE = n * s ** (n - 1) * self._energy_w / self._h
         # dQ = _interp_t @ dq: the q-norm term joins the kernel's node vector
         # before the one transposed product
         dq = self._dq_w * u ** (q - 1.0)
         if self.mode == "subcritical":  # scale ~ t^{beta-n}, n log t = log Q - (q/n) log E
             d_u = scale * self._we * dkern / X
             k = (n - p.beta) * value / n
-            grad = (self._interp_t @ (d_u - k / Q * dq)
-                    + (k * q / n - d_u @ u / n) / E * dE)
+            nodes, e_coef = d_u - k / Q * dq, (k * q / n - d_u @ u / n) / E
         else:                           # (c X)^a + (c Y)^b = 1 gives d log c
             A, B = p.a * (c * X) ** p.a, p.b * (c * Y) ** p.b
             d_u = c * self._nkappa * self._we * dkern
             k = (d_u @ u) / (A + B)
-            grad = self._interp_t @ (d_u - k * B / (q * Q) * dq) - k * A / (n * E) * dE
+            nodes, e_coef = d_u - k * B / (q * Q) * dq, -k * A / (n * E)
+        # theta_i sums w_j over j >= i, so the node terms reach w by a cumulative sum
+        grad = np.cumsum((self._interp_t @ nodes)[:-1]) + e_coef * dE
         if not (math.isfinite(value) and np.isfinite(grad).all()):
-            return -np.inf, np.zeros_like(theta)
-        return float(value), grad[:-1]
+            return -np.inf, np.zeros_like(w)
+        return float(value), grad
 
-    def witness(self, theta):
-        """The profile the knot values theta stand for, through the library
+    def witness(self, w):
+        """The profile the decrements w stand for, through the library
         maps: their normalize_sphere or constraint_scale image; None for a
         degenerate candidate.  A constraint_scale image whose constraint
         residual exceeds 1e-9 is no point of the constraint sphere, and
         raises ParamError naming the residual."""
-        if not _nonzero(theta):
+        v = _knot_values(np.asarray(w, dtype=float))
+        if v is None:
             return None
         p, F = self.params, self.F
-        g = RadialProfile(self.knots, np.append(theta, 0.0))
+        g = RadialProfile(self.knots, v)
         try:
             if self.mode == "subcritical":
                 return normalize_sphere(g, p.q, F)

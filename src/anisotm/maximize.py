@@ -34,8 +34,8 @@ from scipy.optimize._lbfgsb import setulb
 from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 from .finsler import FinslerNorm, wulff_volume
-from .functional import (EXP_POWER, ParamError, RadialObjective, _check_grid,
-                         atmsc_value, critical_value, constraint_value,
+from .functional import (EXP_POWER, PHI_SERIES, ParamError, RadialObjective,
+                         _check_grid, atmsc_value, critical_value, constraint_value,
                          lq_norm_radial, grad_norm_radial, aa_bracket,
                          series_start, series_threshold, validate_lambda)
 from .profiles import RadialProfile
@@ -157,21 +157,16 @@ def _initializers(knots):
 
 
 def _theta_to_decrements(theta):
+    """The decrements of theta's least nonincreasing majorant: a start."""
     th = np.maximum.accumulate(theta[::-1])[::-1]
     return np.append(-np.diff(th), th[-1])
 
 
-def _decrements_to_theta(w):
-    return np.cumsum(w[::-1])[::-1]
+def _ascend(obj, w, maxfev):
+    """Bounded L-BFGS-B ascent of ``obj`` from the nonnegative decrements w.
 
-
-def _ascend(obj, theta, maxfev):
-    """Bounded L-BFGS-B ascent in decrement variables from ``theta``.
-
-    Writing the knot values through their nonnegative decrements turns the
-    monotone cone into a box, so every candidate is nonincreasing and the
-    landscape stays smooth; the gradient in the decrements is the running
-    sum of the analytic gradient in the knot values.
+    The decrements turn the monotone cone into a box, so every iterate is
+    a nonincreasing profile and goes to the objective as it is.
 
     The loop drives scipy's compiled kernel ``setulb`` by reverse
     communication as scipy.optimize.minimize(method='L-BFGS-B') does, with
@@ -183,14 +178,14 @@ def _ascend(obj, theta, maxfev):
     jump when an input moved by one ulp.  The value is that of the final
     x, the last accepted iterate (x0 or the last NEW_X): after an abnormal
     line search minimize reports that of the last trial point instead.
-    Returns (theta, value, evaluations, stop message).
+    Returns (decrements, value, evaluations, stop message).
     """
-    x = np.clip(_theta_to_decrements(theta), 0.0, np.inf)
+    x = np.array(w, dtype=float)        # setulb updates x in place
     size = x.size
 
     def neg(w):
-        value, grad = obj.value_and_grad(_decrements_to_theta(w))
-        return -value, -np.cumsum(grad)
+        value, grad = obj.value_and_grad(w)
+        return -value, -grad
 
     last = x.copy()
     f, g = neg(last)
@@ -220,7 +215,7 @@ def _ascend(obj, theta, maxfev):
         else:
             break
     stop = f"{status_messages[task[0]]}: {task_messages[task[1]]}"
-    return _decrements_to_theta(np.maximum(x, 0.0)), -float(accepted), nfev, stop
+    return x, -float(accepted), nfev, stop
 
 
 def _search(params, F, config, mode):
@@ -257,7 +252,7 @@ def _search(params, F, config, mode):
         if idx >= len(inits):
             rng = np.random.default_rng((config.seed, idx))
             base = np.maximum(base * (1.0 + 0.3 * rng.standard_normal(base.size)), 0.0)
-        results.append(_ascend(obj, base, config.budget))
+        results.append(_ascend(obj, _theta_to_decrements(base), config.budget))
 
     vals = np.array([r[1] for r in results])
     order = np.argsort(-vals, kind="stable")
@@ -302,8 +297,8 @@ def _sweep_ts(params, grid_size):
     # bracket(t) ~ (a(n-1)/n * (1 - t/lam))^exp_hi near t = lam
     target = (5e-4 * b_half) ** (1.0 / exp_hi) * n / (a * (n - 1.0))
     hi = float(np.clip(target, 1e-10, 0.05))
-    k1 = max(grid_size // 2, 4)
-    k2 = max(grid_size - k1, 4)
+    k1 = grid_size // 2
+    k2 = grid_size - k1
     s_low = np.geomspace(lo, 0.5, k1)
     s_high = 1.0 - np.geomspace(0.5, hi, k2 + 1)[1:]
     return lam * np.unique(np.concatenate([s_low, s_high]))
@@ -311,14 +306,16 @@ def _sweep_ts(params, grid_size):
 
 def identity_sweep(params, F, grid_size=24, config=None):
     """Sample bracket(t) * f(t) over t in (0, lam); each f is a standalone
-    estimate_f at its t, with a quarter of the restarts (at least 2)."""
+    estimate_f at its t, with a quarter of the restarts (at least 2), of
+    the Phi-series f whatever params.variant: the sup identity holds for it."""
     if grid_size < 8:
         raise ParamError("sweep grid needs at least 8 points")
     config = config or SearchConfig()
     validate_lambda(params, F)
     ts = _sweep_ts(params, grid_size)
     point_config = replace(config, restarts=max(2, config.restarts // 4))
-    ests = [estimate_f(params.with_lam(float(t)), F, point_config) for t in ts]
+    phi_params = replace(params, variant=PHI_SERIES)
+    ests = [estimate_f(phi_params.with_lam(float(t)), F, point_config) for t in ts]
     fs = np.array([est.value for est in ests])
     profiles = [est.profile for est in ests]
     brackets = np.asarray(aa_bracket(ts, params))
@@ -383,10 +380,10 @@ def maximizer_diagnostics(g, params, F, grid_resolution=256, objective="subcriti
     The symmetry residual rasterizes g, symmetrizes the grid function, and
     measures the relative L1 gap (0 up to interpolation error, since g is
     already Wulff-symmetric by construction).  The margin is the largest
-    functional increase over 200 seeded random monotonicity-preserving
-    renormalized perturbations of relative size 1e-3, each scored by
-    RadialObjective.value, the objective's own forward pass without its
-    gradient.
+    functional increase over 200 seeded random perturbations of the knot
+    decrements of g, each by a relative size 1e-3 and so monotone by
+    construction, each scored by RadialObjective.value, the objective's own
+    forward pass without its gradient.
     """
     obj = RadialObjective(params, F, g.knots, objective)
     gn = grad_norm_radial(g, F)
@@ -401,10 +398,10 @@ def maximizer_diagnostics(g, params, F, grid_resolution=256, objective="subcriti
     l1 = float(np.sum(grid.values))
     sym = float(np.sum(np.abs(grid.values - gstar.values)) / max(l1, 1e-300))
 
-    theta0 = g.values[:-1]
+    w0 = -np.diff(g.values)
     rng = np.random.default_rng(0)
-    best = max(obj.value(isotonic_nonincreasing(theta)) for theta in
-               theta0 * (1.0 + 1e-3 * rng.standard_normal((200, theta0.size))))
+    best = max(obj.value(w) for w in
+               w0 * (1.0 + 1e-3 * rng.standard_normal((200, w0.size))))
     margin = max(0.0, best - value)
     return MaximizerReport(
         profile=g, value=float(value),

@@ -184,6 +184,28 @@ def test_sweep_outputs_and_determinism(config_path, tmp_path):
     assert report["verdict"] == "threshold not applicable"   # beta > 0
 
 
+@pytest.mark.parametrize("beta, p", [(0.0, 2.0), (0.5, 3.0)])
+def test_sweep_samples_the_phi_problem(tmp_path, capsys, beta, p):
+    # the sup identity holds for the Phi-series subcritical value, so an
+    # exp-power config sweeps the same f: the same rows, g_value and
+    # verdict as its phi-series twin (the first line holds the config hash)
+    outs = {}
+    for variant in ("exp_power", "phi_series"):
+        cfg = write_config(tmp_path / f"{variant}.json",
+                           params={"beta": beta, "p": p, "variant": variant},
+                           search={"knots": 16, "budget": 60})
+        outs[variant] = tmp_path / variant
+        assert main(["sweep", "--config", str(cfg), "--out", str(outs[variant])]) == 0
+    capsys.readouterr()
+    exp_csv, phi_csv = ((outs[v] / "sweep.csv").read_text().splitlines()
+                        for v in ("exp_power", "phi_series"))
+    assert exp_csv[1:] == phi_csv[1:]
+    exp_rep, phi_rep = (json.loads((outs[v] / "sweep.json").read_text())
+                        for v in ("exp_power", "phi_series"))
+    for key in ("g_value", "t_star", "verdict", "threshold"):
+        assert exp_rep[key] == phi_rep[key]
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -268,6 +290,26 @@ def test_exit_code_validation(tmp_path, capsys):
         cfg3 = write_config(tmp_path / "field.json", **{block: {field: value}})
         assert main(["maximize", "--config", str(cfg3), "--out", str(tmp_path)]) == 2
         assert f"{block}.{field}" in capsys.readouterr().err
+    # required fields that are absent name the field
+    for absent, named in ((("q",), "params.q is missing"),
+                          (("lambda_rel",), "params.lambda (or params.lambda_rel) "
+                                            "is missing")):
+        cfg4 = json.loads(write_config(tmp_path / "absent.json").read_text())
+        for key in absent:
+            del cfg4["params"][key]
+        (tmp_path / "absent.json").write_text(json.dumps(cfg4))
+        assert main(["maximize", "--config", str(tmp_path / "absent.json"),
+                     "--out", str(tmp_path)]) == 2
+        assert named in capsys.readouterr().err
+    # symmetrize needs an input grid of the gauge's dimension
+    cfg5 = write_config(tmp_path / "sym.json")
+    assert main(["symmetrize", "--config", str(cfg5), "--out", str(tmp_path)]) == 2
+    assert "symmetrize needs --input" in capsys.readouterr().err
+    cube = tmp_path / "cube.txt"
+    GridFunction(2.0, np.pad(np.ones((4, 4, 4)), 2)).save(cube)
+    assert main(["symmetrize", "--config", str(cfg5), "--out", str(tmp_path),
+                 "--input", str(cube)]) == 2
+    assert "grid dimension 3 != gauge dimension 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("block, field, value", [

@@ -105,6 +105,35 @@ def test_sampled_sphere_kappa():
         assert abs(got - exact) / exact < tol, rule
 
 
+@pytest.mark.parametrize("rule, tol_kappa, tol_bipolar, tol_grad", [
+    ("spline", 2e-4, 1e-3, 2e-4),           # measured 8.5e-5, 5.6e-4, 9.7e-5
+    ("linear", 5e-3, 3e-2, 5e-2)],          # measured 3.3e-3, 1.7e-2, 2.3e-2
+    ids=["spline", "linear"])
+def test_sampled_sphere_ellipsoid_closed_forms(rule, tol_kappa, tol_bipolar, tol_grad):
+    # a 17 x 32 sampled ellipsoid F = sqrt(x' A x), A = diag(4, 1, 2), built
+    # from its config, against the closed forms: kappa = (4 pi / 3) sqrt(det A),
+    # F00 = F, a = 1 <= F/|x| <= b = 2 (attained at grid nodes, which the
+    # bounds scan contains), grad F = A x / F(x).  The bipolar residual is at
+    # 200 samples; the gradient at one point, which returns a single row
+    A = np.diag([4.0, 1.0, 2.0])
+    E = FinslerNorm.ellipse(A)
+    vals = E(_sphere_grid(17, 32)).reshape(17, 32)
+    F = FinslerNorm.from_config({"kind": "sampled", "values": vals.tolist(),
+                                 "rule": rule}, dim=3)
+    assert repr(F) == f"FinslerNorm('sampled', dim=3, rule={rule!r})"
+    pts = rand_points(3, 50, 7)
+    assert np.array_equal(F(pts), FinslerNorm.sampled_sphere(vals, rule=rule)(pts))
+    exact = 4.0 * np.pi / 3.0 * np.sqrt(np.linalg.det(A))
+    assert abs(wulff_volume(F) - exact) / exact < tol_kappa
+    assert bipolar_residual(F, sample_count=200) < tol_bipolar
+    a, b = F.direction_bounds()
+    assert abs(a - 1.0) < 1e-12 and abs(b - 2.0) < 1e-12
+    x = np.array([1.0, 0.5, -0.3])
+    g = F.grad(x)
+    assert g.shape == (3,) and np.array_equal(g, F.grad(x[None, :])[0])
+    assert np.max(np.abs(g - E.grad(x))) < tol_grad
+
+
 def _bilinear_reference(values, x):
     """Direct bilinear interpolation of a sampled_sphere table at the
     directions of x, with phi closed by the wraparound column."""

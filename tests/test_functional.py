@@ -404,6 +404,17 @@ def test_aa_bracket(gauge_euclid):
 
 # -- compiled search objective -------------------------------------------------
 
+def decrements(theta):
+    """The decrements w of nonincreasing knot values theta, the last knot's
+    value 0: the objective's variables, theta_k = sum_{j >= k} w_j."""
+    return -np.diff(np.append(theta, 0.0))
+
+
+def knot_values(w):
+    """theta_k = sum_{j >= k} w_j, as the objective sums them."""
+    return np.cumsum(w[::-1])[::-1]
+
+
 def _objective_cases():
     F2 = FinslerNorm.euclidean(2)
     F3 = FinslerNorm.ellipse(np.diag([1.0, 2.0, 3.0]))
@@ -425,10 +436,10 @@ def test_radial_objective_matches_library(params, F, mode):
     obj = RadialObjective(params, F, knots, mode)
     rng = np.random.default_rng(5)
     for _ in range(3):
-        theta = np.sort(rng.uniform(0.0, 1.0, knots.size - 1))[::-1]
-        value, grad = obj.value_and_grad(theta)
+        w = decrements(np.sort(rng.uniform(0.0, 1.0, knots.size - 1))[::-1])
+        value, grad = obj.value_and_grad(w)
         # the library path: normalize or project, then re-evaluate
-        g = RadialProfile(knots, np.append(theta, 0.0))
+        g = RadialProfile(knots, np.append(knot_values(w), 0.0))
         if mode == "subcritical":
             image = normalize_sphere(g, params.q, F)
             want = atmsc_value(image, params, F)
@@ -436,13 +447,13 @@ def test_radial_objective_matches_library(params, F, mode):
             image = constraint_scale(g, params.a, params.b, F, params.q).scaled
             want = critical_value(image, params, F)
         assert value == pytest.approx(want, rel=1e-12)
-        witness = obj.witness(theta)
+        witness = obj.witness(w)
         assert np.array_equal(witness.knots, image.knots)
         assert np.array_equal(witness.values, image.values)
-        fd = np.empty_like(theta)
-        for i in range(theta.size):
-            step = 1e-6 * max(theta[i], 1e-2)
-            up, down = theta.copy(), theta.copy()
+        fd = np.empty_like(w)
+        for i in range(w.size):
+            step = 1e-6 * max(w[i], 1e-2)
+            up, down = w.copy(), w.copy()
             up[i] += step
             down[i] -= step
             fd[i] = (obj.value_and_grad(up)[0] - obj.value_and_grad(down)[0]) / (2 * step)
@@ -458,7 +469,7 @@ def test_radial_objective_rejects_degenerate(gauge_euclid):
     # a rate far above the sharp constant overflows the kernel: -inf, never
     # a non-finite gradient
     hot = RadialObjective(params_beta05(lam=1e5), gauge_euclid, knots, "critical")
-    value, grad = hot.value_and_grad(np.linspace(1.0, 0.1, knots.size - 1))
+    value, grad = hot.value_and_grad(decrements(np.linspace(1.0, 0.1, knots.size - 1)))
     assert value == -np.inf and np.all(grad == 0.0)
     with pytest.raises(ParamError):
         RadialObjective(params_beta05(), gauge_euclid, knots, "nope")
@@ -476,9 +487,10 @@ def test_values_match_value_and_grad(params, F, mode):
     for ab in ((2.0, 2.0), (1.5, 3.0)) if mode == "critical" else ((2.0, 2.0),):
         obj = RadialObjective(replace(params, a=ab[0], b=ab[1]), F, knots, mode)
         for theta in thetas:
-            want = obj.value_and_grad(theta)[0]
+            w = decrements(theta)
+            want = obj.value_and_grad(w)[0]
             assert np.isfinite(want)
-            assert obj.value(theta) == want
+            assert obj.value(w) == want
 
 
 @pytest.mark.parametrize("mode", ["subcritical", "critical"])
@@ -497,12 +509,12 @@ def test_values_reject_bad_rows_alone(gauge_euclid, mode):
     assert params.lam * (1.0 - params.beta / 2.0) * top ** 2 > 690.0
     assert grad_norm_radial(RadialProfile(knots, np.append(tiny, 0.0)), gauge_euclid) <= 1e-14
     obj = RadialObjective(params, gauge_euclid, knots, mode)
-    want = obj.value_and_grad(cone)[0]
+    want = obj.value_and_grad(decrements(cone))[0]
     assert np.isfinite(want)
-    assert obj.value(cone) == want
+    assert obj.value(decrements(cone)) == want
     for bad in (zero, spike, tiny):
-        assert obj.value(bad) == -np.inf
-        assert obj.value_and_grad(bad)[0] == -np.inf
+        assert obj.value(decrements(bad)) == -np.inf
+        assert obj.value_and_grad(decrements(bad))[0] == -np.inf
 
 
 @pytest.mark.parametrize("mode", ["subcritical", "critical"])
@@ -535,11 +547,11 @@ def test_objectives_share_grid_operators(gauge_euclid, mode):
         functional._grid_operators.cache_clear()
         fresh = RadialObjective(obj.params, gauge_euclid, knots, mode)
         assert fresh._wq is not obj._wq
-        for theta in thetas:
-            value, grad = obj.value_and_grad(theta)
-            want, want_grad = fresh.value_and_grad(theta)
+        for w in map(decrements, thetas):
+            value, grad = obj.value_and_grad(w)
+            want, want_grad = fresh.value_and_grad(w)
             assert value == want and np.array_equal(grad, want_grad)
-            assert obj.value(theta) == fresh.value(theta)
+            assert obj.value(w) == fresh.value(w)
 
 
 @pytest.mark.parametrize("case", ["objective", "lq_norm", "normalize", "critical_fine"])

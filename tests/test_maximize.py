@@ -7,6 +7,7 @@ calibrated settings.
 
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from anisotm import (SearchConfig, SearchResult, estimate_f, identity_sweep,
                      grad_norm_radial, FunctionalParams, ParamError,
                      RadialProfile, FinslerNorm, wulff_volume, sharp_constant)
 from anisotm.functional import RadialObjective, series_start, series_threshold
-from anisotm.maximize import (_ascend, _decrements_to_theta, _initializers,
-                              _sweep_ts, _theta_to_decrements, geometric_knots,
+from anisotm.maximize import (_ascend, _initializers, _sweep_ts,
+                              _theta_to_decrements, geometric_knots,
                               isotonic_nonincreasing)
 
 PARAMS = FunctionalParams(n=2, q=2.0, beta=0.5, lam=np.pi, a=2.0, b=2.0)
@@ -248,18 +249,17 @@ def test_searches_share_one_result_type(gauge_euclid, search):
     assert res.spread == max(res.restart_values) - min(res.restart_values)
 
 
-def _minimize_ascent(obj, theta, maxfev, ftol=1e-14):
-    """_ascend through scipy.optimize.minimize, the way it used to run; at
-    the default ftol these are _ascend's own settings."""
+def _minimize_ascent(obj, w, maxfev, ftol=1e-14):
+    """_ascend through scipy.optimize.minimize on obj.value_and_grad, the
+    way it used to run; at the default ftol these are _ascend's own
+    settings."""
     def neg(w):
-        value, grad = obj.value_and_grad(_decrements_to_theta(w))
-        return -value, -np.cumsum(grad)
+        value, grad = obj.value_and_grad(w)
+        return -value, -grad
 
-    res = minimize(neg, _theta_to_decrements(theta), jac=True,
-                   method="L-BFGS-B", bounds=[(0.0, None)] * theta.size,
+    res = minimize(neg, w, jac=True, method="L-BFGS-B", bounds=[(0.0, None)] * w.size,
                    options={"maxfun": maxfev, "ftol": ftol, "gtol": 1e-14})
-    return (_decrements_to_theta(np.maximum(res.x, 0.0)), -float(res.fun),
-            res.nfev, res.message)
+    return res.x, -float(res.fun), res.nfev, res.message
 
 
 @pytest.mark.parametrize("mode,radius,init,budget", [
@@ -273,9 +273,9 @@ def test_ascend_is_bitwise_minimize(gauge_euclid, mode, radius, init, budget):
     knots = geometric_knots(radius, 64)
     obj = RadialObjective(PARAMS.with_lam(0.5 * sharp_constant(gauge_euclid)),
                           gauge_euclid, knots, mode)
-    theta = _initializers(knots)[init]
-    want = _minimize_ascent(obj, theta, budget)
-    got = _ascend(obj, theta, budget)
+    w = _theta_to_decrements(_initializers(knots)[init])
+    want = _minimize_ascent(obj, w, budget)
+    got = _ascend(obj, w, budget)
     assert np.array_equal(got[0], want[0])
     assert got[2:] == want[2:]
     assert got[1] == obj.value_and_grad(got[0])[0]
@@ -296,9 +296,9 @@ def test_ascent_stop_loses_nothing(gauge_euclid, mode, radius):
     obj = RadialObjective(PARAMS.with_lam(0.5 * sharp_constant(gauge_euclid)),
                           gauge_euclid, knots, mode)
     values, oracle_values, evals, oracle_evals = [], [], 0, 0
-    for theta in _initializers(knots):
-        _, value, nfev, _ = _ascend(obj, theta, 4000)
-        oracle = _minimize_ascent(obj, theta, 4000, ftol=1e-16)
+    for w in map(_theta_to_decrements, _initializers(knots)):
+        _, value, nfev, _ = _ascend(obj, w, 4000)
+        oracle = _minimize_ascent(obj, w, 4000, ftol=1e-16)
         oracle_values.append(obj.value_and_grad(oracle[0])[0])
         values.append(value)
         evals += nfev
@@ -324,20 +324,22 @@ def test_evaluation_counts_stable_at_rounding_level(gauge_euclid):
 
 
 class _WrongSignGradient:
-    """Value -theta.theta with the gradient of +theta.theta: the search
-    direction never ascends, so the line search fails."""
+    """Value -theta.theta, theta the knot values of the decrements w, with
+    the gradient of +theta.theta in w: the search direction never ascends,
+    so the line search fails."""
 
-    def value_and_grad(self, theta):
-        return -(theta @ theta), 2.0 * theta
+    def value_and_grad(self, w):
+        theta = np.cumsum(w[::-1])[::-1]
+        return -(theta @ theta), np.cumsum(2.0 * theta)
 
 
 def test_ascend_abnormal_line_search():
     # after an abnormal line search minimize reports the value of the last
     # trial point; _ascend reports that of the iterate it returns
     obj = _WrongSignGradient()
-    theta = np.linspace(1.0, 0.1, 10)
-    want = _minimize_ascent(obj, theta, 500)
-    got = _ascend(obj, theta, 500)
+    w = _theta_to_decrements(np.linspace(1.0, 0.1, 10))
+    want = _minimize_ascent(obj, w, 500)
+    got = _ascend(obj, w, 500)
     assert np.array_equal(got[0], want[0])
     assert got[2:] == want[2:] == (21, "ABNORMAL: ")
     assert got[1] == obj.value_and_grad(got[0])[0] and got[1] != want[1]
@@ -460,6 +462,24 @@ def test_identity_sweep_points_stand_alone(gauge_euclid):
         assert f == estimate_f(PARAMS.with_lam(float(t)), gauge_euclid, point).value
 
 
+@pytest.mark.parametrize("beta, p", [(0.0, 2.0), (0.5, 3.0)])
+def test_identity_sweep_samples_the_phi_problem(gauge_euclid, beta, p):
+    # the sup identity and the scaling construction hold for the Phi-series
+    # subcritical value, which the critical functional integrates; an
+    # exp-power sweep samples that f, bit for bit.  Sampling the exp-power f
+    # instead gave g 1000.04 against 6.2802 at beta 0, 67,868 against 3.964
+    # at beta 0.5
+    phi_params = FunctionalParams(2, 2.0, beta, 0.5 * sharp_constant(gauge_euclid),
+                                  2.0, 2.0, p=p)
+    config = small_config(knots=16, budget=60)
+    want = identity_sweep(phi_params, gauge_euclid, grid_size=8, config=config)
+    got = identity_sweep(replace(phi_params, variant="exp_power"), gauge_euclid,
+                         grid_size=8, config=config)
+    for name in ("ts", "f_estimates", "products"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.t_star, got.g_value) == (want.t_star, want.g_value)
+
+
 def test_identity_sweep_builds_grid_operators_once(gauge_euclid, monkeypatch):
     # every point of the sweep searches on one knot grid, so its rule at
     # PARAMS.beta is built once; the witness's q-norms take the rule at beta
@@ -500,26 +520,28 @@ def test_maximizer_diagnostics(gauge_euclid):
 @pytest.mark.parametrize("mode", ["subcritical", "critical"])
 def test_margin_equals_serial_reference(gauge_euclid, mode, monkeypatch):
     # the normalized cone is not a maximizer, so its margin is positive; the
-    # margin scores each candidate through value, which must reproduce this
-    # value_and_grad loop without a single value_and_grad call
+    # margin perturbs the decrements and scores each candidate through
+    # value, which must reproduce this value_and_grad loop without a single
+    # value_and_grad call and without the isotonic projection
     knots = geometric_knots(8.0, 24)
     g = RadialProfile(knots, np.append(_initializers(knots)[0], 0.0))
     g = (normalize_sphere(g, PARAMS.q, gauge_euclid) if mode == "subcritical" else
          constraint_scale(g, PARAMS.a, PARAMS.b, gauge_euclid, PARAMS.q).scaled)
     obj = RadialObjective(PARAMS, gauge_euclid, g.knots, mode)
     rng = np.random.default_rng(0)
-    theta0 = g.values[:-1]
+    w0 = -np.diff(g.values)
     value = (atmsc_value if mode == "subcritical" else critical_value)(g, PARAMS, gauge_euclid)
     want = 0.0
     for _ in range(200):
-        theta = theta0 * (1.0 + 1e-3 * rng.standard_normal(theta0.size))
-        want = max(want, obj.value_and_grad(isotonic_nonincreasing(theta))[0] - value)
+        w = w0 * (1.0 + 1e-3 * rng.standard_normal(w0.size))
+        want = max(want, obj.value_and_grad(w)[0] - value)
     assert want > 1e-4
 
     calls = []
     serial = RadialObjective.value_and_grad
     monkeypatch.setattr(RadialObjective, "value_and_grad",
                         lambda self, theta: calls.append(1) or serial(self, theta))
+    monkeypatch.setattr(maximize, "isotonic_nonincreasing", None)
     rep = maximizer_diagnostics(g, PARAMS, gauge_euclid, grid_resolution=64,
                                 objective=mode)
     assert rep.local_optimality_margin == want

@@ -74,3 +74,7 @@ def test_load_rejects_bad_header(tmp_path):
     path.write_text("2 5.0 1\n0.0 1.0\n1.0 0.0\n")
     with pytest.raises(ProfileError):
         RadialProfile.load(path)                            # header radius mismatch
+    path.write_text("2 2.0 3\n0.0 1.0\n2.0 0.0\n")        # 3 intervals, 2 lines
+    with pytest.raises(ProfileError, match="expected 4 knot lines, got 2") as err:
+        RadialProfile.load(path)
+    assert str(path) in str(err.value)
