@@ -14,8 +14,8 @@ variant); the critical functional always uses the Phi form.  Normalization
 maps rescale profiles so both norms are 1 (unit-sphere form) or onto the
 constraint sphere ||F grad u||^a + ||u||_q^b = 1.  RadialObjective gives
 the normalized functionals on one knot grid, with their gradients for the
-profile search or without them; it shares its quadrature rule with the
-functions above.
+profile search or without them; by default it shares its quadrature rule
+with the functions above, and the search's ascent runs it on a lean one.
 """
 
 import math
@@ -170,8 +170,10 @@ def phi(params, t):
 
 # -- radial quadrature -------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_QUAD_SPLIT = 4
+ACCURATE, LEAN = "accurate", "lean"
+# per rule: Gauss-Legendre nodes and weights of one panel, panels per knot interval
+_RULES = {ACCURATE: (*np.polynomial.legendre.leggauss(8), 4),
+          LEAN: (*np.polynomial.legendre.leggauss(4), 1)}
 _QUAD_GEOM = 24
 
 
@@ -186,12 +188,13 @@ def _check_grid(knots, n):
                          f"(smallest spacing)^-n outside the floating-point range")
 
 
-def _radial_rule(knots, n, beta):
+def _radial_rule(knots, n, beta, rule=ACCURATE):
     """Flat nodes r and weights W_q, W_e with sum W_q f(r) ~ int_0^R f(r)
     r^{n-1} dr and sum W_e f(r) ~ int_0^R f(r) r^{n-1-beta} dr.
 
     Composite Gauss-Legendre on panels: each knot interval splits into equal
-    panels, and the first and last panels are further refined geometrically,
+    panels (ACCURATE: 8 points on each of 4; LEAN: 4 points on one), and the
+    first and last panels are further refined geometrically by 24 panels,
     which absorbs fractional-power behavior there (the singular radial weight
     at the origin, powers of the vanishing profile at the support radius);
     profiles with few knots, like a bare cone, would otherwise under-resolve
@@ -203,33 +206,37 @@ def _radial_rule(knots, n, beta):
     _check_grid raises ParamError.
     """
     _check_grid(knots, n)
+    nodes, weights, split = _RULES[rule]
     ex = n - beta if beta > n - 1.0 else 1.0
     t = knots ** ex
     pts = np.append((t[:-1, None] + np.diff(t)[:, None]
-                     * (np.arange(_QUAD_SPLIT) / _QUAD_SPLIT)).ravel(), t[-1])
+                     * (np.arange(split) / split)).ravel(), t[-1])
     geo = 2.0 ** -np.arange(_QUAD_GEOM, 0, -1)
     a, b, y, z = pts[0], pts[1], pts[-2], pts[-1]
     pts = np.concatenate([[a], a + (b - a) * geo, pts[1:-1], z - (z - y) * geo[::-1], [z]])
     half, mid = 0.5 * np.diff(pts), 0.5 * (pts[1:] + pts[:-1])
-    r = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-    w = (half[:, None] * _GL_WEIGHTS).ravel()
+    r = (mid[:, None] + half[:, None] * nodes).ravel()
+    w = (half[:, None] * weights).ravel()
     if beta > n - 1.0:
         r = r ** (1.0 / ex)
         return r, w / ex * r ** beta, w / ex
     return r, w * r ** (n - 1.0), w * r ** (n - 1.0 - beta)
 
 
-@lru_cache(maxsize=4)
-def _grid_operators(grid, n, beta):
+@lru_cache(maxsize=8)
+def _grid_operators(grid, n, beta, rule):
     """The lam-independent operators of a RadialObjective on the knot grid
     whose float64 bytes are ``grid``: the knot spacings, the differences of
-    knots^n, the weights W_q and W_e of _radial_rule, and the matrix that
-    maps knot values to the piecewise-linear profile at its nodes, with its
-    transpose.  Built once per (grid, n, beta) and shared, read-only, by
-    every objective on that grid, such as the sweep's points.
+    knots^n, the weights W_q and W_e of _radial_rule at ``rule``, and the
+    matrix that maps knot values to the piecewise-linear profile at its
+    nodes, with its transpose.  Built once per (grid, n, beta, rule) and
+    shared, read-only, by every objective on that grid and rule, such as the
+    sweep's points.  A search builds a LEAN set for its ascent and an
+    ACCURATE one for its report, so the cache holds the last 8 sets: both
+    rules of the last 4 grids.
     """
     knots = np.frombuffer(grid)
-    r, wq, we = _radial_rule(knots, n, beta)
+    r, wq, we = _radial_rule(knots, n, beta, rule)
     h = np.diff(knots)
     idx = np.clip(np.searchsorted(knots, r, side="right") - 1, 0, knots.size - 2)
     frac = (r - knots[idx]) / h[idx]
@@ -475,21 +482,27 @@ class RadialObjective:
     the profile at one node set) serves value, and value_and_grad, which
     adds the gradient by the chain rule through each of them.  Degenerate or
     overflowing candidates have value -inf.
+
+    ``rule`` names the quadrature rule of _radial_rule.  The default,
+    ACCURATE, is the rule of lq_norm_radial, atmsc_value and
+    critical_value.  Only the search's ascent runs on LEAN (448 nodes at 64
+    knots, not 2,432): the rule's error moves the value at the optimum only
+    at second order, and the search reports on ACCURATE.
     """
 
-    def __init__(self, params, F, knots, mode):
+    def __init__(self, params, F, knots, mode, rule=ACCURATE):
         if mode not in ("subcritical", "critical"):
             raise ParamError(f"unknown objective {mode!r}")
         _check_dimension(params, F)
         if mode == "critical":          # Phi for either variant
             params = replace(params, variant=PHI_SERIES)
-        self.params, self.F, self.mode = params, F, mode
+        self.params, self.F, self.mode, self.rule = params, F, mode, rule
         self.knots = np.asarray(knots, dtype=float)
         n, kappa = params.n, wulff_volume(F)
         self._nkappa = n * kappa
         # the piecewise-linear profile at the nodes is _interp @ knot values
         (self._h, dkn, self._wq, self._we, self._interp,
-         self._interp_t) = _grid_operators(self.knots.tobytes(), n, params.beta)
+         self._interp_t) = _grid_operators(self.knots.tobytes(), n, params.beta, rule)
         self._energy_w = kappa * dkn
         self._dq_w = self._nkappa * params.q * self._wq     # dQ/du over u^{q-1}
         self._j_start = series_start(params)

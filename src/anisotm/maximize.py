@@ -9,12 +9,13 @@ h(r/rho) maps the Euclidean problem at rate lam k^{-1/(n-1)} onto that of
 F at rate lam, keeps both norms and the constraint, and multiplies values
 by k rho^{n-beta} (and k^{-p/n} for the exp-power integrand).  So every
 search runs the Euclidean problem: restarts of one bounded L-BFGS-B ascent
-of functional.RadialObjective in the nonnegative decrements of knot values
-on a geometric grid.  The ascent is scipy's compiled L-BFGS-B kernel,
-driven directly by reverse communication, and bitwise what
-scipy.optimize.minimize gives.  The best final iterate is renormalized,
-carried to F and re-evaluated there, so each reported value is realized by
-a stored profile: an honest lower bound for the true supremum.
+of functional.RadialObjective, on its lean quadrature rule, in the
+nonnegative decrements of knot values on a geometric grid.  The ascent is
+scipy's compiled L-BFGS-B kernel, driven directly by reverse communication,
+and bitwise what scipy.optimize.minimize gives.  Every final iterate is
+re-scored on the accurate rule, and the best is renormalized, carried to F
+and re-evaluated there, so each reported value is realized by a stored
+profile: an honest lower bound for the true supremum.
 
 The sup identity writes the critical value at lam as
 
@@ -34,7 +35,7 @@ from scipy.optimize._lbfgsb import setulb
 from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 from .finsler import FinslerNorm, wulff_volume
-from .functional import (EXP_POWER, PHI_SERIES, ParamError, RadialObjective,
+from .functional import (EXP_POWER, LEAN, PHI_SERIES, ParamError, RadialObjective,
                          _check_grid, atmsc_value, critical_value, constraint_value,
                          lq_norm_radial, grad_norm_radial, aa_bracket,
                          series_start, series_threshold, validate_lambda)
@@ -85,8 +86,9 @@ class SearchConfig:
 @dataclass
 class SearchResult:
     """Outcome of one subcritical or critical search: the best value, the
-    witness profile that realizes it, and per restart the value it reached,
-    its value-and-gradient evaluations and L-BFGS-B's stop message."""
+    witness profile that realizes it, and per restart the value it reached
+    (on the accurate rule), its value-and-gradient evaluations and
+    L-BFGS-B's stop message."""
 
     value: float
     profile: RadialProfile
@@ -221,8 +223,10 @@ def _ascend(obj, w, maxfev):
 def _search(params, F, config, mode):
     """Deterministic multistart for ``mode`` ('subcritical' or 'critical')
     on the Euclidean problem (module docstring): canonical initializers
-    first, then seeded perturbations, each one L-BFGS-B ascent; the best, by
-    (value, lowest index), is built, mapped to F and re-evaluated there.
+    first, then seeded perturbations, each one L-BFGS-B ascent on the LEAN
+    quadrature rule; each final iterate is re-scored on the ACCURATE rule,
+    and the best, by (value, lowest index), is built, mapped to F and
+    re-evaluated there.
     The critical knots reach ``radius_critical`` (default 2 * radius).  For
     a Euclidean F every factor is exactly 1.0."""
     config = config or SearchConfig()
@@ -242,8 +246,9 @@ def _search(params, F, config, mode):
     except ParamError:
         raise ParamError(f"search radius {radius:g} puts the energy of the knot grid "
                          f"outside the floating-point range") from None
-    obj = RadialObjective(params.with_lam(params.lam * k ** (-1.0 / (n - 1.0))),
-                          euclid, knots, mode)
+    rate_params = params.with_lam(params.lam * k ** (-1.0 / (n - 1.0)))
+    obj = RadialObjective(rate_params, euclid, knots, mode, rule=LEAN)
+    report = RadialObjective(rate_params, euclid, knots, mode)
     inits = _initializers(knots)
 
     results = []
@@ -254,9 +259,9 @@ def _search(params, F, config, mode):
             base = np.maximum(base * (1.0 + 0.3 * rng.standard_normal(base.size)), 0.0)
         results.append(_ascend(obj, _theta_to_decrements(base), config.budget))
 
-    vals = np.array([r[1] for r in results])
+    vals = np.array([report.value(r[0]) for r in results])
     order = np.argsort(-vals, kind="stable")
-    best = obj.witness(results[order[0]][0])
+    best = report.witness(results[order[0]][0])
     if best is None:
         raise ParamError("search produced no feasible candidate; the configured "
                          "radius/knot grid admits no usable profile")
@@ -382,8 +387,9 @@ def maximizer_diagnostics(g, params, F, grid_resolution=256, objective="subcriti
     already Wulff-symmetric by construction).  The margin is the largest
     functional increase over 200 seeded random perturbations of the knot
     decrements of g, each by a relative size 1e-3 and so monotone by
-    construction, each scored by RadialObjective.value, the objective's own
-    forward pass without its gradient.
+    construction, each scored by RadialObjective.value on the accurate
+    quadrature rule, the rule of atmsc_value and critical_value, without
+    the gradient; the lean rule of the search's ascent plays no part.
     """
     obj = RadialObjective(params, F, g.knots, objective)
     gn = grad_norm_radial(g, F)

@@ -23,7 +23,8 @@ from anisotm import (SearchConfig, SearchResult, estimate_f, identity_sweep,
                      critical_value, atmsc_value, aa_bracket, lq_norm_radial,
                      grad_norm_radial, FunctionalParams, ParamError,
                      RadialProfile, FinslerNorm, wulff_volume, sharp_constant)
-from anisotm.functional import RadialObjective, series_start, series_threshold
+from anisotm.functional import (ACCURATE, LEAN, RadialObjective, series_start,
+                                series_threshold)
 from anisotm.maximize import (_ascend, _initializers, _sweep_ts,
                               _theta_to_decrements, geometric_knots,
                               isotonic_nonincreasing)
@@ -373,8 +374,9 @@ def test_restart_evals_and_stops(gauge_euclid, search, monkeypatch):
 
 def test_restart_values_are_those_of_the_iterates(gauge_euclid, monkeypatch):
     # the bench-size subcritical search at seed 0: no restart ends in an
-    # abnormal line search, and each restart reports the value of the
-    # iterate it returns (k = 1 for the Euclidean gauge, so no scaling)
+    # abnormal line search, every ascent runs on the lean rule, and each
+    # restart reports the accurate-rule value of the iterate it returns
+    # (k = 1 for the Euclidean gauge, so no scaling)
     runs = []
     ascend = maximize._ascend
 
@@ -388,8 +390,28 @@ def test_restart_values_are_those_of_the_iterates(gauge_euclid, monkeypatch):
     res = estimate_f(params, gauge_euclid, SearchConfig(knots=64, radius=8.0,
                                                         restarts=6, budget=500))
     assert [stop for _, (_, _, _, stop) in runs].count("ABNORMAL: ") == 0
-    assert res.restart_values == tuple(obj.value_and_grad(theta)[0]
-                                       for obj, (theta, _, _, _) in runs)
+    assert {obj.rule for obj, _ in runs} == {LEAN}
+    assert res.restart_values == tuple(
+        RadialObjective(obj.params, obj.F, obj.knots, obj.mode).value(theta)
+        for obj, (theta, _, _, _) in runs)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.5])
+@pytest.mark.parametrize("mode,radius", [("subcritical", 8.0), ("critical", 16.0)])
+def test_lean_ascent_ends_where_the_accurate_one_does(gauge_euclid, beta, mode, radius):
+    # the search ascends on the lean rule and reports on the accurate one:
+    # from every initializer at 64 knots, the two rules' ascents end at
+    # iterates whose accurate values agree far below the knots' own error
+    # (measured: 5.4e-15 relative at worst)
+    params = replace(PARAMS, beta=beta, lam=0.5 * sharp_constant(gauge_euclid))
+    knots = geometric_knots(radius, 64)
+    accurate = RadialObjective(params, gauge_euclid, knots, mode)
+    lean = RadialObjective(params, gauge_euclid, knots, mode, rule=LEAN)
+    for init in _initializers(knots):
+        w = _theta_to_decrements(init)
+        want = accurate.value(_ascend(accurate, w, 4000)[0])
+        got = accurate.value(_ascend(lean, w, 4000)[0])
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 # -- Wulff reduction -----------------------------------------------------------
@@ -481,16 +503,17 @@ def test_identity_sweep_samples_the_phi_problem(gauge_euclid, beta, p):
 
 
 def test_identity_sweep_builds_grid_operators_once(gauge_euclid, monkeypatch):
-    # every point of the sweep searches on one knot grid, so its rule at
-    # PARAMS.beta is built once; the witness's q-norms take the rule at beta
-    # 0, and its value the rule on a rescaled grid
-    grids = []
+    # every point of the sweep searches on one knot grid, so at PARAMS.beta
+    # the whole sweep builds one lean rule there, for the ascents, and one
+    # accurate rule, for the restart values; the witness's q-norms take the
+    # rule at beta 0, and its value the rule on a rescaled grid
+    builds = []
     rule = functional._radial_rule
 
-    def counting_rule(knots, n, beta):
+    def counting_rule(knots, n, beta, quadrature=ACCURATE):
         if beta == PARAMS.beta:
-            grids.append(np.array(knots))
-        return rule(knots, n, beta)
+            builds.append((np.array(knots), quadrature))
+        return rule(knots, n, beta, quadrature)
 
     monkeypatch.setattr(functional, "_radial_rule", counting_rule)
     functional._grid_operators.cache_clear()
@@ -498,7 +521,8 @@ def test_identity_sweep_builds_grid_operators_once(gauge_euclid, monkeypatch):
     sweep = identity_sweep(PARAMS, gauge_euclid, grid_size=8, config=config)
     assert sweep.ts.size == 8
     grid = geometric_knots(config.radius, config.knots)
-    assert sum(np.array_equal(knots, grid) for knots in grids) == 1
+    on_grid = [quadrature for knots, quadrature in builds if np.array_equal(knots, grid)]
+    assert sorted(on_grid) == [ACCURATE, LEAN]
 
 
 # -- diagnostics --------------------------------------------------------------
