@@ -100,21 +100,18 @@ class FinslerNorm:
     used, the Wulff field (F0 and its sort order at the cell centers).
     """
 
-    def __init__(self, kind, dim, p=None, matrix=None, thetas=None,
-                 phis=None, values=None, rule="spline"):
+    def __init__(self, kind, dim, p=None, matrix=None, values=None, rule="spline"):
         if dim not in (2, 3):
             raise GaugeError(f"dimension must be 2 or 3, got {dim}")
         self.kind = kind
         self.dim = int(dim)
         self.p = p
         self.matrix = matrix
-        self.thetas = thetas
-        self.phis = phis
         self.values = values
         self.rule = rule
         self._cache = {}
         if kind == "pnorm":
-            if not (1.0 < p < np.inf):
+            if p is None or not 1.0 < p < np.inf:
                 raise GaugeError(f"pnorm exponent must lie in (1, inf), got {p}")
         elif kind == "ellipse":
             m = np.asarray(matrix, dtype=float)
@@ -154,12 +151,7 @@ class FinslerNorm:
         kappa_n) raises GaugeError when the sampled unit sphere, the points
         unit(theta_k)/values[k], is not convex.
         """
-        values = np.asarray(values, dtype=float)
-        n = values.size
-        if n < 8:
-            raise GaugeError("sampled gauge needs at least 8 angles")
-        thetas = np.arange(n) * (2.0 * np.pi / n)
-        return cls("sampled", 2, thetas=thetas, values=values, rule=rule)
+        return cls("sampled", 2, values=values, rule=rule)
 
     @classmethod
     def sampled_sphere(cls, values, rule="linear"):
@@ -171,12 +163,7 @@ class FinslerNorm:
         bicubic; 'linear' and 'pchip' are both the bilinear interpolant in
         (theta, phi), one and the same function.
         """
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2 or values.shape[0] < 5 or values.shape[1] < 8:
-            raise GaugeError("sampled sphere needs a grid of at least 5 x 8 values")
-        thetas = np.linspace(0.0, np.pi, values.shape[0])
-        phis = np.arange(values.shape[1]) * (2.0 * np.pi / values.shape[1])
-        return cls("sampled", 3, thetas=thetas, phis=phis, values=values, rule=rule)
+        return cls("sampled", 3, values=values, rule=rule)
 
     @classmethod
     def from_config(cls, spec, dim=2):
@@ -189,29 +176,28 @@ class FinslerNorm:
         if not isinstance(spec, dict) or "kind" not in spec:
             raise GaugeError("gauge spec must be a mapping with a 'kind' entry")
         kind = spec["kind"]
-        if kind == "euclidean":
-            return cls.euclidean(dim)
+        for name, field in (("pnorm", "p"), ("ellipse", "matrix"), ("sampled", "values")):
+            if kind == name and field not in spec:
+                raise GaugeError(f"{name} gauge spec needs {field!r}")
         if kind == "pnorm":
-            if "p" not in spec:
-                raise GaugeError("pnorm gauge spec needs 'p'")
             return cls.pnorm(spec["p"], dim)
         if kind == "ellipse":
-            if "matrix" not in spec:
-                raise GaugeError("ellipse gauge spec needs 'matrix'")
             return cls.ellipse(spec["matrix"])
         if kind == "sampled":
-            if "values" not in spec:
-                raise GaugeError("sampled gauge spec needs 'values'")
-            rule = spec.get("rule", "spline")
-            if dim == 3:
-                return cls.sampled_sphere(spec["values"], rule=rule)
-            return cls.sampled(spec["values"], rule=rule)
-        raise GaugeError(f"unknown gauge kind {kind!r}")
+            return cls("sampled", dim, values=spec["values"], rule=spec.get("rule", "spline"))
+        return cls(kind, dim)       # euclidean; any other kind raises GaugeError
 
     def _init_sampled(self):
-        v = np.asarray(self.values, dtype=float)
+        """Angle grids of the values' shape (sampled, sampled_sphere), interpolant."""
+        v = self.values = np.asarray(self.values, dtype=float)
+        if self.dim == 2 and (v.ndim != 1 or v.size < 8):
+            raise GaugeError("sampled gauge needs at least 8 angles")
+        if self.dim == 3 and (v.ndim != 2 or v.shape[0] < 5 or v.shape[1] < 8):
+            raise GaugeError("sampled sphere needs a grid of at least 5 x 8 values")
         if np.any(~np.isfinite(v)) or np.any(v <= 0.0):
             raise GaugeError("sampled gauge values must be finite and positive")
+        self.thetas = (np.arange(v.size) * (2.0 * np.pi / v.size) if self.dim == 2
+                       else np.linspace(0.0, np.pi, v.shape[0]))
         if self.rule not in ("spline", "pchip", "linear"):
             raise GaugeError(f"unknown interpolation rule {self.rule!r}")
         if self.dim == 2:
@@ -229,11 +215,10 @@ class FinslerNorm:
             else:
                 self._interp = (t, y)  # closed node arrays for np.interp
         else:
-            th = self.thetas
-            ph = np.append(self.phis, 2.0 * np.pi)
+            ph = np.append(np.arange(v.shape[1]) * (2.0 * np.pi / v.shape[1]), 2.0 * np.pi)
             vv = np.concatenate([v, v[:, :1]], axis=1)
             kz = 3 if self.rule == "spline" else 1
-            self._interp = RectBivariateSpline(th, ph, vv, kx=kz, ky=kz)
+            self._interp = RectBivariateSpline(self.thetas, ph, vv, kx=kz, ky=kz)
 
     # -- evaluation ------------------------------------------------------
 
@@ -625,10 +610,15 @@ def coarea_surface_check(F, r=1.0):
     go through central differences).  Returns (integral - target)/target.
     The surface element scales as r^{n-1}, so the integral is r^{n-1} times
     its value at r = 1, which is computed once and cached on the gauge (for
-    power-of-two r the product is bitwise the direct value).
+    power-of-two r the product is bitwise the direct value).  An r that is
+    not positive, or whose r^{n-1} leaves the float range, raises GaugeError.
     """
     n = F.dim
-    scale = r ** (n - 1.0)
+    with np.errstate(over="ignore", under="ignore"):
+        scale = np.float64(r) ** (n - 1.0)
+    if not (r > 0.0 and 0.0 < scale < np.inf):
+        raise GaugeError(f"coarea radius must be positive with r^(n-1) a positive "
+                         f"float, got {r}")
     target = n * wulff_volume(F) * scale
     return float((scale * _unit_coarea_integral(F) - target) / target)
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import brentq
 from scipy.special import gammainc
 
@@ -35,8 +34,6 @@ PHI_SERIES = "phi_series"
 
 _EXP_ARG_MAX = 690.0     # exp(690) ~ 1e299; beyond this the integrand overflows
 _SPHERE_RESIDUAL_MAX = 1e-9   # a critical witness further off the constraint sphere is rejected
-_ZERO = np.zeros(1)      # the last knot value of every profile
-_ZERO.flags.writeable = False
 
 
 class ParamError(ValueError):
@@ -226,36 +223,32 @@ def _radial_rule(knots, n, beta, rule=ACCURATE):
 @lru_cache(maxsize=8)
 def _grid_operators(grid, n, beta, rule):
     """The lam-independent operators of a RadialObjective on the knot grid
-    whose float64 bytes are ``grid``: the knot spacings, the differences of
-    knots^n, the weights W_q and W_e of _radial_rule at ``rule``, and the
-    matrix that maps knot values to the piecewise-linear profile at its
-    nodes, with its transpose.  Built once per (grid, n, beta, rule) and
-    shared, read-only, by every objective on that grid and rule, such as the
-    sweep's points.  A search builds a LEAN set for its ascent and an
-    ACCURATE one for its report, so the cache holds the last 8 sets: both
-    rules of the last 4 grids.
+    whose float64 bytes are ``grid``: the spacings h, the differences of
+    knots^n, the weights W_q and W_e of _radial_rule at ``rule``, and for its
+    nodes r, in increasing order, the knot interval idx, the position frac =
+    (r - knots[idx])/h[idx] in [0, 1], and the first node of each interval
+    (ParamError for an interval too narrow to hold one).  Built once per
+    (grid, n, beta, rule) and shared, read-only, by every objective on that
+    grid and rule, such as the sweep's points; the cache holds the LEAN and
+    ACCURATE sets (ascent and report) of the last 4 grids.
     """
     knots = np.frombuffer(grid)
     r, wq, we = _radial_rule(knots, n, beta, rule)
     h = np.diff(knots)
     idx = np.clip(np.searchsorted(knots, r, side="right") - 1, 0, knots.size - 2)
-    frac = (r - knots[idx]) / h[idx]
-    # row i holds 1 - frac at column idx and frac at column idx + 1
-    interp = sparse.csr_array(
-        (np.column_stack([1.0 - frac, frac]).ravel(),
-         np.column_stack([idx, idx + 1]).ravel(), np.arange(0, 2 * r.size + 1, 2)),
-        shape=(r.size, knots.size))
-    interp_t = interp.T.tocsr()
-    ops = h, np.diff(knots ** n), wq, we, interp, interp_t
-    for arr in (*ops[:4], interp.data, interp.indices, interp.indptr,
-                interp_t.data, interp_t.indices, interp_t.indptr):
+    frac = np.minimum((r - knots[idx]) / h[idx], 1.0)   # 1 where r rounds past the last knot
+    starts = np.searchsorted(idx, np.arange(h.size))
+    if not np.all(np.diff(starts, append=r.size) > 0):
+        raise ParamError("a knot interval is too narrow to hold a quadrature node")
+    ops = h, np.diff(knots ** n), wq, we, idx, frac, starts
+    for arr in ops:
         arr.flags.writeable = False
     return ops
 
 
 def lq_norm_radial(g, q, F):
     """(n kappa int_0^R g^q r^{n-1} dr)^{1/q} for u(x) = g(F0(-x))."""
-    if q < 1.0:
+    if not q >= 1.0:
         raise ParamError(f"q must be >= 1, got {q}")
     n = F.dim
     r, w, _ = _radial_rule(g.knots, n, 0.0)
@@ -459,10 +452,10 @@ def constraint_scale(g, a, b, F, q):
 
 
 def _knot_values(w):
-    """Knot values (theta, 0), theta_k = sum_{j >= k} w_j, of the decrements
-    w; None for a degenerate candidate: top value theta_0 at most 1e-12."""
-    v = np.concatenate((np.cumsum(w[::-1])[::-1], _ZERO))
-    return v if v[0] > 1e-12 else None
+    """Knot values theta_k = sum_{j >= k} w_j, k < K, of the decrements w;
+    None for a degenerate candidate: top value theta_0 at most 1e-12."""
+    theta = np.cumsum(w[::-1])[::-1]
+    return theta if theta[0] > 1e-12 else None
 
 
 class RadialObjective:
@@ -474,14 +467,14 @@ class RadialObjective:
     normalize_sphere(g); mode 'critical' gives critical_value of the
     constraint_scale projection of g.  Both maps only rescale g, and the
     radial rule is homogeneous in the knots, so its nodes, both weight
-    vectors and the interpolation map to the nodes are built once, on
+    vectors and the interpolation indices of the nodes are built once, on
     ``knots``, and shared by every objective on that grid (_grid_operators):
     shrinking the radius by 1/t multiplies the subcritical integral by
     t^{beta-n}, and the constraint projection keeps the knots.
     One forward pass (the energy, the q-norm and the kernel input, all from
-    the profile at one node set) serves value, and value_and_grad, which
-    adds the gradient by the chain rule through each of them.  Degenerate or
-    overflowing candidates have value -inf.
+    the profile theta[idx] - frac w[idx] at one node set) serves value, and
+    value_and_grad, which adds the gradient by the chain rule through each
+    of them.  Degenerate or overflowing candidates have value -inf.
 
     ``rule`` names the quadrature rule of _radial_rule.  The default,
     ACCURATE, is the rule of lq_norm_radial, atmsc_value and
@@ -500,9 +493,8 @@ class RadialObjective:
         self.knots = np.asarray(knots, dtype=float)
         n, kappa = params.n, wulff_volume(F)
         self._nkappa = n * kappa
-        # the piecewise-linear profile at the nodes is _interp @ knot values
-        (self._h, dkn, self._wq, self._we, self._interp,
-         self._interp_t) = _grid_operators(self.knots.tobytes(), n, params.beta, rule)
+        (self._h, dkn, self._wq, self._we, self._idx, self._frac,
+         self._starts) = _grid_operators(self.knots.tobytes(), n, params.beta, rule)
         self._energy_w = kappa * dkn
         self._dq_w = self._nkappa * params.q * self._wq     # dQ/du over u^{q-1}
         self._j_start = series_start(params)
@@ -518,13 +510,14 @@ class RadialObjective:
         scale in value = scale * (weights @ kernel), and the kernel input z
         (u/X for 'subcritical', c u for 'critical').
         """
-        v = _knot_values(w)
-        if v is None:
+        theta = _knot_values(w)
+        if theta is None:
             return None
         p = self.params
         n, q = p.n, p.q
         s = w / self._h
-        u = self._interp @ v
+        # never below 0: frac <= 1, and theta_k >= w_k also in floating point
+        u = theta[self._idx] - self._frac * w[self._idx]
         E = s ** n @ self._energy_w
         Q = self._nkappa * (u ** q @ self._wq)
         X, Y = E ** (1.0 / n), Q ** (1.0 / q)
@@ -568,8 +561,8 @@ class RadialObjective:
             return -np.inf, np.zeros_like(w)
         value = scale * (kern @ self._we)
         dE = n * s ** (n - 1) * self._energy_w / self._h
-        # dQ = _interp_t @ dq: the q-norm term joins the kernel's node vector
-        # before the one transposed product
+        # the q-norm term joins the kernel's node vector, so one pull-back
+        # to the decrements serves both
         dq = self._dq_w * u ** (q - 1.0)
         if self.mode == "subcritical":  # scale ~ t^{beta-n}, n log t = log Q - (q/n) log E
             d_u = scale * self._we * dkern / X
@@ -580,11 +573,16 @@ class RadialObjective:
             d_u = c * self._nkappa * self._we * dkern
             k = (d_u @ u) / (A + B)
             nodes, e_coef = d_u - k * B / (q * Q) * dq, -k * A / (n * E)
-        # theta_i sums w_j over j >= i, so the node terms reach w by a cumulative sum
-        grad = np.cumsum((self._interp_t @ nodes)[:-1]) + e_coef * dE
+        grad = self._pull_back(nodes) + e_coef * dE
         if not (math.isfinite(value) and np.isfinite(grad).all()):
             return -np.inf, np.zeros_like(w)
         return float(value), grad
+
+    def _pull_back(self, nodes):
+        """The transpose of w -> theta[idx] - frac w[idx] at ``nodes``, by
+        segment sums over the knot intervals: theta_k sums w_j over j >= k."""
+        at = self._starts
+        return np.cumsum(np.add.reduceat(nodes, at)) - np.add.reduceat(self._frac * nodes, at)
 
     def witness(self, w):
         """The profile the decrements w stand for, through the library
@@ -592,11 +590,11 @@ class RadialObjective:
         degenerate candidate.  A constraint_scale image whose constraint
         residual exceeds 1e-9 is no point of the constraint sphere, and
         raises ParamError naming the residual."""
-        v = _knot_values(np.asarray(w, dtype=float))
-        if v is None:
+        theta = _knot_values(np.asarray(w, dtype=float))
+        if theta is None:
             return None
         p, F = self.params, self.F
-        g = RadialProfile(self.knots, v)
+        g = RadialProfile(self.knots, np.append(theta, 0.0))
         try:
             if self.mode == "subcritical":
                 return normalize_sphere(g, p.q, F)

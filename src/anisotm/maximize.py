@@ -27,6 +27,7 @@ scaling construction turns the sweep argmax into a critical candidate.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,13 +75,19 @@ class SearchConfig:
 
     def __post_init__(self):
         for name, least in (("knots", 2), ("restarts", 1), ("budget", 1), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ParamError(f"search.{name} must be at least {least}, "
-                                 f"got {getattr(self, name)}")
+            object.__setattr__(self, name, _count(getattr(self, name), f"search.{name}", least))
         for name in ("radius", "radius_critical"):
             r = getattr(self, name)
             if r is not None and not (np.isfinite(r) and r > 0.0):
                 raise ParamError(f"search.{name} must be positive and finite, got {r}")
+
+
+def _count(value, name, least):
+    """value as an int; ParamError unless it is an integer, of any type, >= least."""
+    if (isinstance(value, numbers.Integral) or isinstance(value, numbers.Real)
+            and float(value).is_integer()) and value >= least:
+        return int(value)
+    raise ParamError(f"{name} must be at least {least} and an integer, got {value}")
 
 
 @dataclass
@@ -313,8 +320,7 @@ def identity_sweep(params, F, grid_size=24, config=None):
     """Sample bracket(t) * f(t) over t in (0, lam); each f is a standalone
     estimate_f at its t, with a quarter of the restarts (at least 2), of
     the Phi-series f whatever params.variant: the sup identity holds for it."""
-    if grid_size < 8:
-        raise ParamError("sweep grid needs at least 8 points")
+    grid_size = _count(grid_size, "sweep grid_size", 8)
     config = config or SearchConfig()
     validate_lambda(params, F)
     ts = _sweep_ts(params, grid_size)

@@ -22,6 +22,8 @@ class RadialProfile:
         tol = 1e-12      # negative values and increases this small are clamped
         if knots.ndim != 1 or knots.shape != values.shape or knots.size < 2:
             raise ProfileError("knots and values must be matching 1-d arrays, length >= 2")
+        if not (np.isfinite(knots).all() and np.isfinite(values).all()):
+            raise ProfileError("knots and values must be finite")
         if knots[0] != 0.0 or np.any(np.diff(knots) <= 0.0):
             raise ProfileError("knots must start at 0 and strictly increase")
         if np.any(values < -tol) or np.any(np.diff(values) > tol):
@@ -46,9 +48,10 @@ class RadialProfile:
 
     def scaled(self, value_factor=1.0, radius_factor=1.0):
         """New profile r -> value_factor * g(r / radius_factor)."""
-        if value_factor < 0.0 or radius_factor <= 0.0:
-            raise ProfileError("scaling factors must be positive")
-        return RadialProfile(self.knots * radius_factor, self.values * value_factor)
+        if not (0.0 <= value_factor < np.inf and 0.0 < radius_factor < np.inf):
+            raise ProfileError("scaling factors must be positive and finite")
+        with np.errstate(over="ignore"):    # an overflow is rejected as non-finite
+            return RadialProfile(self.knots * radius_factor, self.values * value_factor)
 
     # -- text format: header "N R M" (M intervals), then M+1 lines "r value"
 

@@ -189,15 +189,15 @@ class StepRearrangement:
 
 def grid_lq_norm(u, q):
     """(h^n sum u^q)^{1/q}, the midpoint quadrature of ||u||_q."""
-    if q < 1.0:
+    if not q >= 1.0:
         raise ParamError(f"q must be >= 1, got {q}")
     return float((u.cell_volume * np.sum(u.values ** q)) ** (1.0 / q))
 
 
 def distribution_function(u, s):
     """Measure of the superlevel set {u >= s} by cell counting."""
-    if s < 0.0:
-        raise ValueError("level must be nonnegative")
+    if not s >= 0.0:
+        raise ValueError(f"level must be nonnegative, got {s}")
     return float(u.cell_volume * np.count_nonzero(u.values >= s))
 
 

@@ -522,6 +522,15 @@ def test_coarea_closed_forms(gauge_euclid, gauge_ellipse):
             assert abs(coarea_surface_check(F, r)) < 1e-8
 
 
+def test_coarea_rejects_bad_radius(gauge_euclid):
+    # 0 divided by zero, -1 read as a perfect residual, nan returned nan; in
+    # 3-d r^2 overflows or underflows at 1e200 and 1e-200
+    for F, r in [(gauge_euclid, r) for r in (0.0, -1.0, np.nan, np.inf, -np.inf)] + [
+            (FinslerNorm.euclidean(3), r) for r in (1e200, 1e-200)]:
+        with pytest.raises(GaugeError, match="coarea radius"):
+            coarea_surface_check(F, r)
+
+
 def test_coarea_sampled_and_3d(gauge_maxgauge):
     assert abs(coarea_surface_check(gauge_maxgauge, 1.0)) < 1e-8
     assert abs(coarea_surface_check(FinslerNorm.euclidean(3), 1.0)) < 1e-10
@@ -565,6 +574,34 @@ def test_rejects_bad_inputs():
         FinslerNorm.sampled(np.zeros(64))                    # not positive
     with pytest.raises(GaugeError):
         FinslerNorm.sampled(np.ones(3))                      # too few nodes
+    with pytest.raises(GaugeError, match="pnorm exponent"):
+        FinslerNorm("pnorm", 2)                              # no exponent
+    with pytest.raises(GaugeError, match="at least 8 angles"):
+        FinslerNorm("sampled", 2, values=np.ones((8, 8)))    # not a 1-d table
+    with pytest.raises(GaugeError, match="5 x 8"):
+        FinslerNorm("sampled", 3, values=np.ones(64))        # not a 2-d table
+
+
+def test_sampled_angle_grids_follow_the_values():
+    # the constructor takes no angle grids: they are the uniform grids of the
+    # values' shape, so a direct construction, the classmethod and the
+    # config round trip are one gauge, and the polar sweep sees the grid it
+    # assumes (1 + 0.1 cos 2 theta is convex)
+    th = np.arange(32) * (2.0 * np.pi / 32)
+    values = 1.0 + 0.1 * np.cos(2.0 * th)
+    direct = FinslerNorm("sampled", 2, values=values.tolist())
+    assert np.array_equal(direct.thetas, th)
+    pts = rand_points(2, 50, 6)
+    for F in (FinslerNorm.sampled(values), FinslerNorm.from_config(direct.config())):
+        assert np.array_equal(F(pts), direct(pts))
+    assert np.array_equal(direct.polar().values, FinslerNorm.sampled(values).polar().values)
+    with pytest.raises(TypeError):
+        FinslerNorm("sampled", 2, thetas=np.sort(th), values=values)
+    grid = FinslerNorm.ellipse(np.diag([4.0, 1.0, 2.0]))(_sphere_grid(9, 16)).reshape(9, 16)
+    sphere = FinslerNorm("sampled", 3, values=grid, rule="linear")
+    assert np.array_equal(sphere.thetas, np.linspace(0.0, np.pi, 9))
+    pts = rand_points(3, 50, 7)
+    assert np.array_equal(sphere(pts), FinslerNorm.sampled_sphere(grid)(pts))
 
 
 def test_sampled_gauges_vanish_at_origin(gauge_maxgauge, gauge_sampled_smooth):
@@ -594,3 +631,7 @@ def test_from_config_round_trip(gauge_pnorm4):
     assert np.allclose(again(pts), gauge_pnorm4(pts), rtol=0, atol=1e-14)
     with pytest.raises(GaugeError):
         FinslerNorm.from_config({"kind": "nope"}, dim=2)
+    for kind, field in (("pnorm", "p"), ("ellipse", "matrix"), ("sampled", "values")):
+        with pytest.raises(GaugeError, match=f"{kind} gauge spec needs '{field}'"):
+            FinslerNorm.from_config({"kind": kind}, dim=2)
+    assert FinslerNorm.from_config({"kind": "euclidean"}, dim=3).dim == 3

@@ -10,7 +10,6 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from scipy import sparse
 from hypothesis import given, settings, strategies as st
 
 from anisotm import (FunctionalParams, series_start, phi,
@@ -162,8 +161,9 @@ def test_lq_cone_closed_forms(gauge_euclid):
         LQ_CONE_Q2, rel=1e-12)
     assert lq_norm_radial(cone(), 2.7, gauge_euclid) == pytest.approx(
         LQ_CONE_Q27, rel=1e-12)
-    with pytest.raises(ParamError):
-        lq_norm_radial(cone(), 0.5, gauge_euclid)
+    for bad in (0.5, np.nan):
+        with pytest.raises(ParamError):
+            lq_norm_radial(cone(), bad, gauge_euclid)
 
 
 def test_dirichlet_cone_equals_kappa(gauge_euclid, gauge_ellipse, gauge_pnorm4):
@@ -527,26 +527,26 @@ def test_objectives_share_grid_operators(gauge_euclid, mode):
     knots = geometric_knots(6.0, 16)
     objs = [RadialObjective(params_beta05(lam=lam), gauge_euclid, knots, mode)
             for lam in (1.0, 3.0)]
-    for name in ("_h", "_wq", "_we", "_interp", "_interp_t"):
+    names = ("_h", "_wq", "_we", "_idx", "_frac", "_starts")
+    for name in names:
         assert getattr(objs[0], name) is getattr(objs[1], name)
-    interp, interp_t = objs[0]._interp, objs[0]._interp_t
-    for arr in (objs[0]._h, objs[0]._wq, objs[0]._we, interp.data, interp.indices,
-                interp.indptr, interp_t.data, interp_t.indices, interp_t.indptr):
-        assert not arr.flags.writeable
-    # the two-entry rows hold what the COO assembly with summed duplicates
-    # gives, in the same order, so both products run the same operations
-    r = _radial_rule(knots, 2, 0.5)[0]
-    idx = np.clip(np.searchsorted(knots, r, side="right") - 1, 0, knots.size - 2)
-    frac = (r - knots[idx]) / np.diff(knots)[idx]
-    rows = np.arange(r.size)
-    coo = sparse.csr_array((np.concatenate([1.0 - frac, frac]),
-                            (np.concatenate([rows, rows]), np.concatenate([idx, idx + 1]))),
-                           shape=interp.shape)
-    for got, want in ((interp, coo), (interp_t, coo.T.tocsr())):
-        for attr in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        assert not getattr(objs[0], name).flags.writeable
     rng = np.random.default_rng(3)
     thetas = np.sort(rng.uniform(0.0, 1.0, (4, knots.size - 1)), axis=1)[:, ::-1]
+    for rule in (ACCURATE, LEAN):
+        obj = RadialObjective(params_beta05(), gauge_euclid, knots, mode, rule)
+        r = _radial_rule(knots, 2, 0.5, rule)[0]
+        # the dense interpolation matrix from knot values to the nodes
+        interp = np.column_stack([np.interp(r, knots, e) for e in np.eye(knots.size)])
+        for theta in thetas:
+            w = decrements(theta)
+            u = obj._forward(w)[5]
+            want = np.interp(r, knots, np.append(knot_values(w), 0.0))
+            assert np.max(np.abs(u - want)) <= 4 * np.spacing(theta[0])
+            nodes = rng.standard_normal(r.size)
+            want = np.cumsum((interp.T @ nodes)[:-1])
+            assert np.allclose(obj._pull_back(nodes), want, rtol=0.0,
+                               atol=1e-13 * np.abs(nodes).sum())
     for obj in objs:
         functional._grid_operators.cache_clear()
         fresh = RadialObjective(obj.params, gauge_euclid, knots, mode)
@@ -556,6 +556,44 @@ def test_objectives_share_grid_operators(gauge_euclid, mode):
             want, want_grad = fresh.value_and_grad(w)
             assert value == want and np.array_equal(grad, want_grad)
             assert obj.value(w) == fresh.value(w)
+
+
+@pytest.mark.parametrize("rule", [ACCURATE, LEAN])
+def test_every_knot_interval_holds_a_node(rule):
+    # the pull-back sums each interval's nodes with np.add.reduceat, which
+    # returns the next node's term, not 0, for an empty interval
+    for count in (2, 3, 8, 64, 256):
+        for radius in (1e-3, 8.0, 1e4):
+            knots = geometric_knots(radius, count)
+            for n, beta in ((2, 0.0), (2, 0.5), (2, 1.5), (3, 1.0), (3, 2.5)):
+                h, _, _, _, idx, frac, starts = functional._grid_operators(
+                    knots.tobytes(), n, beta, rule)
+                assert np.array_equal(np.unique(idx), np.arange(h.size))
+                assert np.all(np.diff(idx) >= 0)
+                assert np.array_equal(idx[starts], np.arange(h.size))
+                assert frac.min() >= 0.0 and frac.max() <= 1.0
+    # a 1-ulp interval whose substituted nodes all round past it
+    narrow = np.array([0.0, 8941887537745108.0, 8941887537745109.0, 8941887537745114.0])
+    with pytest.raises(ParamError, match="too narrow"):
+        functional._grid_operators(narrow.tobytes(), 2, 1.5, rule)
+
+
+@pytest.mark.parametrize("mode", ["subcritical", "critical"])
+@pytest.mark.parametrize("rule", [ACCURATE, LEAN])
+def test_single_decrement_keeps_profile_nonnegative(mode, rule):
+    # theta_k = w_k on the last nonzero interval, so theta[idx] - frac w[idx]
+    # must not round below 0 there, where u^{q-1} at q = 2.5 would be nan
+    F = FinslerNorm.euclidean(3)
+    params = FunctionalParams(3, 2.5, 1.0, 0.5 * sharp_constant(F), 2.0, 3.0)
+    knots = geometric_knots(8.0, 64)
+    obj = RadialObjective(params, F, knots, mode, rule)
+    for j in (0, 5, 31, 62, 63):
+        for top in (1.0, 0.3, 7.0 / 3.0):
+            w = np.zeros(knots.size - 1)
+            w[j] = top
+            assert obj._forward(w)[5].min() >= 0.0
+            value, grad = obj.value_and_grad(w)
+            assert np.isfinite(value) and np.isfinite(grad).all()
 
 
 @pytest.mark.parametrize("case", ["objective", "lq_norm", "normalize", "critical_fine"])

@@ -213,13 +213,25 @@ def test_estimate_f_exp_power_below_one(gauge_euclid):
                                      {"radius": -1.0}, {"radius": np.nan},
                                      {"radius": np.inf},
                                      {"radius_critical": 0.0},
-                                     {"radius_critical": np.nan}],
+                                     {"radius_critical": np.nan},
+                                     {"knots": 2.5}, {"restarts": 1.5},
+                                     {"budget": 10.5}, {"seed": 0.5},
+                                     {"budget": np.nan}, {"knots": "8"}],
                          ids=["knots", "restarts", "budget", "radius-zero",
                               "radius-negative", "radius-nan", "radius-inf",
-                              "radius_critical-zero", "radius_critical-nan"])
+                              "radius_critical-zero", "radius_critical-nan",
+                              "knots-fraction", "restarts-fraction",
+                              "budget-fraction", "seed-fraction", "budget-nan",
+                              "knots-string"])
 def test_search_config_rejects_degenerate(setting):
     with pytest.raises(ParamError, match=next(iter(setting))):
         small_config(**setting)
+
+
+def test_search_config_takes_integral_numbers():
+    config = small_config(knots=16.0, restarts=np.int64(2), budget=np.float64(50.0))
+    assert (config.knots, config.restarts, config.budget) == (16, 2, 50)
+    assert all(type(v) is int for v in (config.knots, config.restarts, config.budget))
 
 
 def test_estimate_f_rejects_supercritical(gauge_euclid):
@@ -470,8 +482,9 @@ def test_identity_sweep_smoke(gauge_euclid):
     diag = sweep.endpoint_diagnostics
     assert set(diag) >= {"low_t_products", "high_t_products", "threshold"}
     assert diag["threshold"] is None                       # beta > 0
-    with pytest.raises(ParamError):
-        identity_sweep(PARAMS, gauge_euclid, grid_size=4)
+    for bad in (4, 8.5, np.nan):
+        with pytest.raises(ParamError, match="grid_size"):
+            identity_sweep(PARAMS, gauge_euclid, grid_size=bad)
 
 
 def test_identity_sweep_points_stand_alone(gauge_euclid):

@@ -24,6 +24,11 @@ def test_validation():
         RadialProfile([0.0, 1.0], [1.0, 0.5])              # does not vanish
     with pytest.raises(ProfileError):
         RadialProfile([0.0, 1.0], [-1.0, 0.0])             # negative
+    for knots, values in (([0.0, 1.0], [np.nan, 0.0]), ([0.0, np.inf], [1.0, 0.0]),
+                          ([0.0, np.nan], [1.0, 0.0]), ([0.0, 1.0], [np.inf, 0.0]),
+                          ([0.0, 1.0, 2.0], [1.0, np.nan, 0.0])):
+        with pytest.raises(ProfileError, match="finite"):
+            RadialProfile(knots, values)
 
 
 def test_tiny_wiggles_are_clamped():
@@ -54,6 +59,14 @@ def test_scaled():
         g.scaled(value_factor=-1.0)
     with pytest.raises(ProfileError):
         g.scaled(radius_factor=0.0)
+    for bad in ({"value_factor": np.nan}, {"value_factor": np.inf},
+                {"radius_factor": np.nan}, {"radius_factor": np.inf}):
+        with pytest.raises(ProfileError, match="finite"):
+            g.scaled(**bad)
+    # finite factors whose product leaves the float range
+    with pytest.raises(ProfileError, match="finite"):
+        g.scaled(value_factor=1e308, radius_factor=1e308)
+    assert g.scaled(value_factor=0.0)(0.0) == 0.0
 
 
 def test_save_load_round_trip(tmp_path):

@@ -152,13 +152,15 @@ def test_rearrangement_of_zero():
 def test_distribution_function_hand(hand_grid):
     for s, want in ((0.1, 16.0), (0.3, 12.0), (0.7, 4.0), (1.1, 0.0)):
         assert distribution_function(hand_grid, s) == want
-    with pytest.raises(ValueError):
-        distribution_function(hand_grid, -0.5)
+    for bad in (-0.5, np.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            distribution_function(hand_grid, bad)
 
 
 def test_grid_lq_rejects_small_q(hand_grid):
-    with pytest.raises(ParamError):
-        grid_lq_norm(hand_grid, 0.5)
+    for bad in (0.5, np.nan):
+        with pytest.raises(ParamError):
+            grid_lq_norm(hand_grid, bad)
 
 
 # -- symmetrization -----------------------------------------------------------
