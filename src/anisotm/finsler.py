@@ -21,6 +21,7 @@ interpolation, central differences, a support function read off the convex
 hull of the sampled unit sphere, and quadrature for kappa_n.
 """
 
+import numbers
 from functools import wraps
 from math import gamma
 
@@ -72,6 +73,11 @@ def _wrap_angle(t):
     """
     two_pi = 2.0 * np.pi
     return np.where(t < 0.0, t + two_pi, np.where(t >= two_pi, t - two_pi, t)) + 0.0
+
+
+def _is_integer(value):
+    """True for an int or numpy integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _row_norms(pts):
@@ -448,12 +454,33 @@ def _polar_values_2d(F, out_thetas):
     refined by a fixed-count golden-section pass on the interpolated curve.
     Taking the max of the node value and the refined value keeps polygonal
     gauges (corners on nodes) exact while recovering smooth gauges to o(h).
+
+    Only directions that can gain are refined: h(phi) = cos(theta -
+    phi)/F(phi) has one-sided slopes at the argmax node phi_k of the sign of
+    sin(theta - phi_k) F_k - cos(theta - phi_k) F'(phi_k +- 0), and where
+    the right one is < 0 and the left one > 0 the node keeps its value.  A
+    zero slope decides nothing (PCHIP sets F' = 0 at data extrema), hence
+    the non-strict tests.  Only the 'linear' rule has kinks at the nodes,
+    F' there being the slopes of the two adjacent node intervals; a C^1
+    rule has one slope, never both < 0 and > 0, and refines every direction.
     """
     hull = _node_hull(F)
     _check_convex_nodes(F, hull)
     idx = _node_argmax(F, out_thetas, hull)
     nodes = F.thetas[idx]
-    ratio_nodes = np.cos(out_thetas - nodes) / np.asarray(F.values, dtype=float)[idx]
+    offset = out_thetas - nodes
+    fk = np.asarray(F.values, dtype=float)[idx]
+    cos_off = np.cos(offset)
+    out = cos_off / fk
+    if F.rule == "linear":
+        t, y = F._interp
+        slope = np.diff(y) / np.diff(t)         # slope[k] on [t_k, t_{k+1}]
+        rise = np.sin(offset) * fk
+        refine = (rise >= cos_off * slope[idx]) | (rise <= cos_off * slope[idx - 1])
+        sel = np.flatnonzero(refine)
+        out_thetas, nodes = out_thetas[sel], nodes[sel]
+    else:
+        sel = slice(None)
 
     span = 2.0 * np.pi / F.thetas.size
 
@@ -461,8 +488,8 @@ def _polar_values_2d(F, out_thetas):
         return np.cos(out_thetas - phi) / F._at_angle(phi)
 
     a, b = _golden_max(h, nodes - span, nodes + span, 40)
-    refined = h(0.5 * (a + b))
-    return np.maximum(ratio_nodes, refined)
+    out[sel] = np.maximum(out[sel], h(0.5 * (a + b)))
+    return out
 
 
 def _polar_values_sphere(F, dirs):
@@ -582,10 +609,14 @@ def bipolar_residual(F, sample_count=200, seed=0):
     support function of the unit sphere of the sampled polar F0, is swept
     directly at the sample points: the sweep that built F0 from F, run on
     F0's interpolant in the sample directions only, so the residual checks
-    both sweeps and both interpolants.  ``sample_count`` must be >= 1.
+    both sweeps and both interpolants.  ``sample_count`` must be an integer
+    >= 1 and ``seed`` an integer >= 0 (bool is neither).
     """
-    if sample_count < 1:
-        raise GaugeError(f"bipolar residual needs >= 1 sample, got {sample_count}")
+    if not (_is_integer(sample_count) and sample_count >= 1):
+        raise GaugeError(f"bipolar residual needs an integer count of >= 1 sample, "
+                         f"got {sample_count!r}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise GaugeError(f"bipolar residual needs a nonnegative integer seed, got {seed!r}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((sample_count, F.dim))
     r = _row_norms(x)

@@ -175,11 +175,20 @@ _QUAD_GEOM = 24
 
 
 def _check_grid(knots, n):
-    """ParamError unless radius^n and (smallest spacing)^-n of the knot grid,
-    the scales of its energy weights and of its slopes, are finite."""
+    """ParamError unless the knots are a 1-d array of at least 2 finite
+    values that start at 0 and strictly increase, and radius^n and (smallest
+    spacing)^-n of the grid, the scales of its energy weights and of its
+    slopes, are finite."""
+    if knots.ndim != 1 or knots.size < 2:
+        raise ParamError(f"knots must be a 1-d array of at least 2 values, "
+                         f"got shape {knots.shape}")
+    spacing = (knots[1:] - knots[:-1]).min()        # nan for a nan knot
+    if not (knots[0] == 0.0 and spacing > 0.0 and knots[-1] < np.inf):
+        cause = ("be finite" if not np.isfinite(knots).all()
+                 else "start at 0 and strictly increase")
+        raise ParamError(f"knots must {cause}")
     with np.errstate(over="ignore", divide="ignore"):
-        finite = (math.isfinite(knots[-1] ** n)
-                  and math.isfinite((knots[1:] - knots[:-1]).min() ** -n))
+        finite = math.isfinite(knots[-1] ** n) and math.isfinite(spacing ** -n)
     if not finite:
         raise ParamError(f"the knot grid of radius {knots[-1]:g} puts radius^n or "
                          f"(smallest spacing)^-n outside the floating-point range")
@@ -491,6 +500,7 @@ class RadialObjective:
             params = replace(params, variant=PHI_SERIES)
         self.params, self.F, self.mode, self.rule = params, F, mode, rule
         self.knots = np.asarray(knots, dtype=float)
+        _check_grid(self.knots, params.n)   # the operator cache sees flat bytes
         n, kappa = params.n, wulff_volume(F)
         self._nkappa = n * kappa
         (self._h, dkn, self._wq, self._we, self._idx, self._frac,

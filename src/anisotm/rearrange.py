@@ -22,6 +22,7 @@ C * h; C was calibrated on Euclidean cone profiles at M in {128, 256, 512}
 energy comparison) and frozen with headroom.
 """
 
+import copy
 import operator
 from dataclasses import dataclass
 
@@ -90,7 +91,7 @@ class GridFunction:
             raise ValueError(f"values must be a cube of side >= 4, got {values.shape}")
         if not 0.0 < halfwidth < np.inf:
             raise ValueError(f"halfwidth must be positive and finite, got {halfwidth}")
-        if np.any(values < 0.0) or np.any(~np.isfinite(values)):
+        if not (values.min() >= 0.0 and values.max() < np.inf):   # NaN fails too
             raise ValueError("grid values must be finite and nonnegative")
         if _boundary_nonzero(values):
             raise ValueError("boundary cell layer must be zero")
@@ -119,6 +120,16 @@ class GridFunction:
     @classmethod
     def zeros(cls, dim, halfwidth, m):
         return cls(halfwidth, np.zeros((m,) * dim))
+
+    def _with_values(self, values):
+        """A grid function on this grid holding ``values``, a float cube the
+        library has just computed, finite and nonnegative with a zero
+        boundary layer: kept as it is, made read-only, without the copy
+        and the checks of the constructor."""
+        other = copy.copy(self)
+        values.flags.writeable = False
+        other.values, other._cache = values, {}
+        return other
 
     # -- file formats: text "N L M" + row-major values, or JSON ----------
 
@@ -263,19 +274,17 @@ def convex_symmetrization(u, F):
     """
     rearr = decreasing_rearrangement(u)
     if rearr.values.size == 0:
-        return GridFunction(u.halfwidth, np.zeros_like(u.values))
+        return u._with_values(np.zeros_like(u.values))
     _, t_sorted, order = _wulff_field(F, u.dim, u.halfwidth, u.m)
     ends = np.searchsorted(t_sorted, rearr.breakpoints, side="left")
     counts = np.diff(ends, prepend=0)
-    sorted_vals = np.zeros(t_sorted.size)
-    sorted_vals[:ends[-1]] = np.repeat(rearr.values, counts)
-    vals = np.empty(t_sorted.size)
-    vals[order] = sorted_vals
+    vals = np.zeros(t_sorted.size)          # only the support cells are written
+    vals[order[:ends[-1]]] = np.repeat(rearr.values, counts)
     vals = vals.reshape(u.values.shape)
     if _boundary_nonzero(vals):
         r_supp = (rearr.total_support / wulff_volume(F)) ** (1.0 / u.dim)
         raise _support_overflow("symmetrized", r_supp, F, u.h)
-    ustar = GridFunction(u.halfwidth, vals)
+    ustar = u._with_values(vals)
     kept = counts > 0
     own = StepRearrangement(ends[kept] * ustar.cell_volume, rearr.values[kept])
     own.breakpoints.flags.writeable = own.values.flags.writeable = False
@@ -336,9 +345,11 @@ def profile_of(u_star, F):
         vals = ints / (hi - lo)
         vals[-1] = 0.0
         g = RadialProfile(knots, np.minimum.accumulate(np.maximum(vals, 0.0)))
-        resampled = g(_wulff_field(F, n, u_star.halfwidth, u_star.m)[0])
-        l1 = np.sum(np.abs(u_star.values))
-        gap = float(np.sum(np.abs(u_star.values - resampled)) / max(l1, 1e-300))
+        resid = g(_wulff_field(F, n, u_star.halfwidth, u_star.m)[0])
+        resid -= u_star.values              # in place: |g - u| is |u - g| bit for bit
+        np.abs(resid, out=resid)
+        l1 = np.sum(u_star.values)          # the values are nonnegative
+        gap = float(np.sum(resid) / max(l1, 1e-300))
         tol = disc_tolerance(u_star.h)
         if gap > tol:
             raise SymmetryError(
@@ -359,6 +370,17 @@ def rasterize_profile(g, F, halfwidth, m):
     return GridFunction(halfwidth, vals)
 
 
+def _forward_slopes(v, axis, h):
+    """np.diff(v, axis=axis, append=0.0) / h bit for bit, in one array and
+    without the padded copy of v: the last layer is (0.0 - v[-1]) / h."""
+    d = np.empty_like(v)
+    dv, vv = np.moveaxis(d, axis, 0), np.moveaxis(v, axis, 0)
+    np.subtract(vv[1:], vv[:-1], out=dv[:-1])
+    np.subtract(0.0, vv[-1], out=dv[-1])
+    d /= h
+    return d
+
+
 def grid_dirichlet_energy(u, F):
     """h^n sum F(grad u)^n with forward differences and zero extension.
 
@@ -368,7 +390,7 @@ def grid_dirichlet_energy(u, F):
     summed, so the sum runs in the same order over the same terms as one
     over every cell and the value is bitwise the same.
     """
-    comps = [np.diff(u.values, axis=k, append=0.0) / u.h for k in range(u.dim)]
+    comps = [_forward_slopes(u.values, k, u.h) for k in range(u.dim)]
     active = comps[0] != 0.0
     for c in comps[1:]:
         active |= c != 0.0

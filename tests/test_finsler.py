@@ -214,6 +214,25 @@ def test_bipolar_residual_sees_a_perturbed_closed_form_dual():
         bipolar_residual(E, sample_count=0)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"sample_count": 2.5}, "sample"), ({"sample_count": float("nan")}, "sample"),
+    ({"sample_count": True}, "sample"), ({"sample_count": "3"}, "sample"),
+    ({"sample_count": 0}, ">= 1 sample"), ({"sample_count": 200.0}, "sample"),
+    ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"seed": True}, "seed"),
+    ({"seed": "0"}, "seed"),
+])
+def test_bipolar_residual_rejects_bad_arguments(gauge_euclid, kwargs, match):
+    # these used to end in TypeError or ValueError tracebacks from numpy
+    with pytest.raises(GaugeError, match=match):
+        bipolar_residual(gauge_euclid, **kwargs)
+
+
+def test_bipolar_residual_takes_integers(gauge_euclid):
+    # the CLI passes ints; numpy integers are integers too
+    assert bipolar_residual(gauge_euclid, np.int64(5), seed=np.uint8(3)) == \
+        bipolar_residual(gauge_euclid, 5, seed=3)
+
+
 def test_bipolar_residual_sampled(gauge_maxgauge, gauge_sampled_smooth,
                                   monkeypatch):
     seeded = _small_sampled("seeded", n=4096)
@@ -349,6 +368,99 @@ def test_polar_values_match_reference(gauge_maxgauge, gauge_sampled_smooth,
     for F, values in zip(planar, new):
         assert np.array_equal(_polar_values_2d(F, F.thetas), values)
     assert np.array_equal(_polar_values_sphere(ellipsoid, d), new3)
+
+
+def _polar_values_refine_all(F, out_thetas):
+    """The planar polar sweep as it was before directions were skipped:
+    every direction golden-refined, then the max with its node value."""
+    idx = _node_argmax(F, out_thetas, _node_hull(F))
+    nodes = F.thetas[idx]
+    ratio_nodes = np.cos(out_thetas - nodes) / F.values[idx]
+    span = 2.0 * np.pi / F.thetas.size
+
+    def h(phi):
+        return np.cos(out_thetas - phi) / F._at_angle(phi)
+
+    a, b = finsler._golden_max(h, nodes - span, nodes + span, 40)
+    return np.maximum(ratio_nodes, h(0.5 * (a + b)))
+
+
+def _shape_values(shape, th):
+    """Directional values of six convex gauges: polygons with corners on
+    the nodes (max, l1), smooth ones (l4, ellipse, lobed) and an uneven one."""
+    c, s = np.cos(th), np.sin(th)
+    return {
+        "max": np.maximum(np.abs(c), np.abs(s)),
+        "l1": np.abs(c) + np.abs(s),
+        "l4": (c ** 4 + s ** 4) ** 0.25,
+        "ellipse": np.sqrt(4.0 * c ** 2 + s ** 2),
+        "lobed": 1.0 + 0.05 * np.cos(4.0 * th),
+        "uneven": 1.0 + 0.3 * c,
+    }[shape]
+
+
+POLAR_SHAPES = ("max", "l1", "l4", "ellipse", "lobed", "uneven")
+
+
+# C^1 rules refine every direction (counted below), so 4096 nodes cover them
+@pytest.mark.parametrize("rule, count", [
+    (rule, count) for rule in ("linear", "spline", "pchip")
+    for count in (8, 12, 16, 64, 512, 4096, 65536) if count < 65536 or rule == "linear"])
+def test_polar_skip_matches_refining_every_direction(rule, count):
+    # skipping a direction keeps its node value; the old sweep took the max
+    # of that and a golden point whose computed ratio can round a few ulps
+    # above it (3 at most here, ellipse data, linear rule, 65536 nodes,
+    # where the exact maximum over both adjacent intervals is the node's),
+    # so the new value is the old one or a few ulps below it.  On-grid
+    # outputs at 65536 nodes are the bench gauges' case, tested bitwise below.
+    th = np.arange(count) * (2.0 * np.pi / count)
+    rng = np.random.default_rng(count)
+    random_out = np.concatenate([rng.uniform(-np.pi, np.pi, 300),
+                                 rng.uniform(0.0, 2.0 * np.pi, 300)])
+    for shape in POLAR_SHAPES:
+        F = FinslerNorm.sampled(_shape_values(shape, th), rule=rule)
+        for out in (random_out, F.thetas) if count <= 4096 else (random_out,):
+            new, ref = _polar_values_2d(F, out), _polar_values_refine_all(F, out)
+            assert np.all(new <= ref), (shape, out.size)
+            assert np.all(ref - new <= 4.0 * np.spacing(ref)), (shape, out.size)
+
+
+def test_polar_skip_is_bitwise_on_bench_gauges(gauge_maxgauge, gauge_sampled_smooth):
+    for F in (gauge_maxgauge, gauge_sampled_smooth, _bench_seeded()):
+        assert np.array_equal(_polar_values_2d(F, F.thetas),
+                              _polar_values_refine_all(F, F.thetas))
+
+
+def test_polar_refines_a_zero_slope():
+    # pchip sets F' = 0 at data extrema, so on l4 data at 12 nodes the slope
+    # of h at a node can be exactly 0 while the maximum lies off the node: a
+    # strict slope test would keep the node value there and lose up to 2.4%
+    th = np.arange(12) * (2.0 * np.pi / 12)
+    F = FinslerNorm.sampled(_shape_values("l4", th), rule="pchip")
+    out = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    idx = _node_argmax(F, out, _node_hull(F))
+    node_only = np.cos(out - F.thetas[idx]) / F.values[idx]
+    new = _polar_values_2d(F, out)
+    assert np.array_equal(new, _polar_values_refine_all(F, out))
+    assert np.max(new / node_only - 1.0) > 0.02
+
+
+def _count_golden_directions(monkeypatch):
+    sizes = []
+    golden = finsler._golden_max
+    monkeypatch.setattr(finsler, "_golden_max",
+                        lambda h, a, b, it: sizes.append(a.size) or golden(h, a, b, it))
+    return sizes
+
+
+def test_polar_refines_only_directions_that_can_gain(gauge_maxgauge,
+                                                     gauge_sampled_smooth, monkeypatch):
+    sizes = _count_golden_directions(monkeypatch)
+    _polar_values_2d(gauge_maxgauge, gauge_maxgauge.thetas)
+    assert sizes[0] <= 0.01 * gauge_maxgauge.thetas.size
+    # a C^1 interpolant has one slope at a node: every direction can gain
+    _polar_values_2d(gauge_sampled_smooth, gauge_sampled_smooth.thetas)
+    assert sizes[1] == gauge_sampled_smooth.thetas.size
 
 
 def test_sphere_polar_blocks_match_one_block(monkeypatch):

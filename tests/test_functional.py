@@ -612,3 +612,22 @@ def test_grid_outside_float_range(gauge_euclid, case):
     }[case]
     with pytest.raises(ParamError, match="outside the floating-point range"):
         build()
+
+
+@pytest.mark.parametrize("knots, cause", [
+    ([1.0, 2.0, 3.0], "start at 0"),
+    ([0.0, 2.0, 1.0, 3.0], "strictly increase"),
+    ([0.0, 1.0, 1.0, 2.0], "strictly increase"),
+    ([0.0, np.nan, 3.0], "finite"),
+    ([0.0, 1.0, np.inf], "finite"),
+    ([0.0], "1-d array of at least 2"),
+    ([[0.0, 1.0], [2.0, 3.0]], "1-d array of at least 2"),
+])
+@pytest.mark.parametrize("mode", ["subcritical", "critical"])
+def test_knot_grid_validation(gauge_euclid, knots, cause, mode):
+    # the objective used to score [1, 2, 3] (4.793) though witness rejects
+    # it, and to fail on the others with a misleading message or a traceback
+    with pytest.raises(ParamError, match=cause):
+        RadialObjective(params_beta05(), gauge_euclid, knots, mode)
+    with pytest.raises(ParamError, match=cause):
+        functional._check_grid(np.asarray(knots), 2)

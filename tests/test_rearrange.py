@@ -55,6 +55,21 @@ def test_grid_validation():
         GridFunction(1.0, bad)                             # nonzero boundary
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, -5e-324])
+def test_grid_rejects_values_that_are_not_finite_and_nonnegative(bad):
+    vals = np.zeros((6, 6))
+    vals[2, 3] = bad
+    with pytest.raises(ValueError, match="grid values must be finite and nonnegative"):
+        GridFunction(1.0, vals)
+
+
+def test_grid_accepts_negative_zero():
+    vals = np.full((6, 6), -0.0)
+    vals[2, 3] = 1.0
+    u = GridFunction(1.0, vals)
+    assert u.values.tobytes() == vals.tobytes()
+
+
 def test_grid_function_is_immutable():
     vals = np.zeros((6, 6))
     vals[2, 3] = 1.0
@@ -186,6 +201,33 @@ def test_symmetrization_equals_pointwise_formula(gauge, request):
         u = corpus_grid(name, F, 48)
         got = convex_symmetrization(u, F).values
         assert np.array_equal(got, pointwise_symmetrization(u, F)), name
+
+
+def full_scatter_symmetrization(u, F):
+    """The symmetrization as it was before only the support was written:
+    every cell, in ascending t, gets its level or a zero."""
+    rearr = decreasing_rearrangement(u)
+    _, t_sorted, order = _wulff_field(F, u.dim, u.halfwidth, u.m)
+    ends = np.searchsorted(t_sorted, rearr.breakpoints, side="left")
+    sorted_vals = np.zeros(t_sorted.size)
+    sorted_vals[:ends[-1]] = np.repeat(rearr.values, np.diff(ends, prepend=0))
+    vals = np.empty(t_sorted.size)
+    vals[order] = sorted_vals
+    return vals.reshape(u.values.shape)
+
+
+@pytest.mark.parametrize("m", [48, 128])
+@pytest.mark.parametrize("gauge", ["euclid", "ellipse", "sampled_smooth", "uneven"])
+def test_symmetrization_equals_full_scatter(gauge, m, request):
+    F = request.getfixturevalue(f"gauge_{gauge}")
+    for name in CORPUS_NAMES:
+        u = corpus_grid(name, F, m)
+        ustar = convex_symmetrization(u, F)
+        got = ustar.values
+        assert got.tobytes() == full_scatter_symmetrization(u, F).tobytes(), name
+        # u_star keeps its values without a copy, read-only, on u's grid
+        assert not got.flags.writeable and ustar._cache.keys() == {"sharp"}
+        assert (ustar.halfwidth, ustar.m, ustar.dim) == (u.halfwidth, u.m, u.dim)
 
 
 def test_symmetrization_equals_pointwise_formula_3d():
@@ -406,6 +448,18 @@ def all_cells_energy(u, F):
     return float(u.cell_volume * np.sum(F(np.stack(comps, axis=-1)) ** u.dim))
 
 
+def test_forward_slopes_match_padded_diff():
+    # the padded np.diff the energy used before, bit for bit, signed zeros
+    # included: the last layer is 0.0 - v[-1], so -0.0 there gives +0.0
+    rng = np.random.default_rng(11)
+    for shape in ((8, 8), (6, 6, 6)):
+        v = rng.uniform(0.0, 1.0, shape) * (rng.uniform(size=shape) < 0.5)
+        v[rng.uniform(size=shape) < 0.3] = -0.0
+        for k in range(v.ndim):
+            want = np.diff(v, axis=k, append=0.0) / 0.37
+            assert rearrange._forward_slopes(v, k, 0.37).tobytes() == want.tobytes()
+
+
 def test_grid_dirichlet_energy_matches_all_cells(gauge_euclid, gauge_pnorm4,
                                                  gauge_ellipse, gauge_sampled_smooth):
     # F is evaluated on the gradient's support only; the sum over the full
@@ -419,15 +473,19 @@ def test_grid_dirichlet_energy_matches_all_cells(gauge_euclid, gauge_pnorm4,
     # every interior cell has a nonzero forward-difference gradient
     diffs = [np.diff(dense.values, axis=k, append=0.0)[1:-1, 1:-1] for k in range(2)]
     assert np.all((diffs[0] != 0.0) | (diffs[1] != 0.0))
+    signed = GridFunction(2.0, np.where(dense.values < 0.4, -0.0, dense.values))
     for F in (gauge_euclid, gauge_pnorm4, gauge_ellipse, gauge_sampled_smooth, uneven):
-        for u in [corpus_grid(name, F, 64) for name in ("cone", "two_bumps", "square_ind")] + [dense]:
+        corpus = [corpus_grid(name, F, 64) for name in ("cone", "two_bumps", "square_ind")]
+        for u in corpus + [dense, signed]:
             assert grid_dirichlet_energy(u, F) == all_cells_energy(u, F)
         assert grid_dirichlet_energy(GridFunction.zeros(2, 1.0, 8), F) == 0.0
     F3 = FinslerNorm.ellipse(np.diag([4.0, 1.0, 2.0]))
     bump = rasterize_profile(RadialProfile([0.0, 0.5, 1.0], [1.0, 0.4, 0.0]), F3, 2.6, 24)
     solid = np.zeros((10, 10, 10))
     solid[1:-1, 1:-1, 1:-1] = rng.uniform(0.1, 1.0, (8, 8, 8))
-    for u in (bump, GridFunction(1.0, solid)):
+    signed = solid.copy()
+    signed[signed < 0.5] = -0.0
+    for u in (bump, GridFunction(1.0, solid), GridFunction(1.0, signed)):
         assert grid_dirichlet_energy(u, F3) == all_cells_energy(u, F3)
     assert grid_dirichlet_energy(GridFunction.zeros(3, 1.0, 6), F3) == 0.0
 
