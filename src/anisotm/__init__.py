@@ -22,7 +22,7 @@ from .rearrange import (GridFunction, StepRearrangement, SupportOverflowError,
                         decreasing_rearrangement, convex_symmetrization,
                         profile_of, rasterize_profile, grid_lq_norm,
                         grid_dirichlet_energy, grid_atmsc_value,
-                        hardy_littlewood_check, polya_szego_check,
+                        hardy_littlewood_check, polya_szego_check, symmetry_gap,
                         equimeasurability_gaps, disc_tolerance, DISC_TOL_COEFF)
 from .maximize import (SearchConfig, SearchResult, SweepResult, MaximizerReport,
                        estimate_f, identity_sweep, direct_critical_max,

@@ -32,7 +32,7 @@ from .profiles import RadialProfile, ProfileError
 from .rearrange import (GridFunction, SupportOverflowError, SymmetryError,
                         convex_symmetrization, profile_of, polya_szego_check,
                         hardy_littlewood_check, equimeasurability_gaps,
-                        rasterize_profile, disc_tolerance)
+                        rasterize_profile, symmetry_gap, disc_tolerance)
 from .maximize import (SearchConfig, estimate_f, direct_critical_max,
                        identity_sweep, threshold_check, maximizer_diagnostics)
 
@@ -214,8 +214,7 @@ def cmd_symmetrize(cfg, digest, out, input_path, second_path=None):
     if "params" in cfg and "q" in cfg["params"]:
         qs.insert(1, _number(cfg["params"], "q", "params", float))
     ps = polya_szego_check(u, F)
-    l1 = float(np.sum(np.abs(u.values)))
-    fp_gap = float(np.sum(np.abs(u.values - ustar.values)) / max(l1, 1e-300))
+    fp_gap = symmetry_gap(u, F)
     checks = {
         "equimeasurability_gaps": {str(q): g for q, g in
                                    equimeasurability_gaps(u, ustar, qs).items()},

@@ -19,6 +19,7 @@ with the functions above, and the search's ascent runs it on a lean one.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -70,7 +71,8 @@ class FunctionalParams:
     variant: str = PHI_SERIES
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
+        if not (isinstance(self.n, numbers.Real) and math.isfinite(self.n)
+                and int(self.n) == self.n and self.n >= 2):
             raise ParamError(f"n must be an integer >= 2, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
         if not (np.isfinite(self.q) and self.q > 1.0):
@@ -97,8 +99,7 @@ class FunctionalParams:
                 raise ParamError(f"exp-power with beta = 0 needs p >= q, got {self.p}")
 
     def with_lam(self, lam):
-        return FunctionalParams(self.n, self.q, self.beta, lam, self.a, self.b,
-                                self.p, self.variant)
+        return replace(self, lam=lam)
 
 
 def _check_dimension(params, F):

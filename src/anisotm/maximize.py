@@ -41,7 +41,7 @@ from .functional import (EXP_POWER, LEAN, PHI_SERIES, ParamError, RadialObjectiv
                          lq_norm_radial, grad_norm_radial, aa_bracket,
                          series_start, series_threshold, validate_lambda)
 from .profiles import RadialProfile
-from .rearrange import rasterize_profile, convex_symmetrization
+from .rearrange import rasterize_profile, symmetry_gap
 
 # L-BFGS-B settings of every ascent: minimize's maxcor, maxls and maxiter
 # defaults, and factr, pgtol from ftol 1e-14, gtol 1e-14 as minimize sets them.
@@ -83,8 +83,10 @@ class SearchConfig:
 
 
 def _count(value, name, least):
-    """value as an int; ParamError unless it is an integer, of any type, >= least."""
-    if (isinstance(value, numbers.Integral) or isinstance(value, numbers.Real)
+    """value as an int; ParamError unless it is an integer, of any type but
+    bool, >= least."""
+    if not isinstance(value, bool) and (
+            isinstance(value, numbers.Integral) or isinstance(value, numbers.Real)
             and float(value).is_integer()) and value >= least:
         return int(value)
     raise ParamError(f"{name} must be at least {least} and an integer, got {value}")
@@ -388,9 +390,9 @@ def maximizer_diagnostics(g, params, F, grid_resolution=256, objective="subcriti
 
     ``objective`` is 'subcritical' or 'critical' (anything else raises
     ParamError).  The norm and constraint residuals are those of g itself.
-    The symmetry residual rasterizes g, symmetrizes the grid function, and
-    measures the relative L1 gap (0 up to interpolation error, since g is
-    already Wulff-symmetric by construction).  The margin is the largest
+    The symmetry residual is symmetry_gap of g rasterized on a grid of side
+    grid_resolution (0 up to interpolation error, since g is already
+    Wulff-symmetric by construction).  The margin is the largest
     functional increase over 200 seeded random perturbations of the knot
     decrements of g, each by a relative size 1e-3 and so monotone by
     construction, each scored by RadialObjective.value on the accurate
@@ -405,10 +407,7 @@ def maximizer_diagnostics(g, params, F, grid_resolution=256, objective="subcriti
     pol = F.polar()
     a_pol = pol.direction_bounds()[0]
     halfwidth = 1.1 * g.support_radius / a_pol
-    grid = rasterize_profile(g, F, halfwidth, grid_resolution)
-    gstar = convex_symmetrization(grid, F)
-    l1 = float(np.sum(grid.values))
-    sym = float(np.sum(np.abs(grid.values - gstar.values)) / max(l1, 1e-300))
+    sym = symmetry_gap(rasterize_profile(g, F, halfwidth, grid_resolution), F)
 
     w0 = -np.diff(g.values)
     rng = np.random.default_rng(0)

@@ -11,8 +11,9 @@ which is equimeasurable with u and nonincreasing in F0(-x).  Reflecting x
 makes F(grad u_star) = |g'|, so the radial formulas of functional hold for
 uneven gauges too (Van Schaftingen, Ann. IHP 23, 2006).  The module also
 carries the verification harness: equimeasurability gaps, the Polya-Szego
-energy comparison, and the Hardy-Littlewood product inequality with its
-equality-case diagnostic.
+energy comparison, the Hardy-Littlewood product inequality, and the
+symmetry gap ||u - u_star||_1 / ||u||_1 that all equality-case
+diagnostics read.
 
 Discretization allowance: symmetrization moves mass across cell boundaries,
 so identities that are exact in the continuum hold on grids only up to a
@@ -77,8 +78,9 @@ class GridFunction:
     from the values, each computed on first use by ``finsler._cached``: the
     decreasing rearrangement (key "sharp", which ``convex_symmetrization``
     fills in for its result), and per gauge F the convex symmetrization
-    (key ("star", F)) and the radial profile of ``profile_of`` (key
-    ("profile", F)).  What depends on the grid alone, F0 at the cell
+    (key ("star", F)), its relative L1 distance from the values (key
+    ("gap", F), ``symmetry_gap``) and the radial profile of ``profile_of``
+    (key ("profile", F)).  What depends on the grid alone, F0 at the cell
     centers, is kept on the gauge, one field per grid (``_wulff_field``).
     """
 
@@ -423,12 +425,27 @@ def grid_atmsc_value(u, params, F):
 
 # -- inequality harnesses ----------------------------------------------------
 
+@_cached("gap")
+def symmetry_gap(u, F):
+    """||u - u_star||_1 / ||u||_1, the relative L1 distance of u from its
+    convex symmetrization, and 0 for the zero function.
+
+    This is the one measure of how far a grid function is from
+    Wulff-symmetric, read by every equality-case check and compared with
+    disc_tolerance(h); it does not change when u is scaled.  It is computed
+    once per gauge and kept in ``u._cache`` under ("gap", F).
+    """
+    ustar = convex_symmetrization(u, F)
+    l1 = float(np.sum(u.values))            # the values are nonnegative
+    return float(np.sum(np.abs(u.values - ustar.values)) / max(l1, 1e-300))
+
+
 @dataclass(frozen=True)
 class HardyLittlewoodResult:
     lhs: float                # int f g
     rhs: float                # int f* g*
     gap: float                # rhs - lhs, nonnegative up to quadrature
-    g_symmetry_gap: float     # ||g - g*||_1, the equality-case diagnostic
+    g_symmetry_gap: float     # symmetry_gap(g, F), relative, vs disc_tolerance(h)
 
 
 def hardy_littlewood_check(f, g, F):
@@ -439,8 +456,8 @@ def hardy_littlewood_check(f, g, F):
     fs = convex_symmetrization(f, F)
     gs = convex_symmetrization(g, F)
     rhs = float(f.cell_volume * np.sum(fs.values * gs.values))
-    sym = float(f.cell_volume * np.sum(np.abs(g.values - gs.values)))
-    return HardyLittlewoodResult(lhs=lhs, rhs=rhs, gap=rhs - lhs, g_symmetry_gap=sym)
+    return HardyLittlewoodResult(lhs=lhs, rhs=rhs, gap=rhs - lhs,
+                                 g_symmetry_gap=symmetry_gap(g, F))
 
 
 @dataclass(frozen=True)

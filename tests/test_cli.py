@@ -112,6 +112,8 @@ def test_symmetrize_hardy_littlewood_pair(config_path, tmp_path):
                  "--input", str(pa), "--second", str(pb)]) == 0
     checks = json.loads((out / "checks.json").read_text())
     assert checks["hardy_littlewood"]["gap"] >= -1e-10
+    # g is Wulff-symmetric, so its relative gap is within the allowance
+    assert checks["hardy_littlewood"]["g_symmetry_gap"] <= checks["disc_tolerance"]
 
 
 # one key set for both objectives; residuals that do not bind are null

@@ -50,9 +50,12 @@ def test_params_validation():
                 dict(beta=2.0), dict(lam=0.0), dict(lam=np.inf),
                 dict(a=0.0), dict(b=-1.0), dict(variant="nope"),
                 dict(q=np.inf), dict(q=np.nan), dict(a=np.nan), dict(a=np.inf),
-                dict(b=np.nan), dict(b=np.inf), dict(p=np.nan), dict(p=np.inf)):
+                dict(b=np.nan), dict(b=np.inf), dict(p=np.nan), dict(p=np.inf),
+                dict(n=np.inf), dict(n=np.nan), dict(n="2")):
         with pytest.raises(ParamError):
             params_beta05(**bad)
+    for n in (2.0, np.int64(3)):
+        assert type(params_beta05(n=n).n) is int
 
 
 def test_exp_power_needs_admissible_p():
@@ -68,9 +71,13 @@ def test_exp_power_needs_admissible_p():
 
 
 def test_with_lam():
-    pa = params_beta05()
+    pa = params_beta05(variant="exp_power", p=2.5)
     pb = pa.with_lam(1.0)
-    assert pb.lam == 1.0 and pb.q == pa.q and pb.beta == pa.beta
+    assert pb.lam == 1.0 and pa.lam == 2.0 * np.pi
+    assert (pb.n, pb.q, pb.beta, pb.a, pb.b, pb.p, pb.variant) == \
+        (2, 2.0, 0.5, 2.0, 2.0, 2.5, "exp_power")
+    with pytest.raises(ParamError):
+        pa.with_lam(0.0)
 
 
 def test_validate_lambda(gauge_euclid):

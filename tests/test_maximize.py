@@ -216,13 +216,16 @@ def test_estimate_f_exp_power_below_one(gauge_euclid):
                                      {"radius_critical": np.nan},
                                      {"knots": 2.5}, {"restarts": 1.5},
                                      {"budget": 10.5}, {"seed": 0.5},
-                                     {"budget": np.nan}, {"knots": "8"}],
+                                     {"budget": np.nan}, {"knots": "8"},
+                                     {"restarts": True}, {"budget": True},
+                                     {"seed": False}],
                          ids=["knots", "restarts", "budget", "radius-zero",
                               "radius-negative", "radius-nan", "radius-inf",
                               "radius_critical-zero", "radius_critical-nan",
                               "knots-fraction", "restarts-fraction",
                               "budget-fraction", "seed-fraction", "budget-nan",
-                              "knots-string"])
+                              "knots-string", "restarts-bool", "budget-bool",
+                              "seed-bool"])
 def test_search_config_rejects_degenerate(setting):
     with pytest.raises(ParamError, match=next(iter(setting))):
         small_config(**setting)

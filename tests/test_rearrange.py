@@ -14,7 +14,7 @@ from anisotm import (GridFunction, StepRearrangement, SupportOverflowError,
                      decreasing_rearrangement, convex_symmetrization,
                      profile_of, rasterize_profile, grid_lq_norm,
                      grid_dirichlet_energy, grid_atmsc_value,
-                     hardy_littlewood_check, polya_szego_check,
+                     hardy_littlewood_check, polya_szego_check, symmetry_gap,
                      equimeasurability_gaps, disc_tolerance, DISC_TOL_COEFF,
                      RadialProfile, FunctionalParams, FunctionalOverflowError,
                      ParamError, dirichlet_energy_radial, FinslerNorm,
@@ -286,7 +286,8 @@ def test_grid_quantities_are_cached(gauge, request):
     cases = [(decreasing_rearrangement, (u,), lambda r: (r.breakpoints, r.values)),
              (_wulff_field, (F, u.dim, u.halfwidth, u.m), lambda f: f),
              (convex_symmetrization, (u, F), lambda g: (g.values,)),
-             (profile_of, (ustar, F), lambda g: (g.knots, g.values))]
+             (profile_of, (ustar, F), lambda g: (g.knots, g.values)),
+             (symmetry_gap, (u, F), lambda gap: (np.float64(gap),))]
     for fn, args, arrays in cases:
         first = fn(*args)
         assert fn(*args) is first, fn.__name__
@@ -352,6 +353,7 @@ def test_symmetrization_of_zero(gauge_euclid):
     u = GridFunction.zeros(2, 1.0, 4)
     us = convex_symmetrization(u, gauge_euclid)
     assert not np.any(us.values)
+    assert symmetry_gap(u, gauge_euclid) == 0.0
 
 
 def test_support_overflow_and_retry(gauge_euclid):
@@ -507,6 +509,59 @@ def test_grid_atmsc_parity_and_overflow(hand_grid, gauge_euclid):
 
 
 # -- inequality harnesses -----------------------------------------------------
+
+def _maximizer_gap(u, F):
+    # maximizer_diagnostics' symmetry residual as it was written out there
+    gstar = convex_symmetrization(u, F)
+    l1 = float(np.sum(u.values))
+    return float(np.sum(np.abs(u.values - gstar.values)) / max(l1, 1e-300))
+
+
+def _cli_gap(u, F):
+    # cmd_symmetrize's fixed_point_gap as it was written out there
+    ustar = convex_symmetrization(u, F)
+    l1 = float(np.sum(np.abs(u.values)))
+    return float(np.sum(np.abs(u.values - ustar.values)) / max(l1, 1e-300))
+
+
+@pytest.mark.parametrize("gauge", ["euclid", "ellipse", "pnorm4", "sampled_smooth",
+                                   "uneven"])
+def test_symmetry_gap_matches_former_formulas(gauge, request):
+    # bit for bit the residual and the fixed-point gap it replaces, on the
+    # corpus and on rasterized profiles, which are Wulff-symmetric
+    F = request.getfixturevalue(f"gauge_{gauge}")
+    grids = [corpus_grid(name, F, 64) for name in CORPUS_NAMES]
+    a_pol = F.polar().direction_bounds()[0]
+    for g in (RadialProfile([0.0, 1.2], [1.0, 0.0]),
+              RadialProfile(np.linspace(0.0, 1.5, 9), np.linspace(1.0, 0.0, 9) ** 2)):
+        grids += [rasterize_profile(g, F, 1.1 * g.support_radius / a_pol, m)
+                  for m in (64, 256)]
+    for u in grids:
+        gap = symmetry_gap(u, F)
+        assert type(gap) is float
+        assert gap.hex() == _maximizer_gap(u, F).hex() == _cli_gap(u, F).hex()
+    assert all(symmetry_gap(u, F) <= disc_tolerance(u.h)
+               for u in grids[len(CORPUS_NAMES):])
+
+
+def test_hardy_littlewood_reads_symmetry_gap(gauge_ellipse):
+    # one relative gap, computed once per (g, F) and independent of g's scale;
+    # the absolute h^n ||g - g*||_1 reported before doubled with g
+    F = gauge_ellipse
+    f = corpus_grid("gauss", F, 64)
+    g = corpus_grid("two_bumps", F, 64)
+    res = hardy_littlewood_check(f, g, F)
+    assert res.g_symmetry_gap is symmetry_gap(g, F)
+    assert hardy_littlewood_check(g, g, F).g_symmetry_gap is res.g_symmetry_gap
+    double = GridFunction(g.halfwidth, 2.0 * g.values)
+    assert hardy_littlewood_check(f, double, F).g_symmetry_gap.hex() == \
+        res.g_symmetry_gap.hex()
+
+    def absolute(u):
+        return float(u.cell_volume * np.sum(np.abs(
+            u.values - convex_symmetrization(u, F).values)))
+    assert absolute(double) == 2.0 * absolute(g)
+
 
 def test_hardy_littlewood_hand(hand_grid, gauge_euclid):
     res = hardy_littlewood_check(hand_grid, hand_grid, gauge_euclid)
