@@ -25,7 +25,7 @@ from . import __version__
 from .finsler import (FinslerNorm, GaugeError, wulff_volume, sharp_constant,
                       bipolar_residual, coarea_surface_check)
 from .functional import (FunctionalParams, ParamError, FunctionalOverflowError,
-                         phi, normalize_sphere,
+                         _count, phi, normalize_sphere,
                          lq_norm_radial, grad_norm_radial, validate_lambda,
                          PHI_SERIES)
 from .profiles import RadialProfile, ProfileError
@@ -70,6 +70,15 @@ def _number(block, key, where, convert, default=_REQUIRED):
                           f"got {raw!r}") from None
 
 
+# the keys each config block may hold; the gauge spec's are FinslerNorm.from_config's
+_KEYS = {
+    "<root>": ("gauge", "params", "search", "sweep", "samples"),
+    "params": ("n", "q", "beta", "lambda", "lambda_rel", "a", "b", "p", "variant"),
+    "search": (*(f.name for f in fields(SearchConfig)), "objective", "threads"),
+    "sweep": ("grid_size",),
+}
+
+
 def load_config(path, seed_override=None):
     """Read, validate, and resolve the run config; returns (dict, sha256)."""
     try:
@@ -79,10 +88,15 @@ def load_config(path, seed_override=None):
         raise ConfigError(f"config is not valid JSON: {err}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    for name in ("params", "search", "sweep"):
-        if not isinstance(cfg.get(name, {}), dict):
+    for name, keys in _KEYS.items():
+        block = cfg if name == "<root>" else cfg.get(name, {})
+        if not isinstance(block, dict):
             raise ConfigError(f"config field {name} must be a JSON object, "
-                              f"got {cfg[name]!r}")
+                              f"got {block!r}")
+        unknown = [key for key in block if key not in keys]
+        if unknown:
+            raise ConfigError(f"config field {name}.{unknown[0]} is not a known key; "
+                              f"{name} takes {', '.join(keys)}")
     return _resolve_config(cfg, seed_override)
 
 
@@ -180,9 +194,8 @@ def _load_grid(path):
 
 def cmd_geometry(cfg, digest, out):
     F = gauge_from_config(cfg)
-    samples = _number(cfg, "samples", "<root>", int, 200)
-    if samples < 1:
-        raise ConfigError(f"config field <root>.samples must be >= 1, got {samples}")
+    samples = _count(_number(cfg, "samples", "<root>", int, 200),
+                     "config field <root>.samples", 1)
     kappa = wulff_volume(F)
     report = {
         "gauge": F.config(),

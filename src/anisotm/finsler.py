@@ -94,6 +94,11 @@ def _row_norms(pts):
     return np.sqrt(s)
 
 
+# per gauge kind, the keys of its spec besides "kind"; the first is required
+_SPEC_KEYS = {"euclidean": (), "pnorm": ("p",), "ellipse": ("matrix",),
+              "sampled": ("values", "rule")}
+
+
 class FinslerNorm:
     """A gauge on R^n with cached polar dual and Wulff-ball volume.
 
@@ -167,7 +172,9 @@ class FinslerNorm:
         uniform closed grid over [0, pi] (poles included), phi the azimuth on
         a uniform periodic grid over [0, 2*pi).  ``rule`` 'spline' is
         bicubic; 'linear' and 'pchip' are both the bilinear interpolant in
-        (theta, phi), one and the same function.
+        (theta, phi), one and the same function.  The default here is
+        'linear', bilinear; from_config's default for the same table is
+        'spline', bicubic.
         """
         return cls("sampled", 3, values=values, rule=rule)
 
@@ -177,21 +184,31 @@ class FinslerNorm:
 
         Recognized forms: {"kind": "euclidean"}, {"kind": "pnorm", "p": ...},
         {"kind": "ellipse", "matrix": [[...], ...]},
-        {"kind": "sampled", "values": [...], "rule": ...}.
+        {"kind": "sampled", "values": [...], "rule": ...}; any other key
+        raises GaugeError.  A sampled form without "rule" is 'spline': the
+        periodic cubic in the plane, and at dim 3 the bicubic, where
+        sampled_sphere's default for the same table is the bilinear
+        'linear'.
         """
         if not isinstance(spec, dict) or "kind" not in spec:
             raise GaugeError("gauge spec must be a mapping with a 'kind' entry")
         kind = spec["kind"]
-        for name, field in (("pnorm", "p"), ("ellipse", "matrix"), ("sampled", "values")):
-            if kind == name and field not in spec:
-                raise GaugeError(f"{name} gauge spec needs {field!r}")
+        keys = _SPEC_KEYS.get(kind) if isinstance(kind, str) else None
+        if keys is None:
+            return cls(kind, dim)       # GaugeError: unknown kind
+        unknown = [key for key in spec if key != "kind" and key not in keys]
+        if unknown:
+            raise GaugeError(f"unknown {kind} gauge spec key {unknown[0]!r}; "
+                             f"the {kind} spec takes {', '.join(('kind', *keys))}")
+        if keys and keys[0] not in spec:
+            raise GaugeError(f"{kind} gauge spec needs {keys[0]!r}")
         if kind == "pnorm":
             return cls.pnorm(spec["p"], dim)
         if kind == "ellipse":
             return cls.ellipse(spec["matrix"])
         if kind == "sampled":
             return cls("sampled", dim, values=spec["values"], rule=spec.get("rule", "spline"))
-        return cls(kind, dim)       # euclidean; any other kind raises GaugeError
+        return cls(kind, dim)       # euclidean
 
     def _init_sampled(self):
         """Angle grids of the values' shape (sampled, sampled_sphere), interpolant."""

@@ -41,6 +41,16 @@ class ParamError(ValueError):
     """Parameter combination outside the admissible regime."""
 
 
+def _count(value, name, least):
+    """value as an int; ParamError unless it is an integer, of any type but
+    bool, >= least."""
+    if not isinstance(value, bool) and (
+            isinstance(value, numbers.Integral) or isinstance(value, numbers.Real)
+            and float(value).is_integer()) and value >= least:
+        return int(value)
+    raise ParamError(f"{name} must be at least {least} and an integer, got {value}")
+
+
 class FunctionalOverflowError(OverflowError):
     """Integrand exceeded the floating-point range.
 
@@ -71,10 +81,7 @@ class FunctionalParams:
     variant: str = PHI_SERIES
 
     def __post_init__(self):
-        if not (isinstance(self.n, numbers.Real) and math.isfinite(self.n)
-                and int(self.n) == self.n and self.n >= 2):
-            raise ParamError(f"n must be an integer >= 2, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _count(self.n, "n", 2))
         if not (np.isfinite(self.q) and self.q > 1.0):
             raise ParamError(f"q must exceed 1 and be finite, got {self.q}")
         if not (0.0 <= self.beta < self.n):
@@ -142,8 +149,6 @@ def _phi_stable(t, j_start):
     precision in relative terms; for j_start = 1 it is e^t - 1, expm1.
     """
     t = np.asarray(t, dtype=float)
-    if (t < 0.0).any():
-        raise ParamError("series argument must be nonnegative")
     out = np.expm1(t) if j_start == 1 else np.exp(t) * gammainc(j_start, t)
     return out if out.ndim else float(out)
 
@@ -163,6 +168,8 @@ def phi(params, t):
     FunctionalOverflowError beyond the floating-point range."""
     t = np.asarray(t, dtype=float)
     _check_exp_argument(t)
+    if (t < 0.0).any():
+        raise ParamError("series argument must be nonnegative")
     return _phi_stable(t, series_start(params))
 
 
@@ -286,62 +293,42 @@ def grad_norm_radial(g, F):
     return dirichlet_energy_radial(g, F) ** (1.0 / F.dim)
 
 
-def _kernel_argument(u, params):
-    """lam(1-beta/n) u^{n/(n-1)}, the exponent of the integrand at u."""
-    n = params.n
-    return params.lam * (1.0 - params.beta / n) * u ** (n / (n - 1.0))
+def _kernel(u, params, j_start=None, slope=False):
+    """Exponential integrand K of params.variant at the values u >= 0 (an
+    array of any shape; no spatial weight), and with ``slope`` the pair
+    (K, K'), K' its derivative in u.
 
-
-def _phi_slope(t, j_start, tail):
-    """Phi'_{j} = Phi_{j-1}, given tail = Phi_j(t): Phi_0 = Phi_1 + 1, and
-    for j >= 2 the tail that starts one index lower."""
-    return tail + 1.0 if j_start == 1 else _phi_stable(t, j_start - 1)
-
-
-def _kernel(u, params, arg=None, j_start=None):
-    """Exponential integrand of params.variant at the values u >= 0 (an
-    array of any shape; no spatial weight).
-
-    exp-power: exp(lam(1-beta/n) u^{n/(n-1)}) u^p; phi-series: the
-    truncated series at the same argument (the critical functional passes
-    params with the phi-series variant).  ``arg`` and ``j_start``, when
-    given, are that argument and series_start(params), already computed.
-    Raises FunctionalOverflowError on overflow.
+    With the argument A = lam(1-beta/n) u^{n/(n-1)}, K is exp(A) u^p
+    (exp-power) or the truncated series Phi_j(A) (phi-series; the critical
+    functional passes params with that variant), and K' follows from
+    Phi_j' = Phi_{j-1} (Phi_0 = Phi_1 + 1) or the product rule.  Where u =
+    0 and the exp-power factor u^{p-1} is infinite (p < 1), the one-sided
+    derivative is taken as 0.  ``j_start``, when given, is
+    series_start(params), already computed.  Raises FunctionalOverflowError
+    on overflow.
     """
+    n = params.n
     u = np.asarray(u, float)
-    if arg is None:
-        arg = _kernel_argument(u, params)
+    rate = params.lam * (1.0 - params.beta / n)
+    arg = rate * u ** (n / (n - 1.0))
     _check_exp_argument(arg)
     if params.variant == EXP_POWER:
-        return np.exp(arg) * u ** params.p
-    if j_start is None:
-        j_start = series_start(params)
-    return _phi_stable(arg, j_start)
-
-
-def _kernel_and_slope(u, params, j_start):
-    """_kernel at the values u >= 0 and its derivative in u, with j_start =
-    series_start(params).
-
-    Where u = 0 and the exp-power factor u^{p-1} is infinite (p < 1), the
-    one-sided derivative is taken as 0.
-    """
-    n = params.n
-    u = np.asarray(u, float)
-    arg = _kernel_argument(u, params)
-    darg = params.lam * (1.0 - params.beta / n) * n / (n - 1.0) * u ** (1.0 / (n - 1.0))
+        ex, up = np.exp(arg), u ** params.p
+        kern = ex * up
+    else:
+        if j_start is None:
+            j_start = series_start(params)
+        kern = _phi_stable(arg, j_start)
+    if not slope:
+        return kern
+    darg = rate * n / (n - 1.0) * u ** (1.0 / (n - 1.0))
     if params.variant == EXP_POWER:
-        # the product rule needs both factors of exp(arg) u^p
-        _check_exp_argument(arg)
-        p = params.p
-        ex = np.exp(arg)
-        up = u ** p
         with np.errstate(divide="ignore"):
-            dup = p * u ** (p - 1.0)
+            dup = params.p * u ** (params.p - 1.0)
         dup[np.isinf(dup)] = 0.0
-        return ex * up, ex * (darg * up + dup)
-    tail = _kernel(u, params, arg, j_start)
-    return tail, _phi_slope(arg, j_start, tail) * darg
+        return kern, ex * (darg * up + dup)
+    below = kern + 1.0 if j_start == 1 else _phi_stable(arg, j_start - 1)
+    return kern, below * darg
 
 
 def _radial_exp_integral(g, params, F):
@@ -463,9 +450,11 @@ def constraint_scale(g, a, b, F, q):
 
 def _knot_values(w):
     """Knot values theta_k = sum_{j >= k} w_j, k < K, of the decrements w;
-    None for a degenerate candidate: top value theta_0 at most 1e-12."""
+    ParamError for a degenerate candidate: top value theta_0 at most 1e-12."""
     theta = np.cumsum(w[::-1])[::-1]
-    return theta if theta[0] > 1e-12 else None
+    if not theta[0] > 1e-12:
+        raise ParamError(f"degenerate candidate: top value {theta[0]:.3g}")
+    return theta
 
 
 class RadialObjective:
@@ -481,10 +470,11 @@ class RadialObjective:
     ``knots``, and shared by every objective on that grid (_grid_operators):
     shrinking the radius by 1/t multiplies the subcritical integral by
     t^{beta-n}, and the constraint projection keeps the knots.
-    One forward pass (the energy, the q-norm and the kernel input, all from
-    the profile theta[idx] - frac w[idx] at one node set) serves value, and
-    value_and_grad, which adds the gradient by the chain rule through each
-    of them.  Degenerate or overflowing candidates have value -inf.
+    One pass, _evaluate, serves value and value_and_grad: the energy, the
+    q-norm and the kernel input, all from the profile theta[idx] - frac
+    w[idx] at one node set, and for value_and_grad the gradient by the
+    chain rule through each of them.  Degenerate or overflowing candidates
+    have value -inf.
 
     ``rule`` names the quadrature rule of _radial_rule.  The default,
     ACCURATE, is the rule of lq_norm_radial, atmsc_value and
@@ -510,84 +500,72 @@ class RadialObjective:
         self._dq_w = self._nkappa * params.q * self._wq     # dQ/du over u^{q-1}
         self._j_start = series_start(params)
 
-    def _forward(self, w):
-        """The pass shared by value and value_and_grad at the decrements w:
-        None where the candidate or its normalization degenerates, else
-        (z, scale, s, E, Q, u, X, Y, c).
-
-        These are the slope magnitudes s = w/h, the profile's energy E =
-        X^n, its values u at the nodes, its q-norm integral Q = Y^q, the
-        constraint root c ('critical'; None for 'subcritical'), the factor
-        scale in value = scale * (weights @ kernel), and the kernel input z
-        (u/X for 'subcritical', c u for 'critical').
-        """
-        theta = _knot_values(w)
-        if theta is None:
-            return None
-        p = self.params
-        n, q = p.n, p.q
-        s = w / self._h
-        # never below 0: frac <= 1, and theta_k >= w_k also in floating point
-        u = theta[self._idx] - self._frac * w[self._idx]
-        E = s ** n @ self._energy_w
-        Q = self._nkappa * (u ** q @ self._wq)
-        X, Y = E ** (1.0 / n), Q ** (1.0 / q)
-        if self.mode == "critical":     # u -> c u with (c X)^a + (c Y)^b = 1
-            c = _constraint_root(X, Y, p.a, p.b)
-            return c * u, self._nkappa, s, E, Q, u, X, Y, c
-        try:        # u -> g(t r)/X, as normalize_sphere maps it
-            t = _sphere_radius_factor(X, Y, q, n)
-        except ParamError:
-            return None
-        return u / X, self._nkappa * t ** (p.beta - n), s, E, Q, u, X, Y, None
-
     def value(self, w):
-        """Objective value at the decrements w: bit for bit the value
-        value_and_grad gives, without the gradient; -inf for a degenerate
+        """Objective value at the decrements w, without any gradient work:
+        bit for bit the value value_and_grad gives; -inf for a degenerate
         or overflowing candidate."""
-        fwd = self._forward(np.asarray(w, dtype=float))
-        if fwd is None:
-            return -np.inf
-        z, scale = fwd[:2]
-        try:
-            kern = _kernel(z, self.params, j_start=self._j_start)
-        except FunctionalOverflowError:
-            return -np.inf
-        value = scale * (kern @ self._we)
-        return float(value) if math.isfinite(value) else -np.inf
+        return self._evaluate(w, grad=False)
 
     def value_and_grad(self, w):
         """Objective value at the decrements w and its gradient in w;
         (-inf, 0) for a degenerate or overflowing candidate."""
+        return self._evaluate(w, grad=True)
+
+    def _evaluate(self, w, grad):
+        """The value at the decrements w, and with ``grad`` the pair (value,
+        gradient in w).
+
+        The pass forms the slope magnitudes s = w/h, the profile's energy E
+        = X^n, its values u at the nodes and its q-norm integral Q = Y^q;
+        then the kernel input z (u/X for 'subcritical', c u with the
+        constraint root c for 'critical') and the factor scale in value =
+        scale * (weights @ K(z)).  Every rejection (a degenerate candidate
+        or normalization, an overflowing kernel, a non-finite value or
+        gradient) raises inside the pass and becomes -inf in one place.
+        """
         w = np.asarray(w, dtype=float)
-        fwd = self._forward(w)
-        if fwd is None:
-            return -np.inf, np.zeros_like(w)
-        z, scale, s, E, Q, u, X, Y, c = fwd
         p = self.params
         n, q = p.n, p.q
         try:
-            kern, dkern = _kernel_and_slope(z, p, self._j_start)
-        except FunctionalOverflowError:
-            return -np.inf, np.zeros_like(w)
-        value = scale * (kern @ self._we)
-        dE = n * s ** (n - 1) * self._energy_w / self._h
-        # the q-norm term joins the kernel's node vector, so one pull-back
-        # to the decrements serves both
-        dq = self._dq_w * u ** (q - 1.0)
-        if self.mode == "subcritical":  # scale ~ t^{beta-n}, n log t = log Q - (q/n) log E
-            d_u = scale * self._we * dkern / X
-            k = (n - p.beta) * value / n
-            nodes, e_coef = d_u - k / Q * dq, (k * q / n - d_u @ u / n) / E
-        else:                           # (c X)^a + (c Y)^b = 1 gives d log c
-            A, B = p.a * (c * X) ** p.a, p.b * (c * Y) ** p.b
-            d_u = c * self._nkappa * self._we * dkern
-            k = (d_u @ u) / (A + B)
-            nodes, e_coef = d_u - k * B / (q * Q) * dq, -k * A / (n * E)
-        grad = self._pull_back(nodes) + e_coef * dE
-        if not (math.isfinite(value) and np.isfinite(grad).all()):
-            return -np.inf, np.zeros_like(w)
-        return float(value), grad
+            theta = _knot_values(w)
+            s = w / self._h
+            # never below 0: frac <= 1, and theta_k >= w_k also in floating point
+            u = theta[self._idx] - self._frac * w[self._idx]
+            E = s ** n @ self._energy_w
+            Q = self._nkappa * (u ** q @ self._wq)
+            X, Y = E ** (1.0 / n), Q ** (1.0 / q)
+            if self.mode == "critical":     # u -> c u with (c X)^a + (c Y)^b = 1
+                c = _constraint_root(X, Y, p.a, p.b)
+                z, scale = c * u, self._nkappa
+            else:       # u -> g(t r)/X, as normalize_sphere maps it
+                t = _sphere_radius_factor(X, Y, q, n)
+                z, scale = u / X, self._nkappa * t ** (p.beta - n)
+            kern = _kernel(z, p, self._j_start, slope=grad)
+            kern, dkern = kern if grad else (kern, None)
+            value = scale * (kern @ self._we)
+            if not math.isfinite(value):
+                raise FunctionalOverflowError(f"objective value {value}")
+            if not grad:
+                return float(value)
+            dE = n * s ** (n - 1) * self._energy_w / self._h
+            # the q-norm term joins the kernel's node vector, so one pull-back
+            # to the decrements serves both
+            dq = self._dq_w * u ** (q - 1.0)
+            if self.mode == "subcritical":  # scale ~ t^{beta-n}, n log t = log Q - (q/n) log E
+                d_u = scale * self._we * dkern / X
+                k = (n - p.beta) * value / n
+                nodes, e_coef = d_u - k / Q * dq, (k * q / n - d_u @ u / n) / E
+            else:                           # (c X)^a + (c Y)^b = 1 gives d log c
+                A, B = p.a * (c * X) ** p.a, p.b * (c * Y) ** p.b
+                d_u = c * self._nkappa * self._we * dkern
+                k = (d_u @ u) / (A + B)
+                nodes, e_coef = d_u - k * B / (q * Q) * dq, -k * A / (n * E)
+            dw = self._pull_back(nodes) + e_coef * dE
+            if not np.isfinite(dw).all():
+                raise FunctionalOverflowError("non-finite objective gradient")
+            return float(value), dw
+        except (ParamError, FunctionalOverflowError):
+            return (-np.inf, np.zeros_like(w)) if grad else -np.inf
 
     def _pull_back(self, nodes):
         """The transpose of w -> theta[idx] - frac w[idx] at ``nodes``, by
@@ -601,12 +579,10 @@ class RadialObjective:
         degenerate candidate.  A constraint_scale image whose constraint
         residual exceeds 1e-9 is no point of the constraint sphere, and
         raises ParamError naming the residual."""
-        theta = _knot_values(np.asarray(w, dtype=float))
-        if theta is None:
-            return None
         p, F = self.params, self.F
-        g = RadialProfile(self.knots, np.append(theta, 0.0))
         try:
+            theta = _knot_values(np.asarray(w, dtype=float))
+            g = RadialProfile(self.knots, np.append(theta, 0.0))
             if self.mode == "subcritical":
                 return normalize_sphere(g, p.q, F)
             cs = constraint_scale(g, p.a, p.b, F, p.q)

@@ -27,7 +27,6 @@ scaling construction turns the sweep argmax into a critical candidate.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,8 +36,8 @@ from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 from .finsler import FinslerNorm, wulff_volume
 from .functional import (EXP_POWER, LEAN, PHI_SERIES, ParamError, RadialObjective,
-                         _check_grid, atmsc_value, critical_value, constraint_value,
-                         lq_norm_radial, grad_norm_radial, aa_bracket,
+                         _check_grid, _count, atmsc_value, critical_value,
+                         constraint_value, lq_norm_radial, grad_norm_radial, aa_bracket,
                          series_start, series_threshold, validate_lambda)
 from .profiles import RadialProfile
 from .rearrange import rasterize_profile, symmetry_gap
@@ -80,16 +79,6 @@ class SearchConfig:
             r = getattr(self, name)
             if r is not None and not (np.isfinite(r) and r > 0.0):
                 raise ParamError(f"search.{name} must be positive and finite, got {r}")
-
-
-def _count(value, name, least):
-    """value as an int; ParamError unless it is an integer, of any type but
-    bool, >= least."""
-    if not isinstance(value, bool) and (
-            isinstance(value, numbers.Integral) or isinstance(value, numbers.Real)
-            and float(value).is_integer()) and value >= least:
-        return int(value)
-    raise ParamError(f"{name} must be at least {least} and an integer, got {value}")
 
 
 @dataclass

@@ -24,13 +24,12 @@ energy comparison) and frozen with headroom.
 """
 
 import copy
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .finsler import _cached, wulff_volume
-from .functional import (ParamError, FunctionalOverflowError, _kernel,
+from .functional import (ParamError, FunctionalOverflowError, _count, _kernel,
                          dirichlet_energy_radial)
 from .profiles import RadialProfile
 
@@ -121,7 +120,7 @@ class GridFunction:
 
     @classmethod
     def zeros(cls, dim, halfwidth, m):
-        return cls(halfwidth, np.zeros((m,) * dim))
+        return cls(halfwidth, np.zeros((_count(m, "the grid side m", 4),) * dim))
 
     def _with_values(self, values):
         """A grid function on this grid holding ``values``, a float cube the
@@ -363,9 +362,9 @@ def profile_of(u_star, F):
 
 def rasterize_profile(g, F, halfwidth, m):
     """Sample g(F0(-x)) on a fresh grid of F's dimension."""
-    if not (0.0 < halfwidth < np.inf and operator.index(m) >= 4):
-        raise ValueError(f"a grid needs a positive finite half-width and a side "
-                         f"m >= 4, got {halfwidth} and {m}")
+    if not 0.0 < halfwidth < np.inf:
+        raise ValueError(f"a grid needs a positive finite half-width, got {halfwidth}")
+    m = _count(m, "the grid side m", 4)
     vals = g(_wulff_field(F, F.dim, halfwidth, m)[0])
     if _boundary_nonzero(vals):
         raise _support_overflow("profile", g.support_radius, F, 2.0 * halfwidth / m)

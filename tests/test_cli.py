@@ -47,6 +47,29 @@ def test_load_config_hash_ignores_threads(config_path, tmp_path):
     assert d3 != d1
 
 
+@pytest.mark.parametrize("overrides, named", [
+    ({"sampels": 100}, "config field <root>.sampels is not a known key"),
+    ({"params": {"bet": 0.5}}, "config field params.bet is not a known key"),
+    ({"search": {"restart": 9}}, "config field search.restart is not a known key"),
+    ({"sweep": {"grid": 8}}, "config field sweep.grid is not a known key"),
+    ({"gauge": {"kind": "sampled", "values": [1.0] * 16, "rul": "linear"}},
+     "config field gauge: unknown sampled gauge spec key 'rul'")])
+def test_unknown_config_key_is_a_validation_error(tmp_path, capsys, overrides, named):
+    # a misspelled key used to be ignored: "bet" ran at beta = 0, "restart"
+    # ran the default 4 restarts, and the run exited 0
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    for command in ("geometry", "maximize", "sweep"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert named in capsys.readouterr().err, command
+    assert not (tmp_path / "report.json").exists()
+    # every key the blocks take, the benchmark's own included, is accepted
+    full = write_config(tmp_path / "full.json", samples=10,
+                        params={"lambda": 1.0, "p": 2.5, "variant": "phi_series"},
+                        search={"threads": 1, "objective": "critical",
+                                "radius_critical": 16.0})
+    load_config(full)
+
+
 def test_load_config_rejects_bad_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

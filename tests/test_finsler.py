@@ -746,4 +746,10 @@ def test_from_config_round_trip(gauge_pnorm4):
     for kind, field in (("pnorm", "p"), ("ellipse", "matrix"), ("sampled", "values")):
         with pytest.raises(GaugeError, match=f"{kind} gauge spec needs '{field}'"):
             FinslerNorm.from_config({"kind": kind}, dim=2)
+    # a key the form does not take is named, not ignored
+    for bad, key in (({**spec, "rul": "linear"}, "rul"),
+                     ({"kind": "euclidean", "p": 4.0}, "p"),
+                     ({"kind": "sampled", "values": [1.0] * 8, "rules": "linear"}, "rules")):
+        with pytest.raises(GaugeError, match=f"unknown {bad['kind']} gauge spec key '{key}'"):
+            FinslerNorm.from_config(bad, dim=2)
     assert FinslerNorm.from_config({"kind": "euclidean"}, dim=3).dim == 3

@@ -20,7 +20,7 @@ from anisotm import (FunctionalParams, series_start, phi,
                      RadialProfile, FinslerNorm, wulff_volume, sharp_constant)
 from anisotm import functional
 from anisotm.functional import (ACCURATE, LEAN, RadialObjective, _constraint_root,
-                                _phi_slope, _phi_stable, _radial_rule, validate_lambda)
+                                _kernel, _phi_stable, _radial_rule, validate_lambda)
 from anisotm.maximize import geometric_knots
 
 R_CONE = 1.3
@@ -136,16 +136,44 @@ def _phi_oracle(t, j_start):
 def test_phi_tail_and_slope_mpmath(j_start):
     # the analytic search gradient rests on the tail and on
     # Phi'_{j0} = Phi_{j0-1}; j0 >= 8 reaches past 1 < t < j0, where e^t
-    # minus the head of the series cancels
-    ts = np.geomspace(1e-8, 690.0, 40)
-    tail = _phi_stable(ts, j_start)
-    slope = _phi_slope(ts, j_start, tail)
+    # minus the head of the series cancels.  At n = 2 and lam(1-beta/n) = 1
+    # the kernel's argument is t = u^2 and its slope in u is Phi'(t) 2u;
+    # u is one ulp below sqrt(t), so that t stays at most 690
+    params = FunctionalParams(n=2, q=2.0, beta=0.0, lam=1.0)
+    us = np.nextafter(np.sqrt(np.geomspace(1e-8, 690.0, 40)), 0.0)
+    tail, slope = _kernel(us, params, j_start, slope=True)
     with mpmath.workdps(50):
-        for t, got, dgot in zip(ts, tail, slope):
-            want = _phi_oracle(mpmath.mpf(t), j_start)
-            dwant = mpmath.diff(lambda s: _phi_oracle(s, j_start), mpmath.mpf(t))
+        for u, got, dgot in zip(us, tail, slope):
+            t = mpmath.mpf(u ** 2.0)      # the argument the kernel evaluates
+            want = _phi_oracle(t, j_start)
+            dwant = mpmath.diff(lambda s: _phi_oracle(s, j_start), t) * 2 * u
             assert abs(got - want) / want < 1e-13, (t, got, want)
             assert abs(dgot - dwant) / dwant < 1e-13, (t, dgot, dwant)
+    assert np.array_equal(tail, _kernel(us, params, j_start))
+
+
+@pytest.mark.parametrize("n, q, beta, p", [
+    (2, 2.0, 0.0, 2.0), (2, 2.0, 0.5, 1.6), (3, 1.2, 1.0, 1.0), (3, 2.5, 0.0, 2.5),
+    (2, 1.5, 1.5, 0.5), (3, 1.5, 2.5, 0.3)])
+def test_exp_power_kernel_slope_mpmath(n, q, beta, p):
+    # K(u) = exp(lam(1-beta/n) u^{n/(n-1)}) u^p and its slope in u against
+    # a 50-digit mpmath derivative; at u = 0 the right derivative is 1 for
+    # p = 1 and 0 for p > 1, and for p < 1, where u^{p-1} is infinite, the
+    # one-sided slope is taken as 0
+    params = FunctionalParams(n=n, q=q, beta=beta, lam=2.0, variant="exp_power", p=p)
+    rate = params.lam * (1.0 - beta / n)
+    us = np.array([0.0, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 4.0])
+    kern, slope = _kernel(us, params, slope=True)
+    assert np.array_equal(kern, _kernel(us, params))
+    assert kern[0] == 0.0 and slope[0] == (1.0 if p == 1.0 else 0.0)
+    with mpmath.workdps(50):
+        def oracle(s):
+            return mpmath.exp(rate * s ** (mpmath.mpf(n) / (n - 1))) * s ** p
+        for u, got, dgot in zip(us[1:], kern[1:], slope[1:]):
+            want = oracle(mpmath.mpf(u))
+            dwant = mpmath.diff(oracle, mpmath.mpf(u))
+            assert abs(got - want) / want < 1e-13, (u, got, want)
+            assert abs(dgot - dwant) / dwant < 1e-13, (u, dgot, dwant)
 
 
 def test_phi_tail_positive_where_head_cancels():
@@ -547,7 +575,8 @@ def test_objectives_share_grid_operators(gauge_euclid, mode):
         interp = np.column_stack([np.interp(r, knots, e) for e in np.eye(knots.size)])
         for theta in thetas:
             w = decrements(theta)
-            u = obj._forward(w)[5]
+            # the objective's node values, from its shared operators
+            u = knot_values(w)[obj._idx] - obj._frac * w[obj._idx]
             want = np.interp(r, knots, np.append(knot_values(w), 0.0))
             assert np.max(np.abs(u - want)) <= 4 * np.spacing(theta[0])
             nodes = rng.standard_normal(r.size)
@@ -598,7 +627,7 @@ def test_single_decrement_keeps_profile_nonnegative(mode, rule):
         for top in (1.0, 0.3, 7.0 / 3.0):
             w = np.zeros(knots.size - 1)
             w[j] = top
-            assert obj._forward(w)[5].min() >= 0.0
+            assert (knot_values(w)[obj._idx] - obj._frac * w[obj._idx]).min() >= 0.0
             value, grad = obj.value_and_grad(w)
             assert np.isfinite(value) and np.isfinite(grad).all()
 

@@ -18,7 +18,7 @@ from anisotm import (GridFunction, StepRearrangement, SupportOverflowError,
                      equimeasurability_gaps, disc_tolerance, DISC_TOL_COEFF,
                      RadialProfile, FunctionalParams, FunctionalOverflowError,
                      ParamError, dirichlet_energy_radial, FinslerNorm,
-                     wulff_volume)
+                     wulff_volume, maximizer_diagnostics)
 import anisotm.rearrange as rearrange
 from anisotm.rearrange import _wulff_field
 from conftest import CORPUS_NAMES, corpus_grid
@@ -426,11 +426,30 @@ def test_rasterize_errors(gauge_euclid):
         rasterize_profile(cone, gauge_euclid, 1.0, 64)
     assert exc.value.needed_halfwidth > 1.4
     # the box is checked before any field is built for it
-    for halfwidth, m in ((0.0, 64), (np.nan, 64), (np.inf, 64), (2.0, 3)):
+    for halfwidth in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="half-width"):
-            rasterize_profile(cone, gauge_euclid, halfwidth, m)
-    with pytest.raises(TypeError):
-        rasterize_profile(cone, gauge_euclid, 2.0, 64.0)
+            rasterize_profile(cone, gauge_euclid, halfwidth, 64)
+
+
+def test_grid_side_follows_the_count_rule(gauge_euclid):
+    # the count rule of SearchConfig: an integral float is that integer, and
+    # anything else is a ParamError naming the count.  rasterize_profile,
+    # GridFunction.zeros and maximizer_diagnostics(grid_resolution=) used to
+    # raise a bare TypeError for 64.0
+    cone = RadialProfile([0.0, 1.4], [1.0, 0.0])
+    u = rasterize_profile(cone, gauge_euclid, 2.0, 64)
+    again = rasterize_profile(cone, gauge_euclid, 2.0, 64.0)
+    assert again.m == 64 and np.array_equal(again.values, u.values)
+    assert GridFunction.zeros(2, 1.0, 4.0).values.shape == (4, 4)
+    params = FunctionalParams(n=2, q=2.0, beta=0.5, lam=1.0)
+    diag = [maximizer_diagnostics(cone, params, gauge_euclid, grid_resolution=m)
+            for m in (64, 64.0)]
+    assert diag[0].symmetry_residual == diag[1].symmetry_residual
+    for m in (3, 0, 2.5, True, "64", np.nan, None):
+        with pytest.raises(ParamError, match="grid side m must be at least 4"):
+            rasterize_profile(cone, gauge_euclid, 2.0, m)
+        with pytest.raises(ParamError, match="grid side m must be at least 4"):
+            GridFunction.zeros(2, 1.0, m)
 
 
 # -- grid quadratures ---------------------------------------------------------
