@@ -322,6 +322,8 @@ def cmd_check(cfg, digest, out):
     """Quick invariant battery over the built-in anchor gauges."""
     del digest, out
     seed = search_from_config(cfg).seed
+    if "gauge" in cfg:      # validated as every command does; the battery runs its own
+        gauge_from_config(cfg)
     failures = 0
 
     def report(name, ok, detail=""):

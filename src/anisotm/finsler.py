@@ -126,8 +126,11 @@ class FinslerNorm:
                 raise GaugeError(f"pnorm exponent must lie in (1, inf), got {p}")
         elif kind == "ellipse":
             m = np.asarray(matrix, dtype=float)
-            if m.shape != (dim, dim) or not np.allclose(m, m.T, atol=1e-12):
-                raise GaugeError("ellipse matrix must be symmetric with shape (dim, dim)")
+            if m.shape != (dim, dim):
+                raise GaugeError(f"ellipse matrix has shape {m.shape}; dimension {dim} "
+                                 f"needs shape {(dim, dim)}")
+            if not np.allclose(m, m.T, atol=1e-12):
+                raise GaugeError("ellipse matrix must be symmetric")
             w = np.linalg.eigvalsh(m)
             if w[0] <= 0.0:
                 raise GaugeError("ellipse matrix must be positive definite")
@@ -188,7 +191,8 @@ class FinslerNorm:
         raises GaugeError.  A sampled form without "rule" is 'spline': the
         periodic cubic in the plane, and at dim 3 the bicubic, where
         sampled_sphere's default for the same table is the bilinear
-        'linear'.
+        'linear'.  Every form has dimension ``dim``: an ellipse matrix of
+        any shape but (dim, dim) raises GaugeError.
         """
         if not isinstance(spec, dict) or "kind" not in spec:
             raise GaugeError("gauge spec must be a mapping with a 'kind' entry")
@@ -205,7 +209,7 @@ class FinslerNorm:
         if kind == "pnorm":
             return cls.pnorm(spec["p"], dim)
         if kind == "ellipse":
-            return cls.ellipse(spec["matrix"])
+            return cls("ellipse", dim, matrix=spec["matrix"])
         if kind == "sampled":
             return cls("sampled", dim, values=spec["values"], rule=spec.get("rule", "spline"))
         return cls(kind, dim)       # euclidean

@@ -293,10 +293,11 @@ def grad_norm_radial(g, F):
     return dirichlet_energy_radial(g, F) ** (1.0 / F.dim)
 
 
-def _kernel(u, params, j_start=None, slope=False):
+def _kernel(u, params, j_start=None, slope=False, lam=None):
     """Exponential integrand K of params.variant at the values u >= 0 (an
     array of any shape; no spatial weight), and with ``slope`` the pair
-    (K, K'), K' its derivative in u.
+    (K, K'), K' its derivative in u.  ``lam``, when given, stands for
+    params.lam: a column of rates gives each row of u its own.
 
     With the argument A = lam(1-beta/n) u^{n/(n-1)}, K is exp(A) u^p
     (exp-power) or the truncated series Phi_j(A) (phi-series; the critical
@@ -309,7 +310,7 @@ def _kernel(u, params, j_start=None, slope=False):
     """
     n = params.n
     u = np.asarray(u, float)
-    rate = params.lam * (1.0 - params.beta / n)
+    rate = (params.lam if lam is None else lam) * (1.0 - params.beta / n)
     arg = rate * u ** (n / (n - 1.0))
     _check_exp_argument(arg)
     if params.variant == EXP_POWER:
@@ -449,12 +450,21 @@ def constraint_scale(g, a, b, F, q):
 
 
 def _knot_values(w):
-    """Knot values theta_k = sum_{j >= k} w_j, k < K, of the decrements w;
-    ParamError for a degenerate candidate: top value theta_0 at most 1e-12."""
-    theta = np.cumsum(w[::-1])[::-1]
-    if not theta[0] > 1e-12:
-        raise ParamError(f"degenerate candidate: top value {theta[0]:.3g}")
+    """Knot values theta_k = sum_{j >= k} w_j, k < K, of the decrements w
+    (along the last axis); ParamError for a degenerate candidate: top value
+    theta_0 at most 1e-12."""
+    theta = w[..., ::-1].cumsum(axis=-1)[..., ::-1]
+    if not all((theta[..., 0] > 1e-12).flat):
+        raise ParamError(f"degenerate candidate: top value {np.min(theta[..., 0]):.3g}")
     return theta
+
+
+def _per_row(f, *args):
+    """f of the numpy scalars args, or for arrays the array of f over their
+    rows, each row's arguments numpy scalars as f would get them alone."""
+    if not isinstance(args[0], np.ndarray):
+        return f(*args)
+    return np.array([f(*row) for row in zip(*args)])
 
 
 class RadialObjective:
@@ -470,11 +480,13 @@ class RadialObjective:
     ``knots``, and shared by every objective on that grid (_grid_operators):
     shrinking the radius by 1/t multiplies the subcritical integral by
     t^{beta-n}, and the constraint projection keeps the knots.
-    One pass, _evaluate, serves value and value_and_grad: the energy, the
-    q-norm and the kernel input, all from the profile theta[idx] - frac
-    w[idx] at one node set, and for value_and_grad the gradient by the
-    chain rule through each of them.  Degenerate or overflowing candidates
-    have value -inf.
+    One pass, _evaluate, scores a stack of candidates, one per row: the
+    energy, the q-norm and the kernel input, all from the profile
+    theta[idx] - frac w[idx] at one node set, and with the gradient the
+    chain rule through each of them.  value and value_and_grad are its
+    one-row case, evaluate_rows stacks the candidates of objectives that
+    differ only in lam.  Degenerate or overflowing candidates have value
+    -inf.
 
     ``rule`` names the quadrature rule of _radial_rule.  The default,
     ACCURATE, is the rule of lq_norm_radial, atmsc_value and
@@ -499,21 +511,27 @@ class RadialObjective:
         self._energy_w = kappa * dkn
         self._dq_w = self._nkappa * params.q * self._wq     # dQ/du over u^{q-1}
         self._j_start = series_start(params)
+        # all the pass reads but the rate, which evaluate_rows stacks per row
+        self._family = (mode, rule, self._nkappa, self.knots.tobytes(),
+                        *(getattr(params, f) for f in ("n", "q", "beta", "a", "b", "p", "variant")))
 
     def value(self, w):
         """Objective value at the decrements w, without any gradient work:
         bit for bit the value value_and_grad gives; -inf for a degenerate
         or overflowing candidate."""
-        return self._evaluate(w, grad=False)
+        return float(self._evaluate(np.asarray(w, dtype=float), False)[0])
 
     def value_and_grad(self, w):
         """Objective value at the decrements w and its gradient in w;
         (-inf, 0) for a degenerate or overflowing candidate."""
-        return self._evaluate(w, grad=True)
+        value, grad = self._evaluate(np.asarray(w, dtype=float), True)
+        return float(value), grad
 
-    def _evaluate(self, w, grad):
-        """The value at the decrements w, and with ``grad`` the pair (value,
-        gradient in w).
+    def _evaluate(self, w, grad, lam=None):
+        """The pair (value, gradient in w) at the decrements w, the gradient
+        None without ``grad``; for a stack of decrements, one per row, the
+        pair (values, gradients), and ``lam``, a column, may give each row
+        its own rate in place of params.lam (evaluate_rows).
 
         The pass forms the slope magnitudes s = w/h, the profile's energy E
         = X^n, its values u at the nodes and its q-norm integral Q = Y^q;
@@ -521,57 +539,74 @@ class RadialObjective:
         constraint root c for 'critical') and the factor scale in value =
         scale * (weights @ K(z)).  Every rejection (a degenerate candidate
         or normalization, an overflowing kernel, a non-finite value or
-        gradient) raises inside the pass and becomes -inf in one place.
+        gradient) raises inside the pass; a stack that raises is scored
+        again one row at a time, and a single candidate that raises gets
+        -inf and gradient 0, in one place.  Each row of a stack is bitwise
+        the pass of its row alone: the reductions are np.vecdot over
+        C-contiguous rows, the 1-d @ row by row, and the scalar maps (the
+        powers of E, Q and c X, the radius factor, the constraint root) run
+        per row on numpy scalars (_per_row), since the array power can
+        differ from the scalar one in the last bit.
         """
-        w = np.asarray(w, dtype=float)
         p = self.params
         n, q = p.n, p.q
+        # per-candidate numbers meet the node arrays as columns of a stack
+        col = (lambda a: a[:, None]) if w.ndim == 2 else (lambda a: a)
         try:
             theta = _knot_values(w)
             s = w / self._h
             # never below 0: frac <= 1, and theta_k >= w_k also in floating point
-            u = theta[self._idx] - self._frac * w[self._idx]
-            E = s ** n @ self._energy_w
-            Q = self._nkappa * (u ** q @ self._wq)
-            X, Y = E ** (1.0 / n), Q ** (1.0 / q)
+            u = theta.take(self._idx, axis=-1) - self._frac * w.take(self._idx, axis=-1)
+            E = np.vecdot(s ** n, self._energy_w)
+            Q = self._nkappa * np.vecdot(u ** q, self._wq)
+            X = _per_row(lambda e: e ** (1.0 / n), E)
+            Y = _per_row(lambda e: e ** (1.0 / q), Q)
             if self.mode == "critical":     # u -> c u with (c X)^a + (c Y)^b = 1
-                c = _constraint_root(X, Y, p.a, p.b)
-                z, scale = c * u, self._nkappa
+                c = _per_row(lambda x, y: _constraint_root(x, y, p.a, p.b), X, Y)
+                z, scale = col(c) * u, self._nkappa
             else:       # u -> g(t r)/X, as normalize_sphere maps it
-                t = _sphere_radius_factor(X, Y, q, n)
-                z, scale = u / X, self._nkappa * t ** (p.beta - n)
-            kern = _kernel(z, p, self._j_start, slope=grad)
+                scale = _per_row(lambda x, y: self._nkappa
+                                 * _sphere_radius_factor(x, y, q, n) ** (p.beta - n), X, Y)
+                z = u / col(X)
+            kern = _kernel(z, p, self._j_start, slope=grad, lam=lam)
             kern, dkern = kern if grad else (kern, None)
-            value = scale * (kern @ self._we)
-            if not math.isfinite(value):
+            value = scale * np.vecdot(kern, self._we)
+            if not all(np.isfinite(value).flat):
                 raise FunctionalOverflowError(f"objective value {value}")
             if not grad:
-                return float(value)
+                return value, None
             dE = n * s ** (n - 1) * self._energy_w / self._h
             # the q-norm term joins the kernel's node vector, so one pull-back
             # to the decrements serves both
             dq = self._dq_w * u ** (q - 1.0)
             if self.mode == "subcritical":  # scale ~ t^{beta-n}, n log t = log Q - (q/n) log E
-                d_u = scale * self._we * dkern / X
+                d_u = col(scale) * self._we * dkern / col(X)
                 k = (n - p.beta) * value / n
-                nodes, e_coef = d_u - k / Q * dq, (k * q / n - d_u @ u / n) / E
+                nodes, e_coef = d_u - col(k / Q) * dq, (k * q / n - np.vecdot(d_u, u) / n) / E
             else:                           # (c X)^a + (c Y)^b = 1 gives d log c
-                A, B = p.a * (c * X) ** p.a, p.b * (c * Y) ** p.b
-                d_u = c * self._nkappa * self._we * dkern
-                k = (d_u @ u) / (A + B)
-                nodes, e_coef = d_u - k * B / (q * Q) * dq, -k * A / (n * E)
-            dw = self._pull_back(nodes) + e_coef * dE
+                A = _per_row(lambda c, x: p.a * (c * x) ** p.a, c, X)
+                B = _per_row(lambda c, y: p.b * (c * y) ** p.b, c, Y)
+                d_u = col(c * self._nkappa) * self._we * dkern
+                k = np.vecdot(d_u, u) / (A + B)
+                nodes, e_coef = d_u - col(k * B / (q * Q)) * dq, -k * A / (n * E)
+            dw = self._pull_back(nodes) + col(e_coef) * dE
             if not np.isfinite(dw).all():
                 raise FunctionalOverflowError("non-finite objective gradient")
-            return float(value), dw
+            return value, dw
         except (ParamError, FunctionalOverflowError):
-            return (-np.inf, np.zeros_like(w)) if grad else -np.inf
+            if w.ndim == 1:
+                return -np.inf, np.zeros_like(w) if grad else None
+            values, grads = zip(*(self._evaluate(w[i], grad, None if lam is None else lam[i])
+                                  for i in range(len(w))))
+            return np.array(values), np.array(grads) if grad else None
 
     def _pull_back(self, nodes):
-        """The transpose of w -> theta[idx] - frac w[idx] at ``nodes``, by
-        segment sums over the knot intervals: theta_k sums w_j over j >= k."""
+        """The transpose of w -> theta[idx] - frac w[idx] at ``nodes`` (along
+        the last axis), by segment sums over the knot intervals: theta_k sums
+        w_j over j >= k."""
         at = self._starts
-        return np.cumsum(np.add.reduceat(nodes, at)) - np.add.reduceat(self._frac * nodes, at)
+        return (np.add.reduceat(nodes, at, axis=-1).cumsum(axis=-1)
+                - np.add.reduceat(self._frac * nodes, at, axis=-1))
 
     def witness(self, w):
         """The profile the decrements w stand for, through the library
@@ -592,6 +627,19 @@ class RadialObjective:
             return cs.scaled
         raise ParamError(f"the critical witness is off the constraint sphere: "
                          f"residual {cs.residual:.3g} > {_SPHERE_RESIDUAL_MAX:g}")
+
+
+def evaluate_rows(objectives, w, grad=True):
+    """Row i of the stack w scored on objectives[i], every row in one pass
+    of RadialObjective._evaluate: (values, gradients), the gradients None
+    without ``grad``; each row bitwise its objective's value_and_grad.  The
+    objectives may differ only in lam, which enters the pass as one kernel
+    rate per row; ParamError if they differ in anything else."""
+    lead = objectives[0]
+    if any(obj is not lead and obj._family != lead._family for obj in objectives):
+        raise ParamError("objectives stacked in one pass may differ only in lam")
+    lam = np.array([[obj.params.lam] for obj in objectives])
+    return lead._evaluate(np.ascontiguousarray(w, dtype=float), grad, lam)
 
 
 def aa_bracket(t, params):

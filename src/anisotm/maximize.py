@@ -10,20 +10,24 @@ F at rate lam, keeps both norms and the constraint, and multiplies values
 by k rho^{n-beta} (and k^{-p/n} for the exp-power integrand).  So every
 search runs the Euclidean problem: restarts of one bounded L-BFGS-B ascent
 of functional.RadialObjective, on its lean quadrature rule, in the
-nonnegative decrements of knot values on a geometric grid.  The ascent is
+nonnegative decrements of knot values on a geometric grid.  Each ascent is
 scipy's compiled L-BFGS-B kernel, driven directly by reverse communication,
-and bitwise what scipy.optimize.minimize gives.  Every final iterate is
-re-scored on the accurate rule, and the best is renormalized, carried to F
-and re-evaluated there, so each reported value is realized by a stored
-profile: an honest lower bound for the true supremum.
+and bitwise what scipy.optimize.minimize gives; a search advances all its
+restarts in lockstep and scores their pending points in one row-batched
+objective pass, each row bitwise as if its restart ran alone.  Every final
+iterate is re-scored on the accurate rule, and the best is renormalized,
+carried to F and re-evaluated there, so each reported value is realized by
+a stored profile: an honest lower bound for the true supremum.
 
 The sup identity writes the critical value at lam as
 
     sup_{t in (0, lam)} bracket(t) * f(t),
 
 with f(t) the subcritical value at rate t and bracket the explicit
-algebraic factor; identity_sweep samples t, estimate_f supplies f, and the
-scaling construction turns the sweep argmax into a critical candidate.
+algebraic factor; identity_sweep samples t and supplies each f from the
+restarts of all its points run as one lockstep search, each f bitwise the
+standalone estimate_f, and the scaling construction turns the sweep argmax
+into a critical candidate.
 """
 
 import math
@@ -36,7 +40,7 @@ from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 from .finsler import FinslerNorm, wulff_volume
 from .functional import (EXP_POWER, LEAN, PHI_SERIES, ParamError, RadialObjective,
-                         _check_grid, _count, atmsc_value, critical_value,
+                         _check_grid, _count, atmsc_value, critical_value, evaluate_rows,
                          constraint_value, lq_norm_radial, grad_norm_radial, aa_bracket,
                          series_start, series_threshold, validate_lambda)
 from .profiles import RadialProfile
@@ -162,33 +166,15 @@ def _theta_to_decrements(theta):
     return np.append(-np.diff(th), th[-1])
 
 
-def _ascend(obj, w, maxfev):
-    """Bounded L-BFGS-B ascent of ``obj`` from the nonnegative decrements w.
-
-    The decrements turn the monotone cone into a box, so every iterate is
-    a nonincreasing profile and goes to the objective as it is.
-
-    The loop drives scipy's compiled kernel ``setulb`` by reverse
-    communication as scipy.optimize.minimize(method='L-BFGS-B') does, with
-    maxcor 10, maxls 20, maxiter 15000, ftol 1e-14, gtol 1e-14 and maxfun
-    ``maxfev``, so x, evaluation count and stop message are bitwise what
-    minimize returns.  ftol 1e-14 stops the ascent once an iteration gains
-    less than 1e-14 of the value: smaller gains are rounding noise, and
-    chasing them cost a quarter of the evaluations and made their count
-    jump when an input moved by one ulp.  The value is that of the final
-    x, the last accepted iterate (x0 or the last NEW_X): after an abnormal
-    line search minimize reports that of the last trial point instead.
-    Returns (decrements, value, evaluations, stop message).
-    """
+def _lbfgsb(w, maxfev):
+    """One bounded L-BFGS-B ascent from the nonnegative decrements w, as a
+    generator: it yields each point it wants scored, is sent that point's
+    negated (value, gradient), and returns (decrements, value, evaluations,
+    stop message) when it stops (_ascend)."""
     x = np.array(w, dtype=float)        # setulb updates x in place
     size = x.size
-
-    def neg(w):
-        value, grad = obj.value_and_grad(w)
-        return -value, -grad
-
     last = x.copy()
-    f, g = neg(last)
+    f, g = yield last
     accepted = f
     nfev, nit = 1, 0
     lower, upper = np.zeros(size), np.zeros(size)
@@ -203,7 +189,7 @@ def _ascend(obj, w, maxfev):
         if task[0] == _FG:
             if not (x == last).all():
                 last = x.copy()
-                f, g = neg(last)
+                f, g = yield last
                 nfev += 1
         elif task[0] == _NEW_X:
             accepted = f
@@ -218,17 +204,71 @@ def _ascend(obj, w, maxfev):
     return x, -float(accepted), nfev, stop
 
 
-def _search(params, F, config, mode):
+def _ascend(obj, w, maxfev):
+    """Bounded L-BFGS-B ascent of ``obj`` from the nonnegative decrements w;
+    given a list of objectives and a list of starts, one ascent per start,
+    of its objective, all in lockstep.
+
+    The decrements turn the monotone cone into a box, so every iterate is
+    a nonincreasing profile and goes to the objective as it is.
+
+    Each ascent drives scipy's compiled kernel ``setulb`` by reverse
+    communication as scipy.optimize.minimize(method='L-BFGS-B') does, with
+    maxcor 10, maxls 20, maxiter 15000, ftol 1e-14, gtol 1e-14 and maxfun
+    ``maxfev``, so x, evaluation count and stop message are bitwise what
+    minimize returns.  ftol 1e-14 stops the ascent once an iteration gains
+    less than 1e-14 of the value: smaller gains are rounding noise, and
+    chasing them cost a quarter of the evaluations and made their count
+    jump when an input moved by one ulp.  The value is that of the final
+    x, the last accepted iterate (x0 or the last NEW_X): after an abnormal
+    line search minimize reports that of the last trial point instead.
+
+    In lockstep every ascent keeps its own kernel state and runs until it
+    asks for a point not yet scored, or stops; then the points of all the
+    running ascents are scored in one row-batched pass (evaluate_rows), so
+    the per-call cost of the pass is paid once per round, not once per
+    ascent.  A pass scores each row bitwise as value_and_grad does, so
+    every ascent is bitwise the one it runs alone.  Returns (decrements,
+    value, evaluations, stop message), or a list of them for lists.
+    """
+    if not isinstance(w, list):
+        return _ascend([obj], [w], maxfev)[0]
+    runs = [_lbfgsb(start, maxfev) for start in w]
+    points = [next(run) for run in runs]
+    results = [None] * len(runs)
+    live = list(range(len(runs)))
+    while live:
+        if len(live) == 1:      # the 1-d pass costs less than a stack of one row
+            scores = [obj[live[0]].value_and_grad(points[live[0]])]
+        else:
+            scores = zip(*evaluate_rows([obj[i] for i in live],
+                                        np.stack([points[i] for i in live])))
+        running = []
+        for i, (value, grad) in zip(live, scores):
+            try:
+                points[i] = runs[i].send((-value, -grad))
+                running.append(i)
+            except StopIteration as stop:
+                results[i] = stop.value
+        live = running
+    return results
+
+
+def _searches(points, F, config, mode):
     """Deterministic multistart for ``mode`` ('subcritical' or 'critical')
-    on the Euclidean problem (module docstring): canonical initializers
-    first, then seeded perturbations, each one L-BFGS-B ascent on the LEAN
-    quadrature rule; each final iterate is re-scored on the ACCURATE rule,
-    and the best, by (value, lowest index), is built, mapped to F and
-    re-evaluated there.
-    The critical knots reach ``radius_critical`` (default 2 * radius).  For
-    a Euclidean F every factor is exactly 1.0."""
+    on the Euclidean problem (module docstring) of each regime in
+    ``points``, regimes that differ only in lam: one SearchResult each.
+    Every point starts from the canonical initializers, then seeded
+    perturbations, and the restarts of all points ascend together on the
+    LEAN rule (_ascend); each final iterate is re-scored on the ACCURATE
+    rule, and per point the best, by (value, lowest index), is built,
+    mapped to F and re-evaluated there.  The critical knots reach
+    ``radius_critical`` (default 2 * radius).  For a Euclidean F every
+    factor is exactly 1.0."""
     config = config or SearchConfig()
-    validate_lambda(params, F)
+    for point in points:
+        validate_lambda(point, F)
+    params = points[0]
     n = params.n
     euclid = FinslerNorm.euclidean(n)
     k = wulff_volume(F) / wulff_volume(euclid)
@@ -244,43 +284,47 @@ def _search(params, F, config, mode):
     except ParamError:
         raise ParamError(f"search radius {radius:g} puts the energy of the knot grid "
                          f"outside the floating-point range") from None
-    rate_params = params.with_lam(params.lam * k ** (-1.0 / (n - 1.0)))
-    obj = RadialObjective(rate_params, euclid, knots, mode, rule=LEAN)
-    report = RadialObjective(rate_params, euclid, knots, mode)
+    rates = [point.with_lam(point.lam * k ** (-1.0 / (n - 1.0))) for point in points]
     inits = _initializers(knots)
-
-    results = []
+    starts = []
     for idx in range(config.restarts):
         base = np.asarray(inits[idx % len(inits)], dtype=float)
         if idx >= len(inits):
             rng = np.random.default_rng((config.seed, idx))
             base = np.maximum(base * (1.0 + 0.3 * rng.standard_normal(base.size)), 0.0)
-        results.append(_ascend(obj, _theta_to_decrements(base), config.budget))
-
-    vals = np.array([report.value(r[0]) for r in results])
-    order = np.argsort(-vals, kind="stable")
-    best = report.witness(results[order[0]][0])
-    if best is None:
-        raise ParamError("search produced no feasible candidate; the configured "
-                         "radius/knot grid admits no usable profile")
-    profile = best.scaled(value_factor=k ** (-1.0 / n), radius_factor=rho)
-    value = (atmsc_value if mode == "subcritical" else critical_value)(profile, params, F)
-    top = vals[order[:3]] * scale
-    return SearchResult(value=float(value), profile=profile,
-                        restart_values=tuple(float(v) * scale for v in vals),
-                        spread=float(top[0] - top[-1]),
-                        restart_evals=tuple(r[2] for r in results),
-                        restart_stops=tuple(r[3] for r in results))
+        starts.append(_theta_to_decrements(base))
+    objs = [RadialObjective(rate, euclid, knots, mode, rule=LEAN) for rate in rates]
+    ascents = _ascend([obj for obj in objs for _ in starts], starts * len(points),
+                      config.budget)
+    out = []
+    for i, (params, rate) in enumerate(zip(points, rates)):
+        results = ascents[i * len(starts):(i + 1) * len(starts)]
+        report = RadialObjective(rate, euclid, knots, mode)
+        vals = np.array([report.value(r[0]) for r in results])
+        order = np.argsort(-vals, kind="stable")
+        best = report.witness(results[order[0]][0])
+        if best is None:
+            raise ParamError("search produced no feasible candidate; the configured "
+                             "radius/knot grid admits no usable profile")
+        profile = best.scaled(value_factor=k ** (-1.0 / n), radius_factor=rho)
+        value = (atmsc_value if mode == "subcritical" else critical_value)(profile, params, F)
+        top = vals[order[:3]] * scale
+        out.append(SearchResult(value=float(value), profile=profile,
+                                restart_values=tuple(float(v) * scale for v in vals),
+                                spread=float(top[0] - top[-1]),
+                                restart_evals=tuple(r[2] for r in results),
+                                restart_stops=tuple(r[3] for r in results)))
+    return out
 
 
 def estimate_f(params, F, config=None):
     """SearchResult of the best subcritical value over normalized profiles."""
-    return _search(params, F, config, "subcritical")
+    return _searches([params], F, config, "subcritical")[0]
 
 
 def direct_critical_max(params, F, config=None):
     """SearchResult of the best critical value on the constraint sphere."""
-    return _search(params, F, config, "critical")
+    return _searches([params], F, config, "critical")[0]
 
 
 def _sweep_ts(params, grid_size):
@@ -308,16 +352,20 @@ def _sweep_ts(params, grid_size):
 
 
 def identity_sweep(params, F, grid_size=24, config=None):
-    """Sample bracket(t) * f(t) over t in (0, lam); each f is a standalone
-    estimate_f at its t, with a quarter of the restarts (at least 2), of
-    the Phi-series f whatever params.variant: the sup identity holds for it."""
+    """Sample bracket(t) * f(t) over t in (0, lam); each f is that of a
+    search at its t with a quarter of the restarts (at least 2), of the
+    Phi-series f whatever params.variant: the sup identity holds for it.
+    The restarts of all the points ascend as one lockstep search (_ascend),
+    their objectives differing only in lam, so each f is bitwise the
+    standalone estimate_f at its t."""
     grid_size = _count(grid_size, "sweep grid_size", 8)
     config = config or SearchConfig()
     validate_lambda(params, F)
     ts = _sweep_ts(params, grid_size)
     point_config = replace(config, restarts=max(2, config.restarts // 4))
     phi_params = replace(params, variant=PHI_SERIES)
-    ests = [estimate_f(phi_params.with_lam(float(t)), F, point_config) for t in ts]
+    ests = _searches([phi_params.with_lam(float(t)) for t in ts], F, point_config,
+                     "subcritical")
     fs = np.array([est.value for est in ests])
     profiles = [est.profile for est in ests]
     brackets = np.asarray(aa_bracket(ts, params))

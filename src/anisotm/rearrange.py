@@ -191,13 +191,6 @@ class StepRearrangement:
     def total_support(self):
         return float(self.breakpoints[-1]) if self.breakpoints.size else 0.0
 
-    def mass(self, q):
-        """sum (t_k - t_{k-1}) values_k^q; equals ||u||_q^q of the source."""
-        if self.breakpoints.size == 0:
-            return 0.0
-        widths = np.diff(np.concatenate([[0.0], self.breakpoints]))
-        return float(np.sum(widths * self.values ** q))
-
 
 def grid_lq_norm(u, q):
     """(h^n sum u^q)^{1/q}, the midpoint quadrature of ||u||_q."""

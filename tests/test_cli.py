@@ -435,6 +435,31 @@ def test_check_rejects_negative_seed(tmp_path, capsys):
     assert "search.seed must be at least 0" in capsys.readouterr().err
 
 
+def test_ellipse_matrix_must_match_the_dimension(tmp_path, capsys):
+    # a 2x2 matrix at n = 3 used to give a planar geometry.json (kappa 4.4429)
+    cfg = write_config(tmp_path / "cfg.json", params={"n": 3},
+                       gauge={"kind": "ellipse", "matrix": [[4.0, 0.0], [0.0, 1.0]]})
+    for command in ("geometry", "maximize", "sweep"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "ellipse matrix has shape (2, 2); dimension 3 needs shape (3, 3)" in err
+    assert not (tmp_path / "geometry.json").exists()
+    cfg = write_config(tmp_path / "cfg3.json", params={"n": 3}, gauge={
+        "kind": "ellipse", "matrix": [[4.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]})
+    assert main(["geometry", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "geometry.json").read_text())["dim"] == 3
+
+
+def test_check_validates_its_gauge(tmp_path, capsys):
+    # check used to ignore the gauge block, so a misspelled key exited 0
+    cfg = tmp_path / "check.json"
+    cfg.write_text(json.dumps({"gauge": {"kind": "euclidean", "rul": 1}}))
+    assert main(["check", "--config", str(cfg)]) == 2
+    assert "config field gauge: unknown euclidean gauge spec key 'rul'" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"gauge": {"kind": "euclidean"}}))
+    assert main(["check", "--config", str(cfg)]) == 0
+
+
 def test_check_seed_without_config(monkeypatch, capsys):
     assert main(["check", "--seed", "-1"]) == 2
     assert "search.seed must be at least 0" in capsys.readouterr().err

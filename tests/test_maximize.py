@@ -364,22 +364,27 @@ def test_ascend_abnormal_line_search():
 @pytest.mark.parametrize("search", [estimate_f, direct_critical_max],
                          ids=["subcritical", "critical"])
 def test_restart_evals_and_stops(gauge_euclid, search, monkeypatch):
-    calls, per_restart = [], []
-    counted = RadialObjective.value_and_grad
+    # every row a gradient pass scores is one evaluation of one restart;
+    # each restart's count is that of its ascent run alone
+    rows, starts = [], []
+    counted = RadialObjective._evaluate
     ascend = maximize._ascend
-    monkeypatch.setattr(RadialObjective, "value_and_grad",
-                        lambda self, theta: calls.append(1) or counted(self, theta))
+
+    def counting(self, w, grad, lam=None):
+        rows.append((len(w) if w.ndim == 2 else 1) if grad else 0)
+        return counted(self, w, grad, lam)
 
     def recorded(obj, theta, maxfev):
-        before = len(calls)
-        out = ascend(obj, theta, maxfev)
-        per_restart.append(len(calls) - before)
-        return out
+        starts.extend(zip(obj, theta))
+        return ascend(obj, theta, maxfev)
 
+    monkeypatch.setattr(RadialObjective, "_evaluate", counting)
     monkeypatch.setattr(maximize, "_ascend", recorded)
     res = search(PARAMS, gauge_euclid, small_config(restarts=3))
-    assert res.restart_evals == tuple(per_restart) and len(per_restart) == 3
-    assert sum(res.restart_evals) == len(calls)
+    assert len(starts) == 3
+    assert sum(res.restart_evals) == sum(rows)
+    monkeypatch.undo()
+    assert res.restart_evals == tuple(ascend(obj, w, 300)[2] for obj, w in starts)
     assert all(s.split(":")[0] in ("CONVERGENCE", "STOP", "ABNORMAL", "WARNING")
                for s in res.restart_stops)
     starved = search(PARAMS, gauge_euclid, small_config(budget=5))
@@ -397,7 +402,7 @@ def test_restart_values_are_those_of_the_iterates(gauge_euclid, monkeypatch):
 
     def recorded(obj, theta, maxfev):
         out = ascend(obj, theta, maxfev)
-        runs.append((obj, out))
+        runs.extend(zip(obj, out))
         return out
 
     monkeypatch.setattr(maximize, "_ascend", recorded)
@@ -409,6 +414,70 @@ def test_restart_values_are_those_of_the_iterates(gauge_euclid, monkeypatch):
     assert res.restart_values == tuple(
         RadialObjective(obj.params, obj.F, obj.knots, obj.mode).value(theta)
         for obj, (theta, _, _, _) in runs)
+
+
+def _lockstep_runs(monkeypatch, run):
+    """The (objectives, starts, budget, results) of every lockstep _ascend
+    call that ``run`` makes."""
+    calls = []
+    ascend = maximize._ascend
+
+    def recorded(obj, w, maxfev):
+        out = ascend(obj, w, maxfev)
+        calls.append((obj, w, maxfev, out))
+        return out
+
+    monkeypatch.setattr(maximize, "_ascend", recorded)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _assert_lockstep_is_serial(calls):
+    for objs, starts, budget, results in calls:
+        assert isinstance(results, list) and len(results) == len(starts)
+        for obj, w, got in zip(objs, starts, results):
+            want = _ascend(obj, w, budget)
+            assert np.array_equal(got[0], want[0])
+            assert got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("search", [estimate_f, direct_critical_max],
+                         ids=["subcritical", "critical"])
+def test_lockstep_restarts_are_serial_ascents(gauge_euclid, search, monkeypatch):
+    # the bench-size searches: each restart of the lockstep multistart ends
+    # bitwise where its ascent run alone ends, with the same value,
+    # evaluation count and stop message
+    params = PARAMS.with_lam(0.5 * sharp_constant(gauge_euclid))
+    config = SearchConfig(knots=64, radius=8.0, restarts=6, budget=500, radius_critical=16.0)
+    calls = _lockstep_runs(monkeypatch, lambda: search(params, gauge_euclid, config))
+    assert len(calls) == 1 and len(calls[0][1]) == 6
+    _assert_lockstep_is_serial(calls)
+
+
+@pytest.mark.parametrize("search", [estimate_f, direct_critical_max],
+                         ids=["subcritical", "critical"])
+def test_lockstep_restarts_stopped_by_the_budget(search, monkeypatch):
+    # the 3-D case, where restarts end on the evaluation budget at unequal
+    # counts, so the lockstep rounds run on with fewer and fewer rows
+    F = FinslerNorm.euclidean(3)
+    params = FunctionalParams(3, 2.0, 1.0, 0.5 * sharp_constant(F), 2.0, 3.0)
+    config = SearchConfig(knots=32, radius=8.0, restarts=5, budget=300)
+    calls = _lockstep_runs(monkeypatch, lambda: search(params, F, config))
+    stops = [r[3] for r in calls[0][3]]
+    assert "STOP: TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT" in stops
+    _assert_lockstep_is_serial(calls)
+
+
+def test_sweep_runs_its_points_as_one_lockstep_search(gauge_euclid, monkeypatch):
+    # every point's restarts ascend together, each on its point's objective
+    config = small_config(restarts=8)
+    calls = _lockstep_runs(monkeypatch, lambda: identity_sweep(
+        PARAMS, gauge_euclid, grid_size=8, config=config))
+    assert len(calls) == 1
+    objs = calls[0][0]
+    assert len(objs) == 16 and len({obj.params.lam for obj in objs}) == 8
+    _assert_lockstep_is_serial(calls)
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.5])

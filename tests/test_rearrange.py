@@ -132,11 +132,18 @@ def test_rearrangement_right_continuity(hand_grid):
     assert np.array_equal(got, [1.0, 1.0, 0.5, 0.5, 0.2, 0.2, 0.0, 0.0])
 
 
+def mass(r, q):
+    """sum (t_k - t_{k-1}) values_k^q of the step rearrangement r: the
+    ||u||_q^q of its source, if r is equimeasurable with it."""
+    widths = np.diff(np.concatenate([[0.0], r.breakpoints]))
+    return float(np.sum(widths * r.values ** q))
+
+
 def test_rearrangement_mass_equals_lq(hand_grid):
     r = decreasing_rearrangement(hand_grid)
-    assert r.mass(2.0) == pytest.approx(6.16, rel=1e-14)
+    assert mass(r, 2.0) == pytest.approx(6.16, rel=1e-14)
     for q in (1.0, 2.0, 3.7):
-        assert r.mass(q) == pytest.approx(grid_lq_norm(hand_grid, q) ** q,
+        assert mass(r, q) == pytest.approx(grid_lq_norm(hand_grid, q) ** q,
                                           rel=1e-13)
 
 
@@ -154,14 +161,14 @@ def test_rearrangement_mass_property(m, levels, ties, seed, q):
     u = GridFunction(rng.uniform(0.5, 4.0), vals)
     want = grid_lq_norm(u, q) ** q
     for _ in range(2):
-        assert decreasing_rearrangement(u).mass(q) == pytest.approx(want, rel=1e-12)
+        assert mass(decreasing_rearrangement(u), q) == pytest.approx(want, rel=1e-12)
 
 
 def test_rearrangement_of_zero():
     r = decreasing_rearrangement(GridFunction.zeros(2, 1.0, 4))
     assert r.total_support == 0.0
     assert r(0.0) == 0.0 and r(5.0) == 0.0
-    assert r.mass(2.0) == 0.0
+    assert mass(r, 2.0) == 0.0
 
 
 def test_distribution_function_hand(hand_grid):
