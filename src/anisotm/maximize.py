@@ -40,9 +40,9 @@ from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 from .finsler import FinslerNorm, wulff_volume
 from .functional import (EXP_POWER, LEAN, PHI_SERIES, ParamError, RadialObjective,
-                         _check_grid, _count, atmsc_value, critical_value, evaluate_rows,
-                         constraint_value, lq_norm_radial, grad_norm_radial, aa_bracket,
-                         series_start, series_threshold, validate_lambda)
+                         _check_grid, _count, _real, atmsc_value, critical_value,
+                         evaluate_rows, constraint_value, lq_norm_radial, grad_norm_radial,
+                         aa_bracket, series_start, series_threshold, validate_lambda)
 from .profiles import RadialProfile
 from .rearrange import rasterize_profile, symmetry_gap
 
@@ -81,7 +81,10 @@ class SearchConfig:
             object.__setattr__(self, name, _count(getattr(self, name), f"search.{name}", least))
         for name in ("radius", "radius_critical"):
             r = getattr(self, name)
-            if r is not None and not (np.isfinite(r) and r > 0.0):
+            if r is None:
+                continue
+            _real(r, f"search.{name}")
+            if not (math.isfinite(r) and r > 0.0):
                 raise ParamError(f"search.{name} must be positive and finite, got {r}")
 
 
@@ -204,10 +207,9 @@ def _lbfgsb(w, maxfev):
     return x, -float(accepted), nfev, stop
 
 
-def _ascend(obj, w, maxfev):
-    """Bounded L-BFGS-B ascent of ``obj`` from the nonnegative decrements w;
-    given a list of objectives and a list of starts, one ascent per start,
-    of its objective, all in lockstep.
+def _ascend(objs, starts, maxfev):
+    """Bounded L-BFGS-B ascents, one from each start (nonnegative
+    decrements) of its objective in ``objs``, all in lockstep.
 
     The decrements turn the monotone cone into a box, so every iterate is
     a nonincreasing profile and goes to the objective as it is.
@@ -228,23 +230,17 @@ def _ascend(obj, w, maxfev):
     running ascents are scored in one row-batched pass (evaluate_rows), so
     the per-call cost of the pass is paid once per round, not once per
     ascent.  A pass scores each row bitwise as value_and_grad does, so
-    every ascent is bitwise the one it runs alone.  Returns (decrements,
-    value, evaluations, stop message), or a list of them for lists.
+    every ascent is bitwise the one it runs alone.  Returns a list of
+    (decrements, value, evaluations, stop message), one per start.
     """
-    if not isinstance(w, list):
-        return _ascend([obj], [w], maxfev)[0]
-    runs = [_lbfgsb(start, maxfev) for start in w]
+    runs = [_lbfgsb(start, maxfev) for start in starts]
     points = [next(run) for run in runs]
     results = [None] * len(runs)
     live = list(range(len(runs)))
     while live:
-        if len(live) == 1:      # the 1-d pass costs less than a stack of one row
-            scores = [obj[live[0]].value_and_grad(points[live[0]])]
-        else:
-            scores = zip(*evaluate_rows([obj[i] for i in live],
-                                        np.stack([points[i] for i in live])))
+        scores = evaluate_rows([objs[i] for i in live], np.stack([points[i] for i in live]))
         running = []
-        for i, (value, grad) in zip(live, scores):
+        for i, value, grad in zip(live, *scores):
             try:
                 points[i] = runs[i].send((-value, -grad))
                 running.append(i)
@@ -260,9 +256,9 @@ def _searches(points, F, config, mode):
     ``points``, regimes that differ only in lam: one SearchResult each.
     Every point starts from the canonical initializers, then seeded
     perturbations, and the restarts of all points ascend together on the
-    LEAN rule (_ascend); each final iterate is re-scored on the ACCURATE
-    rule, and per point the best, by (value, lowest index), is built,
-    mapped to F and re-evaluated there.  The critical knots reach
+    LEAN rule (_ascend); all final iterates are re-scored on the ACCURATE
+    rule in one evaluate_rows call, and per point the best, by (value,
+    lowest index), is built, mapped to F and re-evaluated there.  The critical knots reach
     ``radius_critical`` (default 2 * radius).  For a Euclidean F every
     factor is exactly 1.0."""
     config = config or SearchConfig()
@@ -296,11 +292,13 @@ def _searches(points, F, config, mode):
     objs = [RadialObjective(rate, euclid, knots, mode, rule=LEAN) for rate in rates]
     ascents = _ascend([obj for obj in objs for _ in starts], starts * len(points),
                       config.budget)
+    reports = [RadialObjective(rate, euclid, knots, mode) for rate in rates]
+    scores = evaluate_rows([report for report in reports for _ in starts],
+                           np.stack([r[0] for r in ascents]), grad=False)[0]
     out = []
-    for i, (params, rate) in enumerate(zip(points, rates)):
+    for i, (params, report) in enumerate(zip(points, reports)):
         results = ascents[i * len(starts):(i + 1) * len(starts)]
-        report = RadialObjective(rate, euclid, knots, mode)
-        vals = np.array([report.value(r[0]) for r in results])
+        vals = scores[i * len(starts):(i + 1) * len(starts)]
         order = np.argsort(-vals, kind="stable")
         best = report.witness(results[order[0]][0])
         if best is None:
@@ -432,9 +430,9 @@ def maximizer_diagnostics(g, params, F, grid_resolution=256, objective="subcriti
     Wulff-symmetric by construction).  The margin is the largest
     functional increase over 200 seeded random perturbations of the knot
     decrements of g, each by a relative size 1e-3 and so monotone by
-    construction, each scored by RadialObjective.value on the accurate
-    quadrature rule, the rule of atmsc_value and critical_value, without
-    the gradient; the lean rule of the search's ascent plays no part.
+    construction, all scored by evaluate_rows on the accurate quadrature
+    rule, the rule of atmsc_value and critical_value, without the gradient;
+    the lean rule of the search's ascent plays no part.
     """
     obj = RadialObjective(params, F, g.knots, objective)
     gn = grad_norm_radial(g, F)
@@ -448,8 +446,8 @@ def maximizer_diagnostics(g, params, F, grid_resolution=256, objective="subcriti
 
     w0 = -np.diff(g.values)
     rng = np.random.default_rng(0)
-    best = max(obj.value(w) for w in
-               w0 * (1.0 + 1e-3 * rng.standard_normal((200, w0.size))))
+    trials = w0 * (1.0 + 1e-3 * rng.standard_normal((200, w0.size)))
+    best = float(evaluate_rows([obj] * len(trials), trials, grad=False)[0].max())
     margin = max(0.0, best - value)
     return MaximizerReport(
         profile=g, value=float(value),

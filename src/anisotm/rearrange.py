@@ -151,10 +151,6 @@ class GridFunction:
             raise ValueError(f"expected {m ** dim} values, got {flat.size}")
         return cls(l, flat.reshape((m,) * dim))
 
-    def to_json(self):
-        return {"n": self.dim, "l": self.halfwidth, "m": self.m,
-                "values": self.values.ravel().tolist()}
-
     @classmethod
     def from_json(cls, obj):
         for key in ("n", "l", "m", "values"):

@@ -115,7 +115,8 @@ def test_symmetrize_flags_asymmetric_input(config_path, tmp_path):
     vals = np.zeros((32, 32))
     vals[20:26, 4:10] = 1.0
     grid_path = tmp_path / "offcenter.json"
-    grid_path.write_text(json.dumps(GridFunction(2.0, vals).to_json()))
+    grid_path.write_text(json.dumps({"n": 2, "l": 2.0, "m": 32,
+                                     "values": vals.ravel().tolist()}))
     out = tmp_path / "sym2"
     assert main(["symmetrize", "--config", str(config_path),
                  "--out", str(out), "--input", str(grid_path)]) == 0

@@ -52,7 +52,10 @@ def test_params_validation():
                 dict(a=0.0), dict(b=-1.0), dict(variant="nope"),
                 dict(q=np.inf), dict(q=np.nan), dict(a=np.nan), dict(a=np.inf),
                 dict(b=np.nan), dict(b=np.inf), dict(p=np.nan), dict(p=np.inf),
-                dict(n=np.inf), dict(n=np.nan), dict(n="2")):
+                dict(n=np.inf), dict(n=np.nan), dict(n="2"),
+                dict(lam="1"), dict(q="2"), dict(a=None), dict(b=None),
+                dict(p="2", variant="exp_power"), dict(lam=True), dict(beta=True),
+                dict(q=np.True_), dict(a=True), dict(beta=1j)):
         with pytest.raises(ParamError):
             params_beta05(**bad)
     for n in (2.0, np.int64(3)):
@@ -640,6 +643,42 @@ def test_stack_rejects_its_bad_rows_alone(gauge_euclid, mode):
         want, want_grad = obj.value_and_grad(w[i])
         assert np.isfinite(want)
         assert values[i] == want and np.array_equal(grads[i], want_grad)
+
+
+def test_blocked_stack_rejects_a_bad_row_in_its_block_alone(gauge_euclid, monkeypatch):
+    # on the accurate rule at 64 knots (2,432 nodes) a stack goes through the
+    # pass in blocks of a few rows, each row at its own rate; a degenerate row
+    # in a middle block scores -inf and every other row keeps its one-row
+    # score.  The lockstep rounds, at most 16 rows on the lean rule, stay one
+    # block
+    knots = geometric_knots(8.0, 64)
+    params = params_beta05(lam=0.5 * sharp_constant(gauge_euclid))
+    rows = functional._BLOCK_NODES // RadialObjective(params, gauge_euclid, knots,
+                                                      "subcritical")._we.size
+    objs = [RadialObjective(params.with_lam(rel * sharp_constant(gauge_euclid)),
+                            gauge_euclid, knots, "subcritical")
+            for rel in np.linspace(0.1, 0.9, 5 * rows)]
+    rng = np.random.default_rng(5)
+    thetas = np.sort(rng.uniform(0.0, 1.0, (5 * rows, knots.size - 1)), axis=1)[:, ::-1]
+    w = np.array([decrements(t) for t in thetas])
+    bad = 2 * rows + rows // 2
+    w[bad] = 0.0
+    passes = []
+    evaluate = RadialObjective._evaluate
+    monkeypatch.setattr(RadialObjective, "_evaluate",
+                        lambda self, w, *args: passes.append(len(w)) or evaluate(self, w, *args))
+    values, grads = functional.evaluate_rows(objs, w)
+    assert passes[:3] == [rows] * 3 and 1 < rows
+    assert values[bad] == -np.inf and np.all(grads[bad] == 0.0)
+    assert np.array_equal(functional.evaluate_rows(objs, w, grad=False)[0], values)
+    for i, (obj, row) in enumerate(zip(objs, w)):
+        if i != bad:
+            want, want_grad = obj.value_and_grad(row)
+            assert values[i] == want and np.array_equal(grads[i], want_grad)
+    lean = RadialObjective(params, gauge_euclid, knots, "critical", LEAN)
+    passes.clear()
+    functional.evaluate_rows([lean] * 16, w[:16])
+    assert passes == [16]
 
 
 def test_stack_needs_objectives_that_differ_only_in_lam(gauge_euclid):

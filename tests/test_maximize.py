@@ -25,7 +25,7 @@ from anisotm import (SearchConfig, SearchResult, estimate_f, identity_sweep,
                      RadialProfile, FinslerNorm, wulff_volume, sharp_constant)
 from anisotm.functional import (ACCURATE, LEAN, RadialObjective, series_start,
                                 series_threshold)
-from anisotm.maximize import (_ascend, _initializers, _sweep_ts,
+from anisotm.maximize import (_ascend, _initializers, _lbfgsb, _sweep_ts,
                               _theta_to_decrements, geometric_knots,
                               isotonic_nonincreasing)
 
@@ -218,14 +218,17 @@ def test_estimate_f_exp_power_below_one(gauge_euclid):
                                      {"budget": 10.5}, {"seed": 0.5},
                                      {"budget": np.nan}, {"knots": "8"},
                                      {"restarts": True}, {"budget": True},
-                                     {"seed": False}],
+                                     {"seed": False}, {"radius": "8"},
+                                     {"radius": True}, {"radius_critical": "16"},
+                                     {"radius_critical": np.True_}],
                          ids=["knots", "restarts", "budget", "radius-zero",
                               "radius-negative", "radius-nan", "radius-inf",
                               "radius_critical-zero", "radius_critical-nan",
                               "knots-fraction", "restarts-fraction",
                               "budget-fraction", "seed-fraction", "budget-nan",
                               "knots-string", "restarts-bool", "budget-bool",
-                              "seed-bool"])
+                              "seed-bool", "radius-string", "radius-bool",
+                              "radius_critical-string", "radius_critical-bool"])
 def test_search_config_rejects_degenerate(setting):
     with pytest.raises(ParamError, match=next(iter(setting))):
         small_config(**setting)
@@ -278,6 +281,11 @@ def _minimize_ascent(obj, w, maxfev, ftol=1e-14):
     return res.x, -float(res.fun), res.nfev, res.message
 
 
+def _ascend_one(obj, w, maxfev):
+    """The lockstep _ascend of the one start w on obj."""
+    return _ascend([obj], [w], maxfev)[0]
+
+
 @pytest.mark.parametrize("mode,radius,init,budget", [
     ("subcritical", 8.0, 0, 500), ("subcritical", 8.0, 3, 500),
     ("critical", 16.0, 0, 500), ("critical", 16.0, 3, 500),
@@ -291,7 +299,7 @@ def test_ascend_is_bitwise_minimize(gauge_euclid, mode, radius, init, budget):
                           gauge_euclid, knots, mode)
     w = _theta_to_decrements(_initializers(knots)[init])
     want = _minimize_ascent(obj, w, budget)
-    got = _ascend(obj, w, budget)
+    got = _ascend_one(obj, w, budget)
     assert np.array_equal(got[0], want[0])
     assert got[2:] == want[2:]
     assert got[1] == obj.value_and_grad(got[0])[0]
@@ -313,7 +321,7 @@ def test_ascent_stop_loses_nothing(gauge_euclid, mode, radius):
                           gauge_euclid, knots, mode)
     values, oracle_values, evals, oracle_evals = [], [], 0, 0
     for w in map(_theta_to_decrements, _initializers(knots)):
-        _, value, nfev, _ = _ascend(obj, w, 4000)
+        _, value, nfev, _ = _ascend_one(obj, w, 4000)
         oracle = _minimize_ascent(obj, w, 4000, ftol=1e-16)
         oracle_values.append(obj.value_and_grad(oracle[0])[0])
         values.append(value)
@@ -351,11 +359,18 @@ class _WrongSignGradient:
 
 def test_ascend_abnormal_line_search():
     # after an abnormal line search minimize reports the value of the last
-    # trial point; _ascend reports that of the iterate it returns
+    # trial point; the ascent (_lbfgsb, which _ascend drives) reports that
+    # of the iterate it returns
     obj = _WrongSignGradient()
     w = _theta_to_decrements(np.linspace(1.0, 0.1, 10))
     want = _minimize_ascent(obj, w, 500)
-    got = _ascend(obj, w, 500)
+    run = _lbfgsb(w, 500)
+    point = next(run)
+    with pytest.raises(StopIteration) as stop:
+        while True:
+            value, grad = obj.value_and_grad(point)
+            point = run.send((-value, -grad))
+    got = stop.value.value
     assert np.array_equal(got[0], want[0])
     assert got[2:] == want[2:] == (21, "ABNORMAL: ")
     assert got[1] == obj.value_and_grad(got[0])[0] and got[1] != want[1]
@@ -371,7 +386,7 @@ def test_restart_evals_and_stops(gauge_euclid, search, monkeypatch):
     ascend = maximize._ascend
 
     def counting(self, w, grad, lam=None):
-        rows.append((len(w) if w.ndim == 2 else 1) if grad else 0)
+        rows.append(len(w) if grad else 0)
         return counted(self, w, grad, lam)
 
     def recorded(obj, theta, maxfev):
@@ -384,7 +399,7 @@ def test_restart_evals_and_stops(gauge_euclid, search, monkeypatch):
     assert len(starts) == 3
     assert sum(res.restart_evals) == sum(rows)
     monkeypatch.undo()
-    assert res.restart_evals == tuple(ascend(obj, w, 300)[2] for obj, w in starts)
+    assert res.restart_evals == tuple(ascend([obj], [w], 300)[0][2] for obj, w in starts)
     assert all(s.split(":")[0] in ("CONVERGENCE", "STOP", "ABNORMAL", "WARNING")
                for s in res.restart_stops)
     starved = search(PARAMS, gauge_euclid, small_config(budget=5))
@@ -437,7 +452,7 @@ def _assert_lockstep_is_serial(calls):
     for objs, starts, budget, results in calls:
         assert isinstance(results, list) and len(results) == len(starts)
         for obj, w, got in zip(objs, starts, results):
-            want = _ascend(obj, w, budget)
+            want = _ascend_one(obj, w, budget)
             assert np.array_equal(got[0], want[0])
             assert got[1:] == want[1:]
 
@@ -493,8 +508,8 @@ def test_lean_ascent_ends_where_the_accurate_one_does(gauge_euclid, beta, mode, 
     lean = RadialObjective(params, gauge_euclid, knots, mode, rule=LEAN)
     for init in _initializers(knots):
         w = _theta_to_decrements(init)
-        want = accurate.value(_ascend(accurate, w, 4000)[0])
-        got = accurate.value(_ascend(lean, w, 4000)[0])
+        want = accurate.value(_ascend_one(accurate, w, 4000)[0])
+        got = accurate.value(_ascend_one(lean, w, 4000)[0])
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -626,32 +641,37 @@ def test_maximizer_diagnostics(gauge_euclid):
                               objective="nope")
 
 
-@pytest.mark.parametrize("mode", ["subcritical", "critical"])
-def test_margin_equals_serial_reference(gauge_euclid, mode, monkeypatch):
+@pytest.mark.parametrize("mode,gauge", [
+    ("subcritical", "gauge_euclid"), ("critical", "gauge_euclid"),
+    ("subcritical", "gauge_pnorm4"), ("critical", "gauge_pnorm4")],
+    ids=["subcritical", "critical", "subcritical-pnorm4", "critical-pnorm4"])
+def test_margin_equals_serial_reference(request, mode, gauge, monkeypatch):
     # the normalized cone is not a maximizer, so its margin is positive; the
-    # margin perturbs the decrements and scores each candidate through
-    # value, which must reproduce this value_and_grad loop without a single
+    # margin perturbs the decrements and scores the candidates in row blocks
+    # of one stack pass, which must reproduce this value_and_grad loop and
+    # the former one-candidate-at-a-time maximum of value, without a single
     # value_and_grad call and without the isotonic projection
+    F = request.getfixturevalue(gauge)
     knots = geometric_knots(8.0, 24)
     g = RadialProfile(knots, np.append(_initializers(knots)[0], 0.0))
-    g = (normalize_sphere(g, PARAMS.q, gauge_euclid) if mode == "subcritical" else
-         constraint_scale(g, PARAMS.a, PARAMS.b, gauge_euclid, PARAMS.q).scaled)
-    obj = RadialObjective(PARAMS, gauge_euclid, g.knots, mode)
+    g = (normalize_sphere(g, PARAMS.q, F) if mode == "subcritical" else
+         constraint_scale(g, PARAMS.a, PARAMS.b, F, PARAMS.q).scaled)
+    obj = RadialObjective(PARAMS, F, g.knots, mode)
     rng = np.random.default_rng(0)
     w0 = -np.diff(g.values)
-    value = (atmsc_value if mode == "subcritical" else critical_value)(g, PARAMS, gauge_euclid)
+    value = (atmsc_value if mode == "subcritical" else critical_value)(g, PARAMS, F)
+    trials = w0 * (1.0 + 1e-3 * rng.standard_normal((200, w0.size)))
     want = 0.0
-    for _ in range(200):
-        w = w0 * (1.0 + 1e-3 * rng.standard_normal(w0.size))
+    for w in trials:
         want = max(want, obj.value_and_grad(w)[0] - value)
     assert want > 1e-4
+    assert want == max(0.0, max(obj.value(w) for w in trials) - value)
 
     calls = []
     serial = RadialObjective.value_and_grad
     monkeypatch.setattr(RadialObjective, "value_and_grad",
                         lambda self, theta: calls.append(1) or serial(self, theta))
     monkeypatch.setattr(maximize, "isotonic_nonincreasing", None)
-    rep = maximizer_diagnostics(g, PARAMS, gauge_euclid, grid_resolution=64,
-                                objective=mode)
+    rep = maximizer_diagnostics(g, PARAMS, F, grid_resolution=64, objective=mode)
     assert rep.local_optimality_margin == want
     assert calls == []

@@ -108,7 +108,8 @@ def test_grid_text_round_trip(tmp_path, hand_grid):
 
 
 def test_grid_json_round_trip(hand_grid):
-    back = GridFunction.from_json(hand_grid.to_json())
+    back = GridFunction.from_json({"n": hand_grid.dim, "l": hand_grid.halfwidth,
+                                   "m": hand_grid.m, "values": hand_grid.values.ravel().tolist()})
     assert back.halfwidth == hand_grid.halfwidth
     assert np.array_equal(back.values, hand_grid.values)
     with pytest.raises(ValueError):
